@@ -3,12 +3,13 @@
 The batch contract (docs/batch_evaluation.md) demands results bit-identical
 to the scalar ``evaluate`` loop — not merely close: the deterministic
 -simulation digests hash fitness ``repr``s, so a single flipped ulp breaks
-replay.  This suite pins that contract for every benchmark problem that
-overrides the default scalar-loop ``evaluate_batch``.
+replay.  This suite pins that contract for every problem that overrides
+the default scalar-loop ``evaluate_batch``.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from repro.core.problem import (
     Problem,
@@ -38,6 +39,7 @@ from repro.problems import (
     Weierstrass,
     ZeroMax,
 )
+from repro.problems.applications import ReactorCoreDesign
 
 VECTORIZED_PROBLEMS = [
     OneMax(37),
@@ -59,12 +61,19 @@ VECTORIZED_PROBLEMS = [
     Knapsack(n=18, seed=5),
     TravelingSalesman.random(n_cities=12, seed=6),
     GraphBipartition(n=12, seed=7),
+    ReactorCoreDesign(mesh_points=20),
+    ReactorCoreDesign(mesh_points=40),
+    ReactorCoreDesign(mesh_points=60),
 ]
 
 
-@pytest.mark.parametrize(
-    "problem", VECTORIZED_PROBLEMS, ids=lambda p: type(p).__name__
-)
+def _problem_id(problem):
+    if isinstance(problem, ReactorCoreDesign):
+        return f"ReactorCoreDesign-mesh{problem.n}"
+    return type(problem).__name__
+
+
+@pytest.mark.parametrize("problem", VECTORIZED_PROBLEMS, ids=_problem_id)
 class TestBatchScalarIdentity:
     def _batch(self, problem, n=33, seed=0):
         rng = np.random.default_rng(seed)
@@ -92,6 +101,127 @@ class TestBatchScalarIdentity:
     def test_single_row_batch(self, problem):
         batch = self._batch(problem, n=1, seed=2)
         assert problem.evaluate_batch(batch)[0] == problem.evaluate(batch[0])
+
+
+def _reference_reactor_fitness(p, genome, tol=1e-8, max_iter=200):
+    """One design's fitness by the plain scalar algorithm (Python-float
+    decode, per-cell assembly, dense ``lu_factor``/``lu_solve``): the oracle
+    the batched solver must match bit for bit."""
+    (e_lo, e_hi), (m_lo, m_hi) = p.ENRICH_RANGE, p.MODERATION_RANGE
+    enrich = e_lo + genome[:3] * (e_hi - e_lo)
+    f_min = p.MIN_ZONE_FRACTION
+    free = 1.0 - 3 * f_min
+    a = float(genome[3]) * free
+    b = float(genome[4]) * (free - a)
+    widths = np.array([f_min + a, f_min + b, f_min + (free - a - b)])
+    moderation = m_lo + float(genome[5]) * (m_hi - m_lo)
+    nsf_z = 0.005 + 0.30 * enrich
+    sa_z = 0.0105 + 0.11 * enrich + 0.0012 * (moderation - 2.0) ** 2
+    d_z = np.full_like(enrich, 1.30) / np.sqrt(moderation / 2.0)
+    x = np.arange(1, p.n + 1) * p.h / p.core_length
+    zones = np.searchsorted(np.cumsum(widths), x, side="right").clip(0, 2)
+    d, sa, nsf = d_z[zones], sa_z[zones], nsf_z[zones]
+    h2 = p.h * p.h
+    d_ext = np.concatenate([[d[0]], d, [d[-1]]])
+    main, lower, upper = np.empty(p.n), np.empty(p.n - 1), np.empty(p.n - 1)
+    for i in range(p.n):
+        d_w = 2.0 * d_ext[i] * d_ext[i + 1] / (d_ext[i] + d_ext[i + 1])
+        d_e = 2.0 * d_ext[i + 1] * d_ext[i + 2] / (d_ext[i + 1] + d_ext[i + 2])
+        main[i] = (d_w + d_e) / h2 + sa[i]
+        if i > 0:
+            lower[i - 1] = -d_w / h2
+        if i < p.n - 1:
+            upper[i] = -d_e / h2
+    lu = lu_factor(np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1))
+    flux, k = np.ones(p.n), 1.0
+    for _ in range(max_iter):
+        new_flux = lu_solve(lu, nsf * flux / k)
+        k_new = k * float(np.sum(nsf * new_flux) / np.sum(nsf * flux))
+        new_flux /= np.abs(new_flux).max()
+        converged = abs(k_new - k) < tol
+        k, flux = k_new, new_flux
+        if converged:
+            break
+    flux = np.abs(flux)
+    flux = flux * (p.target_mean_flux / float(flux.mean()))
+    power = nsf * flux
+    peaking = float(power.max() / float(power.mean()))
+    penalty = p.criticality_weight * abs(k - 1.0)
+    penalty += p.moderation_weight * max(0.0, moderation - 2.5) ** 2
+    penalty += p.flux_weight * max(0.0, p.target_mean_flux - float(flux.mean()))
+    return peaking + penalty
+
+
+class TestReactorBatchSolver:
+    """The reactor's shared power iteration: rows freeze independently."""
+
+    def _mixed_batch(self):
+        rng = np.random.default_rng(11)
+        return np.vstack([np.zeros(6), rng.random((5, 6)), np.ones(6), rng.random((5, 6))])
+
+    @pytest.mark.parametrize("mesh_points", [20, 40, 60])
+    def test_batch_matches_reference_loop(self, mesh_points):
+        p = ReactorCoreDesign(mesh_points=mesh_points)
+        # moderation genes whose (m - 2.0) ** 2 and (m - 2.5) ** 2 round
+        # differently under libm pow than as the product (m - c) * (m - c),
+        # enough to change the mesh-20 fitness
+        pow_rows = np.full((2, 6), 0.5)
+        pow_rows[:, 5] = [0.186497, 0.92038]
+        batch = np.vstack([self._mixed_batch(), pow_rows])
+        expected = np.asarray([_reference_reactor_fitness(p, g) for g in batch])
+        assert np.array_equal(p.evaluate_batch(batch), expected)
+
+    def test_edge_rows_unconverged_rows_and_solve_fields(self):
+        p = ReactorCoreDesign(mesh_points=40)
+        batch = self._mixed_batch()
+        assert np.array_equal(
+            p.evaluate_batch(batch), np.asarray([p.evaluate(g) for g in batch])
+        )
+        # 120 iterations leave some rows short of the 1e-8 tolerance
+        capped = p.solve_batch(batch, max_iter=120)
+        full = p.solve_batch(batch)
+        converged = [a.k_eff == b.k_eff for a, b in zip(capped, full)]
+        assert any(converged) and not all(converged)
+        for g, row in zip(batch, capped):
+            one = p.solve(g, max_iter=120)
+            assert one.k_eff == row.k_eff
+            assert np.array_equal(one.flux, row.flux)
+            assert np.array_equal(one.power, row.power)
+            assert one.peaking_factor == row.peaking_factor
+            assert one.mean_flux == row.mean_flux
+
+    def test_non_finite_genomes_rejected(self):
+        p = ReactorCoreDesign(mesh_points=20)
+        batch = self._mixed_batch()
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = batch.copy()
+            poisoned[3, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                p.evaluate_batch(poisoned)
+            with pytest.raises(ValueError, match="finite"):
+                p.evaluate(poisoned[3])
+
+    def test_malformed_block_rejected(self):
+        p = ReactorCoreDesign(mesh_points=20)
+        with pytest.raises(ValueError, match="genome block"):
+            p.evaluate_batch(np.zeros((4, 5)))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"core_length": 0.0},
+            {"core_length": -300.0},
+            {"core_length": float("nan")},
+            {"core_length": float("inf")},
+            {"criticality_weight": -1.0},
+            {"moderation_weight": -0.5},
+            {"flux_weight": -2.0},
+            {"flux_weight": float("nan")},
+        ],
+    )
+    def test_invalid_construction_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ReactorCoreDesign(**kwargs)
 
 
 class TestStackGenomes:
