@@ -11,8 +11,8 @@ copy-pasted per engine, and this check keeps them centralised:
    supervisor's view of traffic.
 
 2. **The report schema.**  Engine modules must not define bespoke
-   ``*Result`` / ``*Report`` dataclasses (they are aliases of
-   :class:`repro.parallel.base.RunReport` now) and must not construct
+   ``*Result`` / ``*Report`` dataclasses (every engine returns
+   :class:`repro.parallel.base.RunReport`) and must not construct
    ``RunReport`` directly — reports go through
    ``ParallelEngine._report``, which stamps the engine name and trace
    digest.
@@ -67,6 +67,14 @@ copy-pasted per engine, and this check keeps them centralised:
    per-kind indexes and the listener seam.  Events enter a trace through
    ``Trace.record`` only; no module outside ``repro/cluster/`` may
    mutate an ``.events`` attribute.
+
+9. **Retired compatibility surfaces.**  No module under ``repro/`` may
+   bind a module-level name to ``RunReport`` (the deleted per-engine
+   result aliases such as ``IslandResult = RunReport``), nor define or
+   import the retired global toggles ``batch_evaluation``,
+   ``use_batch_evaluation``, ``set_verify_digest`` or
+   ``DigestMismatchError``.  Callers name ``RunReport`` directly, batch
+   evaluation is always on, and the digest walker is a test oracle.
 
 Run from the repository root::
 
@@ -166,7 +174,7 @@ def lint_file(path: Path) -> list[str]:
         ):
             problems.append(
                 f"{path.relative_to(REPO)}:{node.lineno}: bespoke result class "
-                f"{node.name} — alias repro.parallel.base.RunReport instead"
+                f"{node.name} — return repro.parallel.base.RunReport instead"
             )
 
         # rule 2b: no direct RunReport(...) construction outside base.py
@@ -378,6 +386,44 @@ def lint_trace_events_file(path: Path) -> list[str]:
     return problems
 
 
+#: names rule 9 forbids defining or importing anywhere under repro/
+_RETIRED_NAMES = {
+    "batch_evaluation", "use_batch_evaluation", "set_verify_digest",
+    "DigestMismatchError",
+}
+
+
+def lint_retired_file(path: Path) -> list[str]:
+    """No result aliases or retired toggles may return (rule 9)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    where = path.relative_to(REPO)
+    problems: list[str] = []
+    for node in tree.body:
+        if (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "RunReport"
+        ):
+            problems.append(
+                f"{where}:{node.lineno}: module-level alias of RunReport — "
+                "name repro.parallel.base.RunReport directly"
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            continue
+        for name in sorted(_RETIRED_NAMES.intersection(names)):
+            problems.append(
+                f"{where}:{node.lineno}: retired toggle {name} — batch "
+                "evaluation is always on and the digest walker is a test "
+                "oracle, not a runtime switch"
+            )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in sorted(PARALLEL.glob("*.py")):
@@ -398,6 +444,9 @@ def main() -> int:
     )
     for path in trace_files:
         problems.extend(lint_trace_events_file(path))
+    retired_files = sorted(SRC.rglob("*.py"))
+    for path in retired_files:
+        problems.extend(lint_retired_file(path))
     for line in problems:
         print(line)
     if problems:
@@ -409,7 +458,8 @@ def main() -> int:
         f"{len(experiment_files)} experiment modules + "
         f"{len(vectorized_files)} vectorized kernel modules + "
         f"{len(pool_files)} bare-pool-free modules + "
-        f"{len(trace_files)} trace-mutation-free modules clean"
+        f"{len(trace_files)} trace-mutation-free modules + "
+        f"{len(retired_files)} retired-surface-free modules clean"
     )
     return 0
 

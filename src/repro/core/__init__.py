@@ -32,15 +32,7 @@ from .genome import (
 from .individual import Individual, best_of, better, sort_by_fitness, worst_of
 from .niching import SharedFitnessProblem, distinct_peaks, niche_counts
 from .population import Population, PopulationStats
-from .problem import (
-    CountingProblem,
-    FitnessBudgetExceeded,
-    Problem,
-    batch_evaluation,
-    batch_evaluation_enabled,
-    stack_genomes,
-    use_batch_evaluation,
-)
+from .problem import CountingProblem, FitnessBudgetExceeded, Problem, stack_genomes
 from .rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
 from .variation import make_offspring, offspring_pair
 from .vectorized import (
@@ -90,9 +82,6 @@ __all__ = [
     "Problem",
     "CountingProblem",
     "stack_genomes",
-    "batch_evaluation",
-    "batch_evaluation_enabled",
-    "use_batch_evaluation",
     "FitnessBudgetExceeded",
     "ensure_rng",
     "spawn_rngs",

@@ -29,7 +29,7 @@ __all__ = ["EngineSnapshot", "snapshot_engine", "restore_engine", "save_checkpoi
 # v3: adds per-individual `origins`, so a resumed population keeps its
 # provenance tags instead of reporting every member as freshly initialized
 _FORMAT_VERSION = 3
-_OLDEST_SUPPORTED_VERSION = 2
+_OLDEST_SUPPORTED_VERSION = 3
 
 
 @dataclass
@@ -43,15 +43,13 @@ class EngineSnapshot:
     genomes: list[np.ndarray]
     fitnesses: list[float]
     birth_generations: list[int]
+    origins: list[str]
     best_genome: np.ndarray
     best_fitness: float
     rng_state: dict[str, Any]
     best_birth_generation: int = 0
     best_origin: str = "init"
     history_records: list[GenerationRecord] = field(default_factory=list)
-    # v3+ — absent (None after unpickling) in v2 files; restore falls back
-    # to the Individual default origin for every member
-    origins: list[str] | None = None
 
 
 def snapshot_engine(engine: EvolutionEngine) -> EngineSnapshot:
@@ -67,13 +65,13 @@ def snapshot_engine(engine: EvolutionEngine) -> EngineSnapshot:
         genomes=[ind.genome.copy() for ind in engine.population],
         fitnesses=[ind.require_fitness() for ind in engine.population],
         birth_generations=[ind.birth_generation for ind in engine.population],
+        origins=[ind.origin for ind in engine.population],
         best_genome=best.genome.copy(),
         best_fitness=best.require_fitness(),
         rng_state=engine.rng.bit_generator.state,
         best_birth_generation=best.birth_generation,
         best_origin=best.origin,
         history_records=list(engine.history.records),
-        origins=[ind.origin for ind in engine.population],
     )
 
 
@@ -90,18 +88,15 @@ def restore_engine(engine: EvolutionEngine, snapshot: EngineSnapshot) -> None:
             f"checkpoint format {snapshot.version} not in supported range "
             f"[{_OLDEST_SUPPORTED_VERSION}, {_FORMAT_VERSION}]"
         )
-    # v2 pickles predate per-member provenance: getattr because unpickling
-    # restores __dict__ directly, so the field is missing, not defaulted
-    origins = getattr(snapshot, "origins", None)
-    if origins is None:
-        origins = ["init"] * len(snapshot.genomes)
-    if len(origins) != len(snapshot.genomes):
-        raise ValueError(
-            f"checkpoint has {len(origins)} origins for {len(snapshot.genomes)} genomes"
-        )
+    # zip would silently truncate the population to the shortest list
+    n = len(snapshot.genomes)
+    for name in ("fitnesses", "birth_generations", "origins"):
+        count = len(getattr(snapshot, name))
+        if count != n:
+            raise ValueError(f"checkpoint has {count} {name} for {n} genomes")
     individuals = []
     for genome, fitness, birth, origin in zip(
-        snapshot.genomes, snapshot.fitnesses, snapshot.birth_generations, origins
+        snapshot.genomes, snapshot.fitnesses, snapshot.birth_generations, snapshot.origins
     ):
         ind = Individual(genome=genome.copy(), birth_generation=birth, origin=origin)
         ind.fitness = fitness
@@ -136,7 +131,10 @@ def save_checkpoint(engine: EvolutionEngine, path: str | Path) -> Path:
 def load_checkpoint(engine: EvolutionEngine, path: str | Path) -> EvolutionEngine:
     """Restore ``engine`` in place from ``path``; returns the engine."""
     with open(path, "rb") as fh:
-        snapshot = pickle.load(fh)
+        try:
+            snapshot = pickle.load(fh)
+        except Exception as exc:  # truncated or garbage bytes raise assorted types
+            raise ValueError(f"{path}: not a readable checkpoint") from exc
     if not isinstance(snapshot, EngineSnapshot):
         raise ValueError(f"{path} does not contain an EngineSnapshot")
     restore_engine(engine, snapshot)

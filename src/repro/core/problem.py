@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +24,6 @@ __all__ = [
     "CountingProblem",
     "FitnessBudgetExceeded",
     "stack_genomes",
-    "batch_evaluation_enabled",
-    "use_batch_evaluation",
-    "batch_evaluation",
     "evaluations_observed",
 ]
 
@@ -40,34 +36,6 @@ _EVALS_OBSERVED = 0
 def evaluations_observed() -> int:
     """Total bulk-path fitness evaluations in this process so far."""
     return _EVALS_OBSERVED
-
-
-# The vectorized fast path is on by default; tests and determinism audits
-# flip it off to prove the scalar loop produces bit-identical results.
-_BATCH_ENABLED = True
-
-
-def batch_evaluation_enabled() -> bool:
-    """Whether ``evaluate_many`` routes through ``evaluate_batch``."""
-    return _BATCH_ENABLED
-
-
-def use_batch_evaluation(enabled: bool) -> None:
-    """Globally enable/disable the vectorized evaluation fast path."""
-    global _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
-
-
-@contextmanager
-def batch_evaluation(enabled: bool) -> Iterator[None]:
-    """Temporarily force the fast path on or off (scalar-vs-batch audits)."""
-    global _BATCH_ENABLED
-    prev = _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _BATCH_ENABLED = prev
 
 
 def stack_genomes(genomes: Sequence[np.ndarray] | np.ndarray) -> np.ndarray | None:
@@ -131,10 +99,9 @@ class Problem(abc.ABC):
         session = current_obs()
         if session is not None:
             session.metrics.counter("eval.evaluations_observed").inc(len(genomes))
-        if _BATCH_ENABLED:
-            batch = stack_genomes(genomes)
-            if batch is not None:
-                return [float(f) for f in self.evaluate_batch(batch)]
+        batch = stack_genomes(genomes)
+        if batch is not None:
+            return [float(f) for f in self.evaluate_batch(batch)]
         return [self.evaluate(g) for g in genomes]
 
     # -- success tests ---------------------------------------------------------

@@ -262,13 +262,6 @@ def main(argv: list[str] | None = None) -> int:
         help="enable observability and write the spans in Chrome "
         "trace-event format to FILE (open in chrome://tracing or Perfetto)",
     )
-    parser.add_argument(
-        "--verify-digest",
-        action="store_true",
-        help="cross-check every full-retention trace digest against the "
-        "legacy post-hoc walker (slow; guards the incremental fast path "
-        "against canonical-format drift, see docs/tracing.md)",
-    )
     args = parser.parse_args(raw)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -309,10 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     telemetry = SweepTelemetry() if args.bench_out else None
     if telemetry is not None:
         telemetry.autoflush_path = args.bench_out
-    if args.verify_digest:
-        from ..verify.digest import set_verify_digest
-
-        set_verify_digest(True)
     obs_requested = bool(args.obs_out or args.obs_trace)
     any_failed = False
 

@@ -13,7 +13,7 @@ itself (with a seeded contract scenario) in :data:`ENGINE_REGISTRY` — see
 :mod:`repro.parallel.base`.
 """
 
-from .async_master_slave import AsyncMasterSlaveReport, SimulatedAsyncMasterSlave
+from .async_master_slave import SimulatedAsyncMasterSlave
 from .base import (
     ENGINE_REGISTRY,
     EngineInfo,
@@ -25,7 +25,7 @@ from .base import (
     validate_report,
 )
 from .cellular import UPDATE_POLICIES, CellularGA, CellularResult
-from .cellular_distributed import DistributedCellularGA, DistributedCellularReport
+from .cellular_distributed import DistributedCellularGA
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -33,24 +33,21 @@ from .classification import (
     ProgrammingModel,
     WalkStrategy,
 )
-from .hierarchical import HierarchicalGA, HierarchicalResult
+from .hierarchical import HierarchicalGA
 from .hybrid import (
     CellularIslandModel,
-    HybridResult,
     MasterSlaveIslandModel,
     SimulatedMasterSlaveIslandModel,
 )
 from .island import (
     EpochRecord,
     IslandModel,
-    IslandResult,
     SimulatedIslandModel,
     engine_class_by_name,
 )
-from .pool import PooledEvolution, PoolResult
-from .master_slave import MasterSlaveGA, MasterSlaveReport, SimulatedMasterSlave
+from .pool import PooledEvolution
+from .master_slave import MasterSlaveGA, SimulatedMasterSlave
 from .specialized import (
-    SIMResult,
     SIMScenario,
     SimulatedSpecializedIslandModel,
     SpecializedIslandModel,
@@ -73,30 +70,22 @@ __all__ = [
     "ModelClassification",
     "IslandModel",
     "SimulatedIslandModel",
-    "IslandResult",
     "EpochRecord",
     "engine_class_by_name",
     "MasterSlaveGA",
     "SimulatedMasterSlave",
-    "MasterSlaveReport",
     "CellularGA",
     "CellularResult",
     "UPDATE_POLICIES",
     "HierarchicalGA",
-    "HierarchicalResult",
     "SpecializedIslandModel",
     "SimulatedSpecializedIslandModel",
     "SIMScenario",
-    "SIMResult",
     "standard_scenarios",
     "CellularIslandModel",
     "MasterSlaveIslandModel",
     "SimulatedMasterSlaveIslandModel",
-    "HybridResult",
     "PooledEvolution",
-    "PoolResult",
     "DistributedCellularGA",
-    "DistributedCellularReport",
     "SimulatedAsyncMasterSlave",
-    "AsyncMasterSlaveReport",
 ]

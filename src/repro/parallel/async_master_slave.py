@@ -38,11 +38,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["SimulatedAsyncMasterSlave", "AsyncMasterSlaveReport"]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-AsyncMasterSlaveReport = RunReport
+__all__ = ["SimulatedAsyncMasterSlave"]
 
 
 class SimulatedAsyncMasterSlave(ParallelEngine):

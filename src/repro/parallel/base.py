@@ -13,11 +13,6 @@ counterpart of that claim — every engine in :mod:`repro.parallel`
 * registers itself in :data:`ENGINE_REGISTRY` together with a seeded
   *contract scenario*, so the cross-engine contract suite and the
   verification harness can exercise any engine generically.
-
-The old per-engine result dataclasses (``IslandResult``,
-``MasterSlaveReport``, ``SIMResult``, …) survive as thin deprecated
-aliases of :class:`RunReport`; new code should construct and consume
-``RunReport`` directly.
 """
 
 from __future__ import annotations

@@ -35,11 +35,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["DistributedCellularGA", "DistributedCellularReport"]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-DistributedCellularReport = RunReport
+__all__ = ["DistributedCellularGA"]
 
 
 class DistributedCellularGA(ParallelEngine):

@@ -34,11 +34,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["HierarchicalGA", "HierarchicalResult"]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-HierarchicalResult = RunReport
+__all__ = ["HierarchicalGA"]
 
 
 class HierarchicalGA(EpochLoop, ParallelEngine):

@@ -47,12 +47,7 @@ __all__ = [
     "CellularIslandModel",
     "MasterSlaveIslandModel",
     "SimulatedMasterSlaveIslandModel",
-    "HybridResult",
 ]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-HybridResult = RunReport
 
 
 class CellularIslandModel(EpochLoop, ParallelEngine):

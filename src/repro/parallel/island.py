@@ -61,10 +61,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["IslandModel", "SimulatedIslandModel", "IslandResult", "EpochRecord", "engine_class_by_name"]
-
-#: deprecated alias — every engine now returns the shared report schema
-IslandResult = RunReport
+__all__ = ["IslandModel", "SimulatedIslandModel", "EpochRecord", "engine_class_by_name"]
 
 
 def engine_class_by_name(name: str) -> Type[EvolutionEngine]:

@@ -44,7 +44,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["MasterSlaveGA", "SimulatedMasterSlave", "MasterSlaveReport"]
+__all__ = ["MasterSlaveGA", "SimulatedMasterSlave"]
 
 
 class MasterSlaveGA(GenerationalEngine):
@@ -79,10 +79,6 @@ class MasterSlaveGA(GenerationalEngine):
             evaluator=executor or SerialExecutor(),
             callbacks=callbacks,
         )
-
-
-#: deprecated alias — every engine now returns the shared report schema
-MasterSlaveReport = RunReport
 
 
 class SimulatedMasterSlave(ParallelEngine):

@@ -36,11 +36,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["PooledEvolution", "PoolResult"]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-PoolResult = RunReport
+__all__ = ["PooledEvolution"]
 
 
 class PooledEvolution(ParallelEngine):

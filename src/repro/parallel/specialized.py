@@ -57,7 +57,6 @@ __all__ = [
     "SpecializedIslandModel",
     "SimulatedSpecializedIslandModel",
     "SIMScenario",
-    "SIMResult",
     "standard_scenarios",
 ]
 
@@ -109,10 +108,6 @@ def standard_scenarios(n_objectives: int = 2) -> list[SIMScenario]:
             topology="complete",
         ),
     ]
-
-
-#: deprecated alias — every engine now returns the shared report schema
-SIMResult = RunReport
 
 
 class SpecializedIslandModel(EpochLoop, ParallelEngine):

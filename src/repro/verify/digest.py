@@ -12,11 +12,9 @@ dependence) shows up as a digest mismatch.
 The canonical line format itself lives in :mod:`repro.cluster.canon`, and
 traces hash it *incrementally* as events are recorded — so
 :func:`trace_digest` is an O(1) finalize, not a re-walk.  The original
-post-hoc walker survives as :func:`trace_digest_walk`; pass
-``--verify-digest`` to the experiments CLI (or call
-:func:`set_verify_digest`) to cross-check the two on every full-retention
-digest, which is how "fast path" and "pinned byte format" are kept from
-drifting apart.
+post-hoc walker survives as :func:`trace_digest_walk`, the independent
+reference implementation of the pinned byte format: the golden-digest
+suite and the trace property tests assert the two agree hex-for-hex.
 
 :func:`result_fingerprint` does the same for arbitrary result objects
 (experiment reports, engine results) by walking dataclasses and plain
@@ -40,52 +38,15 @@ __all__ = [
     "result_fingerprint",
     "audit_determinism",
     "AuditResult",
-    "DigestMismatchError",
-    "set_verify_digest",
-    "verify_digest_enabled",
 ]
-
-_VERIFY_DIGEST = False
-
-
-class DigestMismatchError(AssertionError):
-    """Incremental and legacy-walk digests disagreed — the canonical line
-    format drifted (this must never happen; it means pinned digests are
-    silently changing)."""
-
-
-def set_verify_digest(enabled: bool) -> None:
-    """Toggle the legacy full-walk cross-check inside :func:`trace_digest`.
-
-    Wired to the experiments CLI ``--verify-digest`` flag.  Only traces
-    with ``full`` retention can be re-walked; compact/digest-only traces
-    skip the check (their incremental digest is the only copy).
-    """
-    global _VERIFY_DIGEST
-    _VERIFY_DIGEST = bool(enabled)
-
-
-def verify_digest_enabled() -> bool:
-    return _VERIFY_DIGEST
 
 
 def trace_digest(trace: Trace) -> str:
     """Stable sha256 hex digest over the canonicalised event stream.
 
-    Finalizes the trace's incrementally maintained hash (O(1)); with the
-    ``--verify-digest`` cross-check enabled, full-retention traces are
-    additionally re-walked through the legacy post-hoc encoder and the two
-    digests must agree hex-for-hex.
+    Finalizes the trace's incrementally maintained hash (O(1)).
     """
-    digest = trace.digest_hex()
-    if _VERIFY_DIGEST and trace.retained_kinds is None:
-        legacy = trace_digest_walk(trace)
-        if legacy != digest:
-            raise DigestMismatchError(
-                f"incremental digest {digest} != legacy walk {legacy} "
-                f"over {len(trace)} events — canonical line format drifted"
-            )
-    return digest
+    return trace.digest_hex()
 
 
 def trace_digest_walk(trace: Trace) -> str:
@@ -93,8 +54,8 @@ def trace_digest_walk(trace: Trace) -> str:
 
     Kept verbatim as the independent reference implementation of the
     pinned byte format.  Requires ``full`` retention (it walks
-    ``trace.events``); the golden-digest suite and ``--verify-digest``
-    assert it always matches the incremental :func:`trace_digest`.
+    ``trace.events``); the golden-digest suite and the trace property
+    tests assert it always matches the incremental :func:`trace_digest`.
     """
     h = hashlib.sha256()
     for event in trace:

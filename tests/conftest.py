@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BinarySpec, GAConfig, Individual, Population
+from repro.core import BinarySpec, GAConfig, Individual, Population, Problem
 from repro.problems import OneMax
 
 
@@ -31,6 +31,21 @@ def make_population(
         ind.fitness = float(f)
         inds.append(ind)
     return Population(inds, maximize=maximize)
+
+
+class ScalarOnly(Problem):
+    """``inner`` without its batch kernel: the inherited ``evaluate_batch``
+    is the scalar ``evaluate`` loop, the reference every kernel must match."""
+
+    def __init__(self, inner: Problem) -> None:
+        self.inner = inner
+        self.spec = inner.spec
+        self.maximize = inner.maximize
+        self.optimum = inner.optimum
+        self.target = inner.target
+
+    def evaluate(self, genome: np.ndarray) -> float:
+        return self.inner.evaluate(genome)
 
 
 @pytest.fixture

@@ -102,6 +102,20 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError):
             load_checkpoint(fresh_engine(), path)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda blob: blob[: len(blob) // 2], lambda blob: b"\x00garbage\xff" * 8],
+        ids=["truncated", "garbage"],
+    )
+    def test_unreadable_file_rejected_typed(self, tmp_path, damage):
+        eng = fresh_engine(seed=4)
+        eng.run(2)
+        path = save_checkpoint(eng, tmp_path / "run.ckpt")
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="not a readable checkpoint") as info:
+            load_checkpoint(fresh_engine(), path)
+        assert info.value.__cause__ is not None
+
     def test_version_mismatch_rejected(self, tmp_path):
         eng = fresh_engine()
         eng.run(2)
@@ -178,37 +192,28 @@ class TestPerMemberProvenance:
         resumed = load_checkpoint(fresh_engine(seed=12), path)
         assert resumed.population[0].origin == "migrant:3"
 
-    def test_v2_snapshot_loads_with_default_origins(self):
-        """Backward compatibility: a v2 pickle has no `origins` attribute at
-        all (pickle restores __dict__ directly), and must still restore."""
+    def test_v2_snapshot_rejected(self):
+        """A v2 pickle has no `origins` attribute at all (pickle restores
+        __dict__ directly); v2 loading is retired, so it fails typed."""
         eng = fresh_engine(seed=13)
         eng.run(4)
         snap = snapshot_engine(eng)
         snap.version = 2
         del snap.__dict__["origins"]  # exactly what unpickling a v2 file yields
         v2_bytes = pickle.dumps(snap)
-        resumed = fresh_engine(seed=13)
-        restore_engine(resumed, pickle.loads(v2_bytes))
-        assert all(ind.origin == "init" for ind in resumed.population)
-        assert resumed.state.generation == 4
+        with pytest.raises(ValueError, match="not in supported range"):
+            restore_engine(fresh_engine(seed=13), pickle.loads(v2_bytes))
 
-    def test_v2_resume_continues_identically(self):
-        """Dropping origins must not perturb the resumed trajectory."""
+    def test_v2_checkpoint_file_rejected(self, tmp_path):
         eng = fresh_engine(seed=14)
         eng.run(4)
-        snap_v3 = snapshot_engine(eng)
-        snap_v2 = pickle.loads(pickle.dumps(snap_v3))
-        snap_v2.version = 2
-        del snap_v2.__dict__["origins"]
-
-        a = fresh_engine(seed=14)
-        restore_engine(a, snap_v3)
-        a.run(10)
-        b = fresh_engine(seed=14)
-        restore_engine(b, snap_v2)
-        b.run(10)
-        assert a.best_so_far.fitness == b.best_so_far.fitness
-        assert [i.fitness for i in a.population] == [i.fitness for i in b.population]
+        snap = snapshot_engine(eng)
+        snap.version = 2
+        del snap.__dict__["origins"]
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(pickle.dumps(snap))
+        with pytest.raises(ValueError, match="not in supported range"):
+            load_checkpoint(fresh_engine(seed=14), path)
 
     def test_origin_count_mismatch_rejected(self):
         eng = fresh_engine(seed=15)
@@ -216,6 +221,16 @@ class TestPerMemberProvenance:
         snap = snapshot_engine(eng)
         snap.origins = snap.origins[:-1]
         with pytest.raises(ValueError, match="origins"):
+            restore_engine(fresh_engine(seed=15), snap)
+
+    @pytest.mark.parametrize("field", ["fitnesses", "birth_generations"])
+    def test_member_list_count_mismatch_rejected(self, field):
+        """restore must not zip a short list into a shrunken population."""
+        eng = fresh_engine(seed=15)
+        eng.run(2)
+        snap = snapshot_engine(eng)
+        setattr(snap, field, getattr(snap, field)[:5])
+        with pytest.raises(ValueError, match=f"5 {field} for 12 genomes"):
             restore_engine(fresh_engine(seed=15), snap)
 
     def test_future_format_version_rejected(self):

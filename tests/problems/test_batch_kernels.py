@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from repro.core.problem import (
-    Problem,
-    batch_evaluation,
-    batch_evaluation_enabled,
-    stack_genomes,
-    use_batch_evaluation,
-)
+from repro.core.problem import Problem, stack_genomes
 from repro.problems import (
     Ackley,
     DeceptiveTrap,
@@ -40,6 +34,8 @@ from repro.problems import (
     ZeroMax,
 )
 from repro.problems.applications import ReactorCoreDesign
+
+from ..conftest import ScalarOnly
 
 VECTORIZED_PROBLEMS = [
     OneMax(37),
@@ -91,10 +87,8 @@ class TestBatchScalarIdentity:
 
     def test_evaluate_many_both_modes_agree(self, problem):
         genomes = list(self._batch(problem, n=17, seed=1))
-        with batch_evaluation(True):
-            fast = problem.evaluate_many(genomes)
-        with batch_evaluation(False):
-            slow = problem.evaluate_many(genomes)
+        fast = problem.evaluate_many(genomes)
+        slow = ScalarOnly(problem).evaluate_many(genomes)
         assert fast == slow
         assert all(isinstance(f, float) for f in fast)
 
@@ -263,33 +257,13 @@ class _Recording(Problem):
 
 
 class TestBatchToggle:
-    def test_enabled_by_default(self):
-        assert batch_evaluation_enabled()
+    """``evaluate_many`` routing: stacked batches take the kernel, batches
+    that cannot stack take the scalar loop."""
 
-    def test_context_manager_restores_state(self):
-        with batch_evaluation(False):
-            assert not batch_evaluation_enabled()
-            with batch_evaluation(True):
-                assert batch_evaluation_enabled()
-            assert not batch_evaluation_enabled()
-        assert batch_evaluation_enabled()
-
-    def test_toggle_controls_routing(self):
+    def test_stackable_batch_uses_kernel(self):
         p = _Recording()
-        genomes = [np.ones(4, dtype=np.int8)] * 3
-        with batch_evaluation(False):
-            p.evaluate_many(genomes)
-        assert p.batch_calls == 0
-        with batch_evaluation(True):
-            p.evaluate_many(genomes)
+        assert p.evaluate_many([np.ones(4, dtype=np.int8)] * 3) == [4.0] * 3
         assert p.batch_calls == 1
-
-    def test_use_batch_evaluation_function(self):
-        try:
-            use_batch_evaluation(False)
-            assert not batch_evaluation_enabled()
-        finally:
-            use_batch_evaluation(True)
 
     def test_ragged_batch_falls_back_to_scalar(self):
         p = _Recording()

@@ -13,14 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core import GAConfig, GenerationalEngine
-from repro.core.problem import (
-    CountingProblem,
-    FitnessBudgetExceeded,
-    Problem,
-    batch_evaluation,
-)
+from repro.core.problem import CountingProblem, FitnessBudgetExceeded, Problem
 from repro.problems import OneMax, Rastrigin, Sphere
 from repro.runtime import MultiprocessingExecutor, SerialExecutor, ThreadExecutor
+
+from ..conftest import ScalarOnly
 
 
 def _population(problem, n, seed=0):
@@ -43,8 +40,7 @@ def test_all_executors_return_identical_fitness_vectors(make_problem):
     with MultiprocessingExecutor(problem, workers=2) as ex:
         results["process"] = ex.evaluate(problem, genomes)
     results["serial-batched"] = SerialExecutor().evaluate(problem, batch)
-    with batch_evaluation(False):
-        results["serial-scalar"] = SerialExecutor().evaluate(problem, batch)
+    results["serial-scalar"] = SerialExecutor().evaluate(ScalarOnly(problem), batch)
 
     for name, out in results.items():
         assert out == reference, f"{name} diverged from the direct scalar loop"
@@ -76,11 +72,15 @@ def test_engine_trajectory_identical_across_executors():
 def test_engine_evaluation_counts_identical_across_batch_modes():
     problem = OneMax(32)
     cfg = GAConfig(population_size=12)
-    batched = GenerationalEngine(problem, cfg, seed=3).run(5)
-    with batch_evaluation(False):
-        scalar = GenerationalEngine(problem, cfg, seed=3).run(5)
-    assert batched.evaluations == scalar.evaluations
-    assert batched.best_fitness == scalar.best_fitness
+
+    def run(p):
+        eng = GenerationalEngine(p, cfg, seed=3)
+        res = eng.run(5)
+        return res.evaluations, res.best_fitness, eng.population.fitness_array()
+
+    batched, scalar = run(problem), run(ScalarOnly(problem))
+    assert batched[:2] == scalar[:2]
+    assert np.array_equal(batched[2], scalar[2])
 
 
 class TestCountingAcrossExecutors:

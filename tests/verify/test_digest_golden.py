@@ -9,19 +9,11 @@ must be regenerated together — there is no compatible single-byte edit.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.cluster.canon import canonical_line, norm
 from repro.cluster.trace import Trace, trace_retention
 from repro.core.individual import Individual
-from repro.verify.digest import (
-    DigestMismatchError,
-    result_fingerprint,
-    set_verify_digest,
-    trace_digest,
-    trace_digest_walk,
-    verify_digest_enabled,
-)
+from repro.verify.digest import result_fingerprint, trace_digest, trace_digest_walk
 
 #: sha256 of the canonical lines of `_golden_trace()` — pinned forever
 GOLDEN_DIGEST = "0e901fa4551333b8908e7306231eefb4b4d0907e2d94d93f58579ed9ddea3766"
@@ -93,45 +85,6 @@ class TestGoldenDigest:
         t.record(1.0, "gen", best=float("inf"), mean=float("nan"), note="x")
         t.record(2.5, "stats", arr=np.array([1.0, 2.5]), flag=True, n=10**20)
         assert t.digest_hex() == GOLDEN_DIGEST
-
-
-class TestVerifyDigestCrossCheck:
-    def test_toggle(self):
-        assert not verify_digest_enabled()
-        set_verify_digest(True)
-        try:
-            assert verify_digest_enabled()
-        finally:
-            set_verify_digest(False)
-        assert not verify_digest_enabled()
-
-    def test_cross_check_passes_on_honest_trace(self):
-        set_verify_digest(True)
-        try:
-            assert trace_digest(_golden_trace()) == GOLDEN_DIGEST
-        finally:
-            set_verify_digest(False)
-
-    def test_cross_check_detects_divergence(self):
-        t = _golden_trace()
-        # simulate a corrupted incremental digest
-        t._frozen_digest = "0" * 64
-        t._sha = None
-        t._pending = []
-        set_verify_digest(True)
-        try:
-            with pytest.raises(DigestMismatchError, match="drifted"):
-                trace_digest(t)
-        finally:
-            set_verify_digest(False)
-
-    def test_cross_check_skipped_without_retained_events(self):
-        # the walker needs the events; partial retention must not trip it
-        set_verify_digest(True)
-        try:
-            assert trace_digest(_golden_trace("digest-only")) == GOLDEN_DIGEST
-        finally:
-            set_verify_digest(False)
 
 
 class TestMemoizedFingerprint:
