@@ -6,9 +6,11 @@ Usage::
     python scripts/bench_compare.py BENCH_sweep.json /tmp/new_bench.json
     python scripts/bench_compare.py old.json new.json --strict   # exit 1 on regression
 
-Compares the ``totals`` block — wall time, simulated events, fitness
-evaluations — and the per-experiment wall times, printing a WARNING for
-any metric that regressed by more than ``--threshold`` (default 10%).
+Compares the ``totals`` block — wall and CPU time, simulated events,
+fitness evaluations — and prints per-experiment wall and CPU time
+side by side, with a WARNING for any time that regressed by more than
+``--threshold`` (default 10%).  Snapshots written before per-trial CPU
+time was recorded show ``-`` in the CPU columns.
 Counter metrics (``sim_events``, ``evaluations``, ``trials``) warn on
 *any* drift in either direction: they are deterministic per code
 version, so a change means the workload itself changed, not the
@@ -27,7 +29,7 @@ import sys
 from pathlib import Path
 
 #: totals keys where bigger is slower and small drift is expected noise
-_WALL_KEYS = ("trial_wall_s", "sweep_wall_s")
+_WALL_KEYS = ("trial_wall_s", "trial_cpu_s", "sweep_wall_s")
 #: totals keys that are exact per code version: any drift is a real change
 _COUNTER_KEYS = ("trials", "sim_events", "evaluations")
 
@@ -56,6 +58,20 @@ def _per_experiment_wall(data: dict) -> dict[str, float]:
     return out
 
 
+def _per_experiment_cpu(data: dict) -> dict[str, float]:
+    """Summed trial CPU time per experiment; absent when never recorded."""
+    out: dict[str, float] = {}
+    for trial in data.get("trials", []):
+        if "cpu_s" in trial:
+            name = trial.get("experiment", "?")
+            out[name] = out.get(name, 0.0) + float(trial["cpu_s"])
+    return out
+
+
+def _cell(values: dict[str, float], name: str, width: int = 12) -> str:
+    return f"{values[name]:>{width}.2f}" if name in values else f"{'-':>{width}}"
+
+
 def compare(old: dict, new: dict, threshold: float) -> list[str]:
     """Return WARNING lines; print the metric table as a side effect."""
     warnings: list[str] = []
@@ -64,6 +80,11 @@ def compare(old: dict, new: dict, threshold: float) -> list[str]:
     print(f"{'metric':<22}{'old':>16}{'new':>16}{'delta':>10}")
     for key in _COUNTER_KEYS + _WALL_KEYS:
         if key not in ot and key not in nt:
+            continue
+        if key not in ot or key not in nt:
+            # only one snapshot records this metric (CPU time is newer than
+            # the others): show it, but there is nothing to compare
+            print(f"{key:<22}{_cell(ot, key, 16)}{_cell(nt, key, 16)}")
             continue
         o, n = ot.get(key, 0), nt.get(key, 0)
         delta = _pct(o, n)
@@ -80,13 +101,25 @@ def compare(old: dict, new: dict, threshold: float) -> list[str]:
             )
 
     old_wall, new_wall = _per_experiment_wall(old), _per_experiment_wall(new)
-    for name in sorted(old_wall.keys() & new_wall.keys()):
-        delta = _pct(old_wall[name], new_wall[name])
-        if delta > threshold:
-            warnings.append(
-                f"WARNING: {name} wall regressed {delta:+.1f}% "
-                f"({old_wall[name]:.2f}s -> {new_wall[name]:.2f}s)"
-            )
+    old_cpu, new_cpu = _per_experiment_cpu(old), _per_experiment_cpu(new)
+    print()
+    print(
+        f"{'experiment':<12}{'wall old':>12}{'wall new':>12}"
+        f"{'cpu old':>12}{'cpu new':>12}"
+    )
+    for name in sorted(old_wall.keys() | new_wall.keys()):
+        print(
+            f"{name:<12}{_cell(old_wall, name)}{_cell(new_wall, name)}"
+            f"{_cell(old_cpu, name)}{_cell(new_cpu, name)}"
+        )
+    for label, olds, news in (("wall", old_wall, new_wall), ("cpu", old_cpu, new_cpu)):
+        for name in sorted(olds.keys() & news.keys()):
+            delta = _pct(olds[name], news[name])
+            if delta > threshold:
+                warnings.append(
+                    f"WARNING: {name} {label} regressed {delta:+.1f}% "
+                    f"({olds[name]:.2f}s -> {news[name]:.2f}s)"
+                )
     for name in sorted(old_wall.keys() ^ new_wall.keys()):
         side = "dropped from" if name in old_wall else "new in"
         print(f"note: experiment {name} {side} the new snapshot")

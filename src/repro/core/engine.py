@@ -254,16 +254,17 @@ class EvolutionEngine:
         """Run the batched variation cycle and wrap the rows as Individuals."""
         assert self.population is not None
         members = self.population.individuals
-        parents = np.stack([members[int(i)].genome for i in parent_idx])
+        picked = [members[i].genome for i in parent_idx.tolist()]
+        parents = stack_genomes(picked)
+        if parents is None:  # mixed dtypes: let np.stack promote them
+            parents = np.stack(picked)
         genomes, origins = vector_offspring(
             self.rng, self.config, self.problem.spec, parents, count
         )
         gen = self.state.generation + 1
         return [
-            Individual(
-                genome=genomes[i].copy(), birth_generation=gen, origin=str(origins[i])
-            )
-            for i in range(count)
+            Individual(genome=row.copy(), birth_generation=gen, origin=origin)
+            for row, origin in zip(genomes, origins.tolist())
         ]
 
     def _advance(self) -> None:

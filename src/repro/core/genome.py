@@ -102,6 +102,10 @@ class BinarySpec(GenomeSpec):
         )
 
     def repair(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        if genome.dtype.kind in "iu":
+            # per offspring on the scalar cycle: min/max instead of np.clip
+            # (same values, less dispatch); rint of an integer is a no-op
+            return np.minimum(np.maximum(genome, 0), 1).astype(np.int8, copy=False)
         return np.clip(np.rint(genome), 0, 1).astype(np.int8)
 
     def repair_batch(

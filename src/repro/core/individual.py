@@ -17,9 +17,20 @@ import numpy as np
 __all__ = ["Individual", "better", "best_of", "worst_of", "sort_by_fitness"]
 
 _id_counter = itertools.count()
+_set = object.__setattr__
 
 
-@dataclass
+def _check_fitness(value: Any, uid: Any) -> None:
+    # Fitness flows straight into selection arithmetic; a NaN there
+    # silently wins every np.argmax tournament, so reject non-finite
+    # values at the source instead of corrupting selection later.
+    if value is not None and not math.isfinite(value):
+        raise ValueError(
+            f"fitness must be finite or None, got {value!r} (individual uid={uid})"
+        )
+
+
+@dataclass(init=False)
 class Individual:
     """One member of a population.
 
@@ -44,15 +55,34 @@ class Individual:
     attrs: dict[str, Any] = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_id_counter))
 
+    def __init__(
+        self,
+        genome: np.ndarray,
+        fitness: float | None = None,
+        birth_generation: int = 0,
+        origin: str = "init",
+        attrs: dict[str, Any] | None = None,
+        uid: int | None = None,
+    ) -> None:
+        # one Individual per offspring: set the fields (in field order)
+        # with object.__setattr__ instead of six trips through the guarded
+        # __setattr__.  Not self.__dict__.update: touching __dict__ gives
+        # every instance a separate dict object, doubling the GC's work.
+        # The uid is drawn first so a rejected fitness names it.
+        if uid is None:
+            uid = next(_id_counter)
+        if fitness is not None:
+            _check_fitness(fitness, uid)
+        _set(self, "genome", genome)
+        _set(self, "fitness", fitness)
+        _set(self, "birth_generation", birth_generation)
+        _set(self, "origin", origin)
+        _set(self, "attrs", {} if attrs is None else attrs)
+        _set(self, "uid", uid)
+
     def __setattr__(self, name: str, value: Any) -> None:
-        # Fitness flows straight into selection arithmetic; a NaN there
-        # silently wins every np.argmax tournament, so reject non-finite
-        # values at the source instead of corrupting selection later.
-        if name == "fitness" and value is not None and not math.isfinite(value):
-            raise ValueError(
-                f"fitness must be finite or None, got {value!r} "
-                f"(individual uid={getattr(self, 'uid', '?')})"
-            )
+        if name == "fitness":
+            _check_fitness(value, getattr(self, "uid", "?"))
         super().__setattr__(name, value)
 
     @property

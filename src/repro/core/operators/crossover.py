@@ -79,9 +79,10 @@ class TwoPointCrossover:
         n = a.shape[0]
         if n < 3:
             return OnePointCrossover()(rng, a, b)
-        i, j = sorted(rng.choice(np.arange(1, n), size=2, replace=False).tolist())
+        # choice(n - 1) + 1 draws exactly what choice(np.arange(1, n)) does
+        i, j = sorted((rng.choice(n - 1, size=2, replace=False) + 1).tolist())
         ca, cb = a.copy(), b.copy()
-        ca[i:j], cb[i:j] = b[i:j].copy(), a[i:j].copy()
+        ca[i:j], cb[i:j] = b[i:j], a[i:j]
         return ca, cb
 
 

@@ -10,6 +10,7 @@ array; inputs are never modified in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -41,18 +42,26 @@ def _per_gene_rate(rate: float | None, n: int) -> float:
     return (1.0 / n) if rate is None else rate
 
 
+def _check_rate(rate: float | None) -> None:
+    # the comparison chain is False for NaN and the infinities too
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate must be None or in [0, 1], got {rate!r}")
+
+
 @dataclass(frozen=True)
 class BitFlipMutation:
     """Flip each bit independently with probability ``rate`` (default 1/L)."""
 
     rate: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_rate(self.rate)
+
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         rate = _per_gene_rate(self.rate, genome.shape[0])
         mask = rng.random(genome.shape[0]) < rate
-        out = genome.copy()
-        out[mask] = 1 - out[mask]
-        return out
+        # astype keeps the genome's dtype: bare np.where promotes bool to int64
+        return np.where(mask, 1 - genome, genome).astype(genome.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,11 @@ class GaussianMutation:
     rate: float | None = None
     lower: float | np.ndarray | None = None
     upper: float | np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        _check_rate(self.rate)
 
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         n = genome.shape[0]
@@ -87,6 +101,9 @@ class UniformResetMutation:
     upper: float | np.ndarray
     rate: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_rate(self.rate)
+
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         n = genome.shape[0]
         rate = _per_gene_rate(self.rate, n)
@@ -105,6 +122,9 @@ class PolynomialMutation:
     upper: float | np.ndarray
     eta: float = 20.0
     rate: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_rate(self.rate)
 
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         n = genome.shape[0]
@@ -136,6 +156,9 @@ class CreepMutation:
     high: int
     step: int = 1
     rate: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_rate(self.rate)
 
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         n = genome.shape[0]

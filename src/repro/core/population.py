@@ -6,6 +6,7 @@ time-indexed, and a *deme* when it lives on one node of a parallel model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -105,18 +106,32 @@ class Population:
         return int(np.argmin(f) if self.maximize else np.argmax(f))
 
     def stats(self) -> PopulationStats:
+        """Best/worst/mean/std/median, equal by value to ``f.mean()``,
+        ``f.std()`` and ``np.median(f)`` (this runs every generation).
+
+        Mean and variance reduce with ``np.add.reduce`` and divide by the
+        count, as NumPy's own ``mean``/``var`` do.  The median averages the
+        middle of ``np.partition`` the same way ``np.median`` does, so a
+        ``-0.0`` tie comes out as ``0.0`` there too.
+        """
         f = self.fitness_array()
-        if f.size == 0:
+        n = f.size
+        if n == 0:
             raise ValueError("cannot compute stats of empty population")
-        best = float(f.max() if self.maximize else f.min())
-        worst = float(f.min() if self.maximize else f.max())
+        lo, hi = float(f.min()), float(f.max())
+        mean = np.add.reduce(f) / n
+        dev = f - mean
+        half = n // 2
+        middle = np.partition(f, half if n % 2 else [half - 1, half])[
+            half - 1 + n % 2 : half + 1
+        ]
         return PopulationStats(
-            size=len(self),
-            best=best,
-            worst=worst,
-            mean=float(f.mean()),
-            std=float(f.std()),
-            median=float(np.median(f)),
+            size=n,
+            best=hi if self.maximize else lo,
+            worst=lo if self.maximize else hi,
+            mean=float(mean),
+            std=math.sqrt(np.add.reduce(dev * dev) / n),
+            median=float(np.add.reduce(middle) / middle.size),
         )
 
     # -- transformation -------------------------------------------------------

@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--bench-out",
         metavar="FILE",
-        help="write per-trial telemetry (wall time, simulated events, "
+        help="write per-trial telemetry (wall and CPU time, simulated events, "
         "evaluations, cache hits) to FILE as JSON; flushed after every "
         "sweep and on interrupt, so a killed run leaves partial telemetry",
     )
@@ -353,7 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"[sweep] {totals['trials']} trials, "
             f"{totals['cache_hits']} cache hits, "
-            f"{totals['trial_wall_s']:.2f}s trial wall time "
+            f"{totals['trial_wall_s']:.2f}s trial wall time, "
+            f"{totals['trial_cpu_s']:.2f}s CPU "
             f"-> {args.bench_out}",
             file=sys.stderr,  # keep stdout byte-identical across sweep modes
         )

@@ -357,12 +357,14 @@ class TrialRecord:
     digest: str
     wall_s: float
     cached: bool
+    #: process CPU time of the trial (``time.process_time``), next to wall_s
+    cpu_s: float = 0.0
     sim_events: int = 0
     evaluations: int = 0
     #: span count of the trial's child observability session (0 when obs off)
     obs_spans: int = 0
     #: True when this cache hit was journalled by a crashed run of the
-    #: same sweep (its wall/sim/eval columns are restored from the journal)
+    #: same sweep (its wall/cpu/sim/eval columns are restored from the journal)
     resumed: bool = False
     #: True when the trial was quarantined as poison after K failed attempts
     quarantined: bool = False
@@ -420,6 +422,7 @@ class SweepTelemetry:
             "trials": len(self.trials),
             "cache_hits": sum(1 for t in self.trials if t.cached),
             "trial_wall_s": round(sum(t.wall_s for t in self.trials), 6),
+            "trial_cpu_s": round(sum(t.cpu_s for t in self.trials), 6),
             "sweep_wall_s": round(sum(s["wall_s"] for s in self.sweeps), 6),
             "sim_events": sum(t.sim_events for t in self.trials),
             "evaluations": sum(t.evaluations for t in self.trials),
@@ -514,9 +517,10 @@ def sweep_context(
 
 def _execute_indexed(
     job: tuple[int, Trial]
-) -> tuple[int, Any, float, int, int, dict[str, Any] | None]:
-    """Run one trial (driver- or worker-side), measuring wall time and the
-    simulation-kernel / evaluation-stack counters around it.
+) -> tuple[int, Any, float, float, int, int, dict[str, Any] | None]:
+    """Run one trial (in the sweeping process or a pool worker), measuring
+    wall and CPU time and the simulation-kernel / evaluation-stack counters
+    around it.
 
     When the driver had an ambient observability session open at dispatch
     time (inherited across ``fork``, or simply still ambient on the serial
@@ -539,6 +543,7 @@ def _execute_indexed(
     ev0 = _problem.evaluations_observed()
     si0 = _sim.events_dispatched()
     obs_doc: dict[str, Any] | None = None
+    cpu0 = time.process_time()
     start = time.perf_counter()
     with trace_retention(trial.retention or "compact"):
         if current_obs() is not None:
@@ -548,10 +553,12 @@ def _execute_indexed(
         else:
             value = trial.call()
     wall = time.perf_counter() - start
+    cpu = time.process_time() - cpu0
     return (
         index,
         value,
         wall,
+        cpu,
         _sim.events_dispatched() - si0,
         _problem.evaluations_observed() - ev0,
         obs_doc,
@@ -622,6 +629,7 @@ def run_sweep(
                             digest=digests[i][:16],
                             wall_s=float(rec.get("wall_s", 0.0)) if rec else 0.0,
                             cached=True,
+                            cpu_s=float(rec.get("cpu_s", 0.0)) if rec else 0.0,
                             sim_events=int(rec.get("sim_events", 0)) if rec else 0,
                             evaluations=int(rec.get("evaluations", 0)) if rec else 0,
                             resumed=rec is not None,
@@ -636,6 +644,7 @@ def run_sweep(
         index: int,
         value: Any,
         wall: float,
+        cpu: float,
         sim_events: int,
         evals: int,
         obs_doc: dict[str, Any] | None = None,
@@ -648,6 +657,7 @@ def run_sweep(
                 digests[index],
                 {
                     "wall_s": round(wall, 6),
+                    "cpu_s": round(cpu, 6),
                     "sim_events": sim_events,
                     "evaluations": evals,
                 },
@@ -663,6 +673,7 @@ def run_sweep(
                     digest=(digests[index] or "")[:16],
                     wall_s=round(wall, 6),
                     cached=False,
+                    cpu_s=round(cpu, 6),
                     sim_events=sim_events,
                     evaluations=evals,
                     obs_spans=len(obs_doc["spans"]) if obs_doc is not None else 0,

@@ -7,6 +7,7 @@ from repro.core import (
     GAConfig,
     GenerationalEngine,
     Individual,
+    IntegerVectorSpec,
     MaxEvaluations,
     MaxGenerations,
     Problem,
@@ -240,3 +241,48 @@ class TestScalarStreamPins:
             24.0, 22.0, 23.0, 24.0, 23.0, 23.0, 23.0, 24.0, 22.0, 21.0,
         ]
         assert eng.rng.random() == 0.7672571797607679
+
+    def test_real_vector_stream_pin(self):
+        # default real-vector operators: SBX crossover, Gaussian mutation
+        # clipped to the box, clip repair
+        eng = GenerationalEngine(
+            Sphere(6), GAConfig(population_size=10, elitism=1), seed=77
+        )
+        result = eng.run(6)
+        assert result.best_fitness == 10.677267129382557
+        assert [i.fitness for i in eng.population] == [
+            14.406803724611013, 18.81947509846866, 16.397936900216294,
+            16.62878477037273, 15.34564269434952, 20.36728311531889,
+            15.427107720687909, 15.838549677746773, 10.677267129382557,
+            14.985867278627056,
+        ]
+        assert eng.rng.random() == 0.8519293574780856
+
+    def test_integer_vector_stream_pin(self):
+        # default integer operators: two-point crossover, creep mutation,
+        # rint+clip repair; both engines, odd needed in the generational one
+        class IntSum(Problem):
+            def __init__(self):
+                self.spec = IntegerVectorSpec(12, low=0, high=4)
+                self.maximize = True
+
+            def evaluate(self, g):
+                return float(g.sum())
+
+        eng = SteadyStateEngine(
+            IntSum(), GAConfig(population_size=10, offspring_per_step=1), seed=55
+        )
+        assert eng.run(3).best_fitness == 35.0
+        assert [i.fitness for i in eng.population] == [
+            33.0, 33.0, 33.0, 34.0, 31.0, 31.0, 32.0, 33.0, 35.0, 34.0,
+        ]
+        assert eng.rng.random() == 0.30453692700548396
+
+        eng = GenerationalEngine(
+            IntSum(), GAConfig(population_size=9, elitism=2), seed=56
+        )
+        assert eng.run(4).best_fitness == 35.0
+        assert [i.fitness for i in eng.population] == [
+            35.0, 35.0, 35.0, 34.0, 32.0, 34.0, 35.0, 34.0, 32.0,
+        ]
+        assert eng.rng.random() == 0.2534307100279253

@@ -1,5 +1,9 @@
 """Unit tests for Individual and fitness comparison helpers."""
 
+import dataclasses
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -110,3 +114,51 @@ class TestFitnessGuard:
         i = Individual(genome=np.zeros(3))
         i.fitness = np.float64(2.0)
         assert float(i.fitness) == 2.0
+
+    def test_construction_error_names_the_real_uid(self):
+        # the uid is drawn before the guard runs, so the message names it
+        # (it used to read "uid=?": fitness was set before uid)
+        with pytest.raises(ValueError, match="finite") as exc:
+            Individual(genome=np.zeros(3), fitness=float("nan"))
+        m = re.search(r"uid=(\d+)", str(exc.value))
+        assert m is not None, str(exc.value)
+        assert Individual(genome=np.zeros(3)).uid == int(m.group(1)) + 1
+
+
+class TestConstruction:
+    """The explicit __init__ must behave like the dataclass one."""
+
+    def test_defaults_and_positional_order(self):
+        g = np.zeros(3)
+        i = Individual(g, 1.5, 4, "cx")
+        assert i.genome is g and i.fitness == 1.5
+        assert i.birth_generation == 4 and i.origin == "cx" and i.attrs == {}
+        j = Individual(genome=g)
+        assert (j.fitness, j.birth_generation, j.origin) == (None, 0, "init")
+
+    def test_uids_increase_and_attrs_are_not_shared(self):
+        a, b = Individual(genome=np.zeros(1)), Individual(genome=np.zeros(1))
+        assert b.uid == a.uid + 1
+        a.attrs["k"] = 1
+        assert b.attrs == {}
+        assert Individual(genome=np.zeros(1), uid=7).uid == 7
+
+    def test_fields_order_matches_instance_dict(self):
+        i = Individual(genome=np.zeros(2), fitness=1.0)
+        names = [f.name for f in dataclasses.fields(Individual)]
+        assert names == [
+            "genome", "fitness", "birth_generation", "origin", "attrs", "uid",
+        ]
+        assert list(vars(i)) == names
+
+    def test_replace_and_pickle_round_trip(self):
+        i = Individual(genome=np.arange(3), fitness=2.0, origin="cx", attrs={"a": 1})
+        r = dataclasses.replace(i, fitness=3.0)
+        assert r.uid == i.uid and r.fitness == 3.0 and r.attrs == {"a": 1}
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(i, fitness=float("inf"))
+        p = pickle.loads(pickle.dumps(i))
+        assert (p.uid, p.fitness, p.origin, p.attrs) == (i.uid, 2.0, "cx", {"a": 1})
+        assert np.array_equal(p.genome, i.genome)
+        with pytest.raises(ValueError, match="finite"):
+            p.fitness = float("nan")

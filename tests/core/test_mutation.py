@@ -156,3 +156,60 @@ class TestDefaults:
     def test_unknown_spec_raises(self):
         with pytest.raises(TypeError):
             mutation_for_spec(object())
+
+
+class TestParameterValidation:
+    """Out-of-range rates used to be accepted silently (rate=1.5 flipped
+    every bit, rate=-1 never mutated) and a negative sigma failed only on
+    the first call, inside NumPy."""
+
+    BAD = [
+        ("rate", lambda: BitFlipMutation(rate=1.5)),
+        ("rate", lambda: BitFlipMutation(rate=-1)),
+        ("rate", lambda: BitFlipMutation(rate=float("nan"))),
+        ("rate", lambda: GaussianMutation(rate=2.0)),
+        ("sigma", lambda: GaussianMutation(sigma=-1)),
+        ("sigma", lambda: GaussianMutation(sigma=float("inf"))),
+        ("sigma", lambda: GaussianMutation(sigma=float("nan"))),
+        ("rate", lambda: UniformResetMutation(0.0, 1.0, rate=1.01)),
+        ("rate", lambda: PolynomialMutation(0.0, 1.0, rate=-0.1)),
+        ("rate", lambda: CreepMutation(0, 7, rate=float("inf"))),
+    ]
+
+    @pytest.mark.parametrize(
+        "field,make",
+        BAD,
+        ids=[
+            "bitflip-1.5", "bitflip-neg", "bitflip-nan", "gaussian-rate",
+            "gaussian-sigma-neg", "gaussian-sigma-inf", "gaussian-sigma-nan",
+            "uniform-reset", "polynomial", "creep",
+        ],
+    )
+    def test_rejected_at_construction_naming_the_field(self, field, make):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("bit-flip", {"rate": 1.5}),
+            ("gaussian", {"sigma": -1.0}),
+            ("uniform-reset", {"lower": 0.0, "upper": 1.0, "rate": -0.5}),
+            ("polynomial", {"lower": 0.0, "upper": 1.0, "rate": 3.0}),
+            ("creep", {"low": 0, "high": 7, "rate": 1.5}),
+        ],
+    )
+    def test_rejected_through_a_spec(self, name, params):
+        from repro.spec import operator
+
+        with pytest.raises(ValueError, match="rate|sigma"):
+            operator(name, **params).build()
+
+    def test_boundary_values_accepted(self):
+        for rate in (None, 0.0, 1.0, 0.25):
+            BitFlipMutation(rate=rate)
+            UniformResetMutation(0.0, 1.0, rate=rate)
+            PolynomialMutation(0.0, 1.0, rate=rate)
+            CreepMutation(0, 3, rate=rate)
+            GaussianMutation(rate=rate)
+        GaussianMutation(sigma=0.0)

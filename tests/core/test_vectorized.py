@@ -492,6 +492,27 @@ class TestVectorizedEngines:
         r = e.run(3)
         assert r.generations == 3
 
+    def test_mixed_dtype_parents_are_promoted_not_rejected(self):
+        # seeded members need not share the spec's dtype; such a parent block
+        # cannot take the homogeneous stack_genomes path and is promoted
+        rng = np.random.default_rng(0)
+        seeds = [
+            Individual(
+                genome=rng.integers(0, 2, 8).astype(np.int64 if k < 2 else np.int8)
+            )
+            for k in range(6)
+        ]
+        e = GenerationalEngine(
+            OneMax(8), GAConfig(population_size=6, vectorized_variation=True), seed=3
+        )
+        e.initialize(seeds)
+        children = e._vector_offspring(np.array([0, 2, 1, 3]), 4)
+        assert len(children) == 4
+        assert all(c.genome.dtype == np.int8 for c in children)
+        assert all(c.genome.shape == (8,) for c in children)
+        e.run(3)
+        assert e.state.generation == 3
+
     def test_unsupported_crossover_falls_back_to_scalar_cycle(self):
         from repro.core.problem import Problem
 

@@ -33,6 +33,13 @@ def _boom(*, seed: int) -> None:
     raise RuntimeError("trial failure must propagate")
 
 
+def _spin(*, n: int, seed: int) -> int:
+    total = seed
+    for i in range(n):
+        total = (total * 31 + i) % 1_000_003
+    return total
+
+
 class TestTrial:
     def test_call_passes_params_and_seed(self):
         assert Trial(_square, dict(x=3.0), seed=1).call() == 10.0
@@ -267,6 +274,17 @@ class TestRunSweep:
         doc = tele.to_json()
         assert doc["schema"] == "repro-sweep-bench/v1"
         assert "cpu_count" in doc["host"]
+
+    def test_trial_cpu_time_recorded_next_to_wall(self):
+        tele = SweepTelemetry()
+        trials = [Trial(_spin, dict(n=200_000), seed=i) for i in range(3)]
+        run_sweep("EX", trials, config=SweepConfig(telemetry=tele))
+        for t in tele.trials:
+            assert t.cpu_s > 0.0
+            assert t.cpu_s <= t.wall_s + 0.005  # single-threaded trial
+        totals = tele.totals()
+        assert totals["trial_cpu_s"] == round(sum(t.cpu_s for t in tele.trials), 6)
+        assert all("cpu_s" in t for t in tele.to_json()["trials"])
 
     def test_telemetry_write(self, tmp_path):
         import json

@@ -194,6 +194,31 @@ class TestCrashResume:
         assert session.metrics.counter("sweep.resumed_trials").value == 3
         assert not journal_path.exists()
 
+    def test_journal_carries_cpu_time_into_resumed_records(
+        self, tmp_path, monkeypatch
+    ):
+        trials = _trials(_gated_square)
+        digests = [trial_digest("EC", t, quick=False) for t in trials]
+        journal_path = SweepJournal.path_for(tmp_path, "EC", digests)
+        monkeypatch.setenv(_FAIL_ENV, "2")
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_sweep(
+                "EC", trials, config=SweepConfig(cache_dir=tmp_path, resume=True)
+            )
+        records = SweepJournal(journal_path).load()
+        assert len(records) == 2
+        assert all(rec["cpu_s"] >= 0.0 for rec in records.values())
+
+        monkeypatch.delenv(_FAIL_ENV)
+        tele = SweepTelemetry()
+        run_sweep(
+            "EC",
+            trials,
+            config=SweepConfig(cache_dir=tmp_path, resume=True, telemetry=tele),
+        )
+        restored = {t.digest: t.cpu_s for t in tele.trials if t.resumed}
+        assert restored == {d[:16]: rec["cpu_s"] for d, rec in records.items()}
+
     def test_sigkilled_orchestrator_resumes_from_journal(self, tmp_path, monkeypatch):
         trials = _trials(_slow_square)
         digests = [trial_digest("EKILL", t, quick=False) for t in trials]
