@@ -70,11 +70,17 @@ copy-pasted per engine, and this check keeps them centralised:
 
 9. **Retired compatibility surfaces.**  No module under ``repro/`` may
    bind a module-level name to ``RunReport`` (the deleted per-engine
-   result aliases such as ``IslandResult = RunReport``), nor define or
-   import the retired global toggles ``batch_evaluation``,
+   result aliases such as ``IslandResult = RunReport``), nor define,
+   assign or import the retired global toggles ``batch_evaluation``,
    ``use_batch_evaluation``, ``set_verify_digest`` or
-   ``DigestMismatchError``.  Callers name ``RunReport`` directly, batch
-   evaluation is always on, and the digest walker is a test oracle.
+   ``DigestMismatchError``, the second engine registry
+   ``ENGINE_REGISTRY`` / ``EngineInfo``, or ``SerialExecutor``; and no
+   module under ``repro/parallel/`` may bring back ``register_engine``
+   or ``contract_run``.  Callers name ``RunReport`` directly, batch
+   evaluation is always on, the digest walker is a test oracle,
+   ``ENGINE_BUILDERS`` is the one engine registry (its exemplar specs
+   are the contract scenarios, run by ``repro.verify.engines``) and
+   ``SerialEvaluator`` is the one serial evaluator.
 
 Run from the repository root::
 
@@ -386,17 +392,46 @@ def lint_trace_events_file(path: Path) -> list[str]:
     return problems
 
 
-#: names rule 9 forbids defining or importing anywhere under repro/
+_TOGGLE = (
+    "retired toggle — batch evaluation is always on and the digest walker "
+    "is a test oracle, not a runtime switch"
+)
+_REGISTRY = (
+    "retired engine registry — repro.spec.ENGINE_BUILDERS is the one "
+    "registry and its exemplar specs are the contract scenarios "
+    "(repro.verify.engines runs them)"
+)
+
+#: names rule 9 forbids defining, assigning or importing anywhere under
+#: repro/, with the reason printed for each
 _RETIRED_NAMES = {
-    "batch_evaluation", "use_batch_evaluation", "set_verify_digest",
-    "DigestMismatchError",
+    "batch_evaluation": _TOGGLE,
+    "use_batch_evaluation": _TOGGLE,
+    "set_verify_digest": _TOGGLE,
+    "DigestMismatchError": _TOGGLE,
+    "ENGINE_REGISTRY": _REGISTRY,
+    "EngineInfo": _REGISTRY,
+    "SerialExecutor": (
+        "retired executor — repro.core.engine.SerialEvaluator is the one "
+        "serial evaluator"
+    ),
+}
+
+#: names rule 9 additionally forbids under repro/parallel/
+_RETIRED_PARALLEL_NAMES = {
+    "register_engine": _REGISTRY,
+    "contract_run": _REGISTRY,
 }
 
 
 def lint_retired_file(path: Path) -> list[str]:
-    """No result aliases or retired toggles may return (rule 9)."""
+    """No result aliases, retired toggles or retired registries may
+    return (rule 9)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     where = path.relative_to(REPO)
+    retired = dict(_RETIRED_NAMES)
+    if PARALLEL in path.parents:
+        retired.update(_RETIRED_PARALLEL_NAMES)
     problems: list[str] = []
     for node in tree.body:
         if (
@@ -413,14 +448,14 @@ def lint_retired_file(path: Path) -> list[str]:
             names = [node.name]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.rpartition(".")[2] for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
         else:
             continue
-        for name in sorted(_RETIRED_NAMES.intersection(names)):
-            problems.append(
-                f"{where}:{node.lineno}: retired toggle {name} — batch "
-                "evaluation is always on and the digest walker is a test "
-                "oracle, not a runtime switch"
-            )
+        for name in sorted(retired.keys() & names):
+            problems.append(f"{where}:{node.lineno}: {name}: {retired[name]}")
     return problems
 
 

@@ -143,8 +143,8 @@ class CountingProblem(Problem):
     (Alba 2002) uses — so exact counting lives here rather than scattered
     through engines.
 
-    Counting is thread-safe (unchunked thread executors hit ``evaluate``
-    concurrently) and the budget is only charged for evaluations that
+    Counting is thread-safe (a thread executor's chunks call
+    ``evaluate_many`` concurrently) and the budget is only charged for evaluations that
     actually complete: an inner evaluation that raises refunds its
     reservation.
     """

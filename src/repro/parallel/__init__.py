@@ -8,22 +8,14 @@
 - hybrids → :class:`CellularIslandModel`, :class:`MasterSlaveIslandModel`,
   :class:`SimulatedMasterSlaveIslandModel`
 
-Every engine returns the shared :class:`RunReport` schema and registers
-itself (with a seeded contract scenario) in :data:`ENGINE_REGISTRY` — see
-:mod:`repro.parallel.base`.
+Every engine returns the shared :class:`RunReport` schema and declares
+the ``engine_name`` of its one builder in
+:data:`repro.spec.registry.ENGINE_BUILDERS`; the builder's exemplar spec
+is the engine's contract scenario (:mod:`repro.verify.engines`).
 """
 
 from .async_master_slave import SimulatedAsyncMasterSlave
-from .base import (
-    ENGINE_REGISTRY,
-    EngineInfo,
-    ParallelEngine,
-    RunReport,
-    contract_run,
-    engine_names,
-    register_engine,
-    validate_report,
-)
+from .base import ParallelEngine, RunReport, validate_report
 from .cellular import UPDATE_POLICIES, CellularGA, CellularResult
 from .cellular_distributed import DistributedCellularGA
 from .classification import (
@@ -57,11 +49,6 @@ from .specialized import (
 __all__ = [
     "RunReport",
     "ParallelEngine",
-    "EngineInfo",
-    "ENGINE_REGISTRY",
-    "register_engine",
-    "engine_names",
-    "contract_run",
     "validate_report",
     "GrainModel",
     "WalkStrategy",

@@ -29,7 +29,7 @@ from ..core.problem import Problem
 from ..core.rng import ensure_rng
 from ..core.variation import offspring_pair
 from ..runtime.deme import emit_generation
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -59,6 +59,8 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
     eval_cost:
         Simulated seconds per evaluation at speed 1.
     """
+
+    engine_name = "async-master-slave"
 
     classification = ModelClassification(
         grain=GrainModel.GLOBAL,
@@ -205,20 +207,3 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
 
     def global_best(self) -> Individual:
         return best_of(self.population, self.problem.maximize)
-
-
-def _async_master_slave_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(4)
-    farm = SimulatedAsyncMasterSlave(
-        OneMax(24), GAConfig(population_size=16), cluster=cluster, seed=seed
-    )
-    return cluster.trace, farm.run(max_evaluations=200)
-
-
-register_engine(
-    "async-master-slave",
-    SimulatedAsyncMasterSlave,
-    contract=_async_master_slave_contract,
-)

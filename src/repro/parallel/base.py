@@ -1,4 +1,4 @@
-"""The shared parallel-engine contract: one report schema, one registry.
+"""The shared parallel-engine contract: one report schema, one name.
 
 The survey's central contribution is a *taxonomy*: global/master-slave,
 island, cellular, hierarchical, hybrid and specialized models are all
@@ -10,15 +10,17 @@ counterpart of that claim — every engine in :mod:`repro.parallel`
   runs of *different* models are directly comparable — the uniform
   measurement substrate Harada, Alba & Luque argue distributed-PGA
   results need;
-* registers itself in :data:`ENGINE_REGISTRY` together with a seeded
-  *contract scenario*, so the cross-engine contract suite and the
-  verification harness can exercise any engine generically.
+* declares the ``engine_name`` of its one builder in
+  :data:`repro.spec.registry.ENGINE_BUILDERS`, whose exemplar spec is
+  the engine's seeded *contract scenario* — so the cross-engine contract
+  suite and the verification harness can exercise any engine
+  generically (:mod:`repro.verify.engines`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 import numpy as np
 
@@ -34,11 +36,6 @@ __all__ = [
     "EpochRecord",
     "RunReport",
     "ParallelEngine",
-    "EngineInfo",
-    "ENGINE_REGISTRY",
-    "register_engine",
-    "engine_names",
-    "contract_run",
     "validate_report",
 ]
 
@@ -146,8 +143,9 @@ class ParallelEngine:
 
     * ``classification`` — the taxonomy coordinates
       (:class:`~repro.parallel.classification.ModelClassification`);
-    * ``engine_name`` — the registry name stamped into reports
-      (set by :func:`register_engine`);
+    * ``engine_name`` — the name of the engine's builder in
+      :data:`~repro.spec.registry.ENGINE_BUILDERS`, declared in the class
+      body and stamped into reports;
     * ``run(...) -> RunReport`` — one standardized deme lifecycle
       (setup → step → exchange → record → terminate) driven by the
       shared runtime (:mod:`repro.runtime.deme`).
@@ -186,67 +184,6 @@ class ParallelEngine:
         if cluster is not None:
             return cluster.trace
         return getattr(self, "trace", None)
-
-
-@dataclass(frozen=True)
-class EngineInfo:
-    """One registry entry: the engine class plus its contract scenario."""
-
-    name: str
-    cls: type
-    #: seeded small standard run: ``contract(seed) -> (Trace | None, RunReport)``
-    contract: Callable[[int], tuple["Trace | None", RunReport]] | None = None
-    #: invariant rule names applicable to the engine's trace (see
-    #: :mod:`repro.verify.invariants`); None = the always-safe default set
-    rules: tuple[str, ...] | None = None
-    #: conserved message kinds on the engine's wire (message-conservation)
-    conserved_kinds: tuple[str, ...] = ()
-
-
-#: name -> EngineInfo, populated as engine modules import
-ENGINE_REGISTRY: dict[str, EngineInfo] = {}
-
-
-def register_engine(
-    name: str,
-    cls: type,
-    *,
-    contract: Callable[[int], tuple["Trace | None", RunReport]] | None = None,
-    rules: tuple[str, ...] | None = None,
-    conserved_kinds: tuple[str, ...] = (),
-) -> type:
-    """Register ``cls`` under ``name`` and stamp ``cls.engine_name``.
-
-    ``contract`` builds and runs a small fully seeded scenario — the
-    cross-engine contract suite uses it to assert that every engine
-    returns a schema-valid, deterministic, invariant-clean report.
-    """
-    cls.engine_name = name
-    ENGINE_REGISTRY[name] = EngineInfo(
-        name=name, cls=cls, contract=contract, rules=rules,
-        conserved_kinds=conserved_kinds,
-    )
-    return cls
-
-
-def engine_names() -> list[str]:
-    """Registered engine names (import :mod:`repro.parallel` to populate)."""
-    return sorted(ENGINE_REGISTRY)
-
-
-def contract_run(name: str, seed: int = 0) -> tuple["Trace | None", RunReport]:
-    """Execute engine ``name``'s registered contract scenario."""
-    info = ENGINE_REGISTRY.get(name)
-    if info is None:
-        from ..spec.registry import suggest  # deferred: spec imports engines
-
-        raise KeyError(
-            f"unknown engine {name!r}{suggest(name, ENGINE_REGISTRY)}; "
-            f"choose from {engine_names()}"
-        )
-    if info.contract is None:
-        raise ValueError(f"engine {name!r} registered no contract scenario")
-    return info.contract(seed)
 
 
 def validate_report(report: RunReport, *, engine: str | None = None) -> list[str]:

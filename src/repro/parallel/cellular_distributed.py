@@ -25,7 +25,7 @@ from ..obs.session import current_obs
 from ..core.config import GAConfig
 from ..core.problem import Problem
 from ..runtime.deme import emit_generation
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .cellular import CellularGA
 from .classification import (
     GrainModel,
@@ -59,6 +59,8 @@ class DistributedCellularGA(ParallelEngine):
     halo_payload:
         Simulated message size per halo row.
     """
+
+    engine_name = "distributed-cellular"
 
     classification = ModelClassification(
         grain=GrainModel.FINE_GRAINED,
@@ -219,25 +221,3 @@ class DistributedCellularGA(ParallelEngine):
                 "comm_time": self.comm_time,
             },
         )
-
-
-def _distributed_cellular_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(4)
-    dga = DistributedCellularGA(
-        OneMax(24),
-        GAConfig(),
-        rows=8,
-        cols=8,
-        cluster=cluster,
-        seed=seed,
-    )
-    return cluster.trace, dga.run(max_sweeps=6)
-
-
-register_engine(
-    "distributed-cellular",
-    DistributedCellularGA,
-    contract=_distributed_cellular_contract,
-)

@@ -25,7 +25,7 @@ from ..core.individual import Individual
 from ..core.rng import spawn_rngs
 from ..problems.multifidelity import MultiFidelityProblem
 from ..runtime.deme import EpochLoop, emit_generation
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -56,6 +56,8 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
     up_count / down_count:
         Migrants promoted per child per exchange / demoted per child.
     """
+
+    engine_name = "hierarchical"
 
     classification = ModelClassification(
         grain=GrainModel.HYBRID,
@@ -248,21 +250,3 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
                 "work_curve": self.work_curve,
             },
         )
-
-
-def _hierarchical_contract(seed: int):
-    from ..problems.applications import TransonicWingDesign
-
-    trace = Trace()
-    hga = HierarchicalGA(
-        TransonicWingDesign(),
-        GAConfig(population_size=10, elitism=1),
-        layers=2,
-        branching=2,
-        seed=seed,
-        trace=trace,
-    )
-    return trace, hga.run(6)
-
-
-register_engine("hierarchical", HierarchicalGA, contract=_hierarchical_contract)

@@ -32,7 +32,7 @@ from ..migration.policy import MigrationPolicy
 from ..migration.schedule import MigrationSchedule, PeriodicSchedule
 from ..runtime.deme import EpochLoop, emit_generation
 from ..topology.static import RingTopology, Topology
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .cellular import CellularGA
 from .classification import (
     GrainModel,
@@ -57,6 +57,8 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
     replace the worst cells — preserving the cellular structure inside each
     island while adding the island model's coarse-grained diversity.
     """
+
+    engine_name = "cellular-island"
 
     classification = ModelClassification(
         grain=GrainModel.HYBRID,
@@ -179,6 +181,8 @@ class MasterSlaveIslandModel(IslandModel):
     SMP-cluster composition.
     """
 
+    engine_name = "master-slave-island"
+
     classification = ModelClassification(
         grain=GrainModel.HYBRID,
         walk=WalkStrategy.MULTIPLE,
@@ -205,6 +209,8 @@ class SimulatedMasterSlaveIslandModel(SimulatedIslandModel):
     inherits every resilience capability without one line of fault code.
     """
 
+    engine_name = "sim-master-slave-island"
+
     classification = ModelClassification(
         grain=GrainModel.HYBRID,
         walk=WalkStrategy.MULTIPLE,
@@ -223,62 +229,3 @@ class SimulatedMasterSlaveIslandModel(SimulatedIslandModel):
         simulated generation time is the longest lane's share."""
         lanes = math.ceil(evaluations / self.local_workers)
         return lanes * self.eval_cost
-
-
-def _cellular_island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    trace = Trace()
-    model = CellularIslandModel(
-        OneMax(24), 2, GAConfig(), rows=4, cols=4, seed=seed, trace=trace
-    )
-    return trace, model.run(6)
-
-
-def _master_slave_island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    trace = Trace()
-    model = MasterSlaveIslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-        trace=trace,
-    )
-    return trace, model.run(6)
-
-
-def _sim_master_slave_island_contract(seed: int):
-    from ..cluster.machine import SimulatedCluster
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(3)
-    model = SimulatedMasterSlaveIslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        cluster=cluster,
-        max_epochs=8,
-        local_workers=4,
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-    )
-    return cluster.trace, model.run()
-
-
-register_engine(
-    "cellular-island", CellularIslandModel, contract=_cellular_island_contract
-)
-register_engine(
-    "master-slave-island",
-    MasterSlaveIslandModel,
-    contract=_master_slave_island_contract,
-)
-register_engine(
-    "sim-master-slave-island",
-    SimulatedMasterSlaveIslandModel,
-    contract=_sim_master_slave_island_contract,
-    conserved_kinds=("migration",),
-)

@@ -52,7 +52,7 @@ from ..runtime.deme import (
 )
 from ..topology.dynamic import DynamicTopology
 from ..topology.static import RingTopology, Topology
-from .base import EpochRecord, ParallelEngine, RunReport, register_engine
+from .base import EpochRecord, ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -74,7 +74,7 @@ def engine_class_by_name(name: str) -> Type[EvolutionEngine]:
     name = name.lower()
     if name == "generational":
         return GenerationalEngine
-    if name in ("steady-state", "steadystate", "ss"):
+    if name == "steady-state":
         return SteadyStateEngine
     raise ValueError(f"unknown engine name {name!r}")
 
@@ -248,6 +248,8 @@ class IslandModel(EpochLoop, _IslandBase):
     and demes may skip steps (heterogeneous progress) via ``step_prob``.
     """
 
+    engine_name = "island"
+
     def __init__(self, *args, step_prob: float | Sequence[float] = 1.0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         probs = np.broadcast_to(np.asarray(step_prob, dtype=float), (self.n_islands,))
@@ -364,6 +366,8 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
         ten expected generation times.
     """
 
+    engine_name = "sim-island"
+
     def __init__(
         self,
         problem: Problem,
@@ -418,43 +422,3 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
             migrants_accepted=self.migrants_accepted,
             **self._runtime_report_fields(),
         )
-
-
-def _island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    trace = Trace()
-    model = IslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-        trace=trace,
-    )
-    return trace, model.run(8)
-
-
-def _sim_island_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(3)
-    model = SimulatedIslandModel(
-        OneMax(24),
-        3,
-        GAConfig(population_size=12, elitism=1),
-        cluster=cluster,
-        max_epochs=8,
-        policy=MigrationPolicy(rate=1, replacement="worst-if-better"),
-        seed=seed,
-    )
-    return cluster.trace, model.run()
-
-
-register_engine("island", IslandModel, contract=_island_contract)
-register_engine(
-    "sim-island",
-    SimulatedIslandModel,
-    contract=_sim_island_contract,
-    conserved_kinds=("migration",),
-)

@@ -34,8 +34,8 @@ from ..core.engine import GenerationalEngine
 from ..core.problem import Problem
 from ..core.termination import MaxGenerations, Termination
 from ..runtime.deme import emit_generation
-from ..runtime.executor import SerialExecutor, chunk_indices
-from .base import ParallelEngine, RunReport, register_engine
+from ..runtime.executor import chunk_indices
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -76,7 +76,7 @@ class MasterSlaveGA(GenerationalEngine):
             problem,
             config,
             seed=seed,
-            evaluator=executor or SerialExecutor(),
+            evaluator=executor,
             callbacks=callbacks,
         )
 
@@ -108,6 +108,8 @@ class SimulatedMasterSlave(ParallelEngine):
         Watchdog: a chunk is declared lost after
         ``factor x`` its expected completion time.
     """
+
+    engine_name = "sim-master-slave"
 
     classification = ModelClassification(
         grain=GrainModel.GLOBAL,
@@ -347,21 +349,3 @@ class SimulatedMasterSlave(ParallelEngine):
                 "workers": self.workers,
             },
         )
-
-
-def _sim_master_slave_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(4)
-    farm = SimulatedMasterSlave(
-        OneMax(24),
-        GAConfig(population_size=16, elitism=1),
-        cluster=cluster,
-        seed=seed,
-    )
-    return cluster.trace, farm.run(6)
-
-
-register_engine(
-    "sim-master-slave", SimulatedMasterSlave, contract=_sim_master_slave_contract
-)

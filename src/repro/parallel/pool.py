@@ -27,7 +27,7 @@ from ..core.problem import Problem
 from ..core.rng import spawn_rngs
 from ..core.variation import offspring_pair
 from ..runtime.deme import emit_generation
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -56,6 +56,8 @@ class PooledEvolution(ParallelEngine):
     max_transactions:
         Total pull-breed-push cycles across all agents before stopping.
     """
+
+    engine_name = "pool"
 
     classification = ModelClassification(
         grain=GrainModel.COARSE_GRAINED,
@@ -249,20 +251,3 @@ class PooledEvolution(ParallelEngine):
                 "agent_evaluations": list(self.agent_evaluations),
             },
         )
-
-
-def _pool_contract(seed: int):
-    from ..problems.binary import OneMax
-
-    cluster = SimulatedCluster(4)
-    pooled = PooledEvolution(
-        OneMax(24),
-        GAConfig(population_size=20),
-        cluster=cluster,
-        max_transactions=40,
-        seed=seed,
-    )
-    return cluster.trace, pooled.run()
-
-
-register_engine("pool", PooledEvolution, contract=_pool_contract)

@@ -44,7 +44,7 @@ from ..runtime.deme import (
     emit_generation,
 )
 from ..topology.static import CompleteTopology, RingTopology, Topology
-from .base import ParallelEngine, RunReport, register_engine
+from .base import ParallelEngine, RunReport
 from .classification import (
     GrainModel,
     ModelClassification,
@@ -125,6 +125,8 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         Reference point for hypervolume (2-objective only); defaults to the
         per-objective maxima observed in the archive plus 10%.
     """
+
+    engine_name = "specialized"
 
     classification = ModelClassification(
         grain=GrainModel.COARSE_GRAINED,
@@ -294,6 +296,8 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
     :meth:`_integrate_parcel` override — everything else is the runtime's.
     """
 
+    engine_name = "sim-specialized"
+
     def __init__(
         self,
         problem: MultiObjectiveProblem,
@@ -362,41 +366,3 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
             migrants_accepted=self.migrants_accepted,
             **self._runtime_report_fields(),
         )
-
-
-def _specialized_contract(seed: int):
-    from ..problems.multiobjective import SchafferF2
-
-    trace = Trace()
-    model = SpecializedIslandModel(
-        SchafferF2(),
-        standard_scenarios()[2],
-        GAConfig(population_size=12),
-        seed=seed,
-        trace=trace,
-    )
-    return trace, model.run(6)
-
-
-def _sim_specialized_contract(seed: int):
-    from ..problems.multiobjective import SchafferF2
-
-    cluster = SimulatedCluster(2)
-    model = SimulatedSpecializedIslandModel(
-        SchafferF2(),
-        standard_scenarios()[2],
-        GAConfig(population_size=12),
-        cluster=cluster,
-        max_epochs=6,
-        seed=seed,
-    )
-    return cluster.trace, model.run()
-
-
-register_engine("specialized", SpecializedIslandModel, contract=_specialized_contract)
-register_engine(
-    "sim-specialized",
-    SimulatedSpecializedIslandModel,
-    contract=_sim_specialized_contract,
-    conserved_kinds=("migration",),
-)

@@ -6,12 +6,7 @@ the supervised real-process execution layer both process backends share
 from .cache import FitnessCache, MemoizingEvaluator
 from .chaos import ChaosError, ChaosPlan
 from .deme import EpochLoop, RuntimeCapabilities, TimedDemeRuntime, emit_generation
-from .executor import (
-    MultiprocessingExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    chunk_indices,
-)
+from .executor import MultiprocessingExecutor, ThreadExecutor, chunk_indices
 from .journal import SweepJournal
 from .resilient import (
     PoolStats,
@@ -48,7 +43,6 @@ __all__ = [
     "TimedDemeRuntime",
     "RuntimeCapabilities",
     "emit_generation",
-    "SerialExecutor",
     "ThreadExecutor",
     "MultiprocessingExecutor",
     "chunk_indices",

@@ -1,9 +1,10 @@
-"""Fitness-evaluation executors: serial, threads, processes.
+"""Fitness-evaluation executors: threads and processes.
 
 The *real-parallelism* counterpart of :mod:`repro.cluster`: these executors
 actually farm fitness evaluations out to OS threads or processes (the
 survey's master-slave data parallelism on an SMP machine).  They plug into
-any engine through the ``FitnessEvaluator`` seam.
+any engine through the ``FitnessEvaluator`` seam, whose serial (one
+processor) case is :class:`repro.core.engine.SerialEvaluator`.
 
 The process pool uses an initializer so the problem is shipped to each
 worker exactly once — the mpi4py tutorial's broadcast-once idiom — rather
@@ -26,7 +27,6 @@ from ..core.problem import CountingProblem, Problem, stack_genomes
 from .resilient import QuarantinedTask, QuarantineError, ResilienceConfig, SupervisedPool
 
 __all__ = [
-    "SerialExecutor",
     "ThreadExecutor",
     "MultiprocessingExecutor",
     "chunk_indices",
@@ -44,24 +44,6 @@ def chunk_indices(n: int, chunks: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(chunks) if bounds[i] < bounds[i + 1]]
 
 
-class SerialExecutor:
-    """Evaluate in the calling thread (the baseline / 1-processor case)."""
-
-    def evaluate(
-        self, problem: Problem, genomes: Sequence[np.ndarray] | np.ndarray
-    ) -> list[float]:
-        return problem.evaluate_many(genomes)
-
-    def shutdown(self) -> None:  # symmetry with pooled executors
-        pass
-
-    def __enter__(self) -> "SerialExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
 class ThreadExecutor:
     """Thread-pool evaluation — the survey's 'lightweight processes such as
     POSIX threads … on SMP machines' model.
@@ -70,11 +52,10 @@ class ThreadExecutor:
     (NumPy-heavy evaluations); the correctness path is identical either way.
     """
 
-    def __init__(self, workers: int | None = None, chunked: bool = True) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.chunked = chunked
         self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def evaluate(
@@ -82,17 +63,14 @@ class ThreadExecutor:
     ) -> list[float]:
         if len(genomes) == 0:
             return []
-        if self.chunked:
-            spans = chunk_indices(len(genomes), self.workers)
-            futures = [
-                self._pool.submit(problem.evaluate_many, genomes[a:b])
-                for a, b in spans
-            ]
-            out: list[float] = []
-            for fut in futures:
-                out.extend(fut.result())
-            return out
-        return list(self._pool.map(problem.evaluate, genomes))
+        spans = chunk_indices(len(genomes), self.workers)
+        futures = [
+            self._pool.submit(problem.evaluate_many, genomes[a:b]) for a, b in spans
+        ]
+        out: list[float] = []
+        for fut in futures:
+            out.extend(fut.result())
+        return out
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)

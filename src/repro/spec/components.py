@@ -234,10 +234,14 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunSpec":
+        if not isinstance(doc, Mapping):
+            raise ValueError(
+                f"a {SCHEMA} document must be a JSON object, got {type(doc).__name__}"
+            )
         schema = doc.get("schema")
         if schema != SCHEMA:
             raise ValueError(f"not a {SCHEMA} document (schema={schema!r})")
-        engine = decode_value(doc["engine"])
+        engine = decode_value(_field(doc, "engine", "run spec"))
         if not isinstance(engine, EngineSpec):
             raise ValueError("'engine' must be a tagged engine spec")
         seed = doc.get("seed")
@@ -341,6 +345,14 @@ def encode_value(value: Any, depth: int = 0) -> Any:
     )
 
 
+def _field(doc: Mapping[str, Any], key: str, what: str) -> Any:
+    """``doc[key]``, or a :class:`ValueError` naming the missing field."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing required field {key!r}") from None
+
+
 def decode_value(value: Any) -> Any:
     """Raise plain JSON data back to spec-level values."""
     if isinstance(value, list):
@@ -352,7 +364,7 @@ def decode_value(value: Any) -> Any:
         return {k: decode_value(v) for k, v in value.items()}
     if tag in _COMPONENT_BY_KIND:
         return _COMPONENT_BY_KIND[tag](
-            name=value["name"],
+            name=_field(value, "name", f"{tag} spec"),
             params={k: decode_value(v) for k, v in dict(value.get("params", {})).items()},
         )
     if tag == "config":
@@ -361,7 +373,7 @@ def decode_value(value: Any) -> Any:
         )
     if tag == "cluster":
         return ClusterSpec(
-            n_nodes=int(value["n_nodes"]),
+            n_nodes=int(_field(value, "n_nodes", "cluster spec")),
             speeds=decode_value(value.get("speeds", 1.0)),
             latency=value.get("latency"),
             bandwidth=value.get("bandwidth"),
@@ -370,7 +382,7 @@ def decode_value(value: Any) -> Any:
         )
     if tag == "engine":
         return EngineSpec(
-            name=value["name"],
+            name=_field(value, "name", "engine spec"),
             params={k: decode_value(v) for k, v in dict(value.get("params", {})).items()},
         )
     if tag == "fault-plan":

@@ -1,10 +1,18 @@
 """Engine builders: one registered constructor per parallel model.
 
-Every name in :data:`repro.parallel.base.ENGINE_REGISTRY` has a builder
-here (plus the two sequential engines, ``generational`` and
-``steady-state``), so :func:`build_run` can construct *any* engine the
-framework ships from a :class:`~repro.spec.components.RunSpec` and
-:func:`run_spec` can execute it.
+This is the only engine registry.  Every parallel engine (each declares
+its builder's name as ``engine_name``) has a builder here, plus the two
+sequential engines, ``generational`` and ``steady-state``, so
+:func:`build_run` can construct *any* engine the framework ships from a
+:class:`~repro.spec.components.RunSpec` and :func:`run_spec` can
+execute it.
+
+Each builder's exemplar spec is that engine's contract scenario: a
+small fully seeded run (several epochs; migration on wherever the model
+migrates) that ``python -m repro.verify spec-fuzz`` replays as a
+document and ``python -m repro.verify engines`` audits for schema,
+determinism, trace invariants and observability
+(:mod:`repro.verify.engines`).
 
 Builders receive already-built params (problems, configs, clusters,
 operators — :func:`~repro.spec.components.build_value` lowers the nested
@@ -41,7 +49,6 @@ from ..parallel.specialized import (
 )
 from .components import (
     ClusterSpec,
-    EngineSpec,
     GAConfigSpec,
     OperatorSpec,
     ProblemSpec,
@@ -78,13 +85,21 @@ def _island_like(cls):
 
 _EX_PROBLEM = ProblemSpec("onemax", {"length": 24})
 _EX_CONFIG = GAConfigSpec({"population_size": 12, "elitism": 1})
+_EX_POLICY = OperatorSpec(
+    "migration-policy", {"rate": 1, "replacement": "worst-if-better"}
+)
 
 register_engine(
     "island",
     _island_like(IslandModel),
     exemplar={
-        "params": {"problem": _EX_PROBLEM, "n_islands": 3, "config": _EX_CONFIG},
-        "run": {"termination": 3},
+        "params": {
+            "problem": _EX_PROBLEM,
+            "n_islands": 3,
+            "config": _EX_CONFIG,
+            "policy": _EX_POLICY,
+        },
+        "run": {"termination": 8},
     },
 )
 register_engine(
@@ -96,8 +111,8 @@ register_engine(
             "n_islands": 3,
             "config": _EX_CONFIG,
             "cluster": ClusterSpec(3),
-            "eval_cost": 1e-3,
-            "max_epochs": 3,
+            "max_epochs": 8,
+            "policy": _EX_POLICY,
         },
         "run": {},
     },
@@ -111,9 +126,9 @@ register_engine(
             "n_islands": 3,
             "config": _EX_CONFIG,
             "cluster": ClusterSpec(3),
-            "eval_cost": 1e-3,
-            "max_epochs": 3,
-            "local_workers": 2,
+            "max_epochs": 8,
+            "local_workers": 4,
+            "policy": _EX_POLICY,
         },
         "run": {},
     },
@@ -124,19 +139,25 @@ register_engine(
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
-            "n_islands": 3,
+            "n_islands": 2,
+            "config": GAConfigSpec(),
             "rows": 4,
             "cols": 4,
         },
-        "run": {"epochs": 3},
+        "run": {"epochs": 6},
     },
 )
 register_engine(
     "master-slave-island",
     _island_like(MasterSlaveIslandModel),
     exemplar={
-        "params": {"problem": _EX_PROBLEM, "n_islands": 3, "config": _EX_CONFIG},
-        "run": {"termination": 3},
+        "params": {
+            "problem": _EX_PROBLEM,
+            "n_islands": 3,
+            "config": _EX_CONFIG,
+            "policy": _EX_POLICY,
+        },
+        "run": {"termination": 6},
     },
 )
 
@@ -146,11 +167,10 @@ register_engine(
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
-            "config": _EX_CONFIG,
+            "config": GAConfigSpec({"population_size": 16, "elitism": 1}),
             "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
         },
-        "run": {"termination": 3},
+        "run": {"termination": 6},
     },
 )
 def _sim_master_slave(*, problem, config=None, seed=None, **kwargs):
@@ -162,11 +182,10 @@ def _sim_master_slave(*, problem, config=None, seed=None, **kwargs):
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
-            "config": _EX_CONFIG,
+            "config": GAConfigSpec({"population_size": 16}),
             "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
         },
-        "run": {"max_evaluations": 300},
+        "run": {"max_evaluations": 200},
     },
 )
 def _async_master_slave(*, problem, config=None, seed=None, **kwargs):
@@ -178,10 +197,9 @@ def _async_master_slave(*, problem, config=None, seed=None, **kwargs):
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
-            "config": _EX_CONFIG,
+            "config": GAConfigSpec({"population_size": 20}),
             "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
-            "max_transactions": 60,
+            "max_transactions": 40,
         },
         "run": {},
     },
@@ -195,12 +213,12 @@ def _pool(*, problem, config=None, seed=None, **kwargs):
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
-            "rows": 6,
-            "cols": 6,
+            "config": GAConfigSpec(),
+            "rows": 8,
+            "cols": 8,
             "cluster": ClusterSpec(4),
-            "eval_cost": 1e-3,
         },
-        "run": {"max_sweeps": 3},
+        "run": {"max_sweeps": 6},
     },
 )
 def _distributed_cellular(*, problem, config=None, seed=None, **kwargs):
@@ -212,11 +230,11 @@ def _distributed_cellular(*, problem, config=None, seed=None, **kwargs):
     exemplar={
         "params": {
             "problem": ProblemSpec("transonic-wing"),
-            "config": _EX_CONFIG,
+            "config": GAConfigSpec({"population_size": 10, "elitism": 1}),
             "layers": 2,
             "branching": 2,
         },
-        "run": {"max_epochs": 3},
+        "run": {"max_epochs": 6},
     },
 )
 def _hierarchical(*, problem, config=None, seed=None, **kwargs):
@@ -225,7 +243,7 @@ def _hierarchical(*, problem, config=None, seed=None, **kwargs):
 
 _EX_SCENARIO = OperatorSpec(
     "sim-scenario",
-    {"name": "S", "weights": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
+    {"name": "S3-spec-ring", "weights": [[1.0, 0.0], [0.0, 1.0]], "topology": "ring"},
 )
 
 
@@ -233,12 +251,11 @@ _EX_SCENARIO = OperatorSpec(
     "specialized",
     exemplar={
         "params": {
-            "problem": ProblemSpec("zdt1", {"dims": 8}),
+            "problem": ProblemSpec("schaffer-f2"),
             "scenario": _EX_SCENARIO,
-            "config": _EX_CONFIG,
-            "hv_reference": [1.1, 7.0],
+            "config": GAConfigSpec({"population_size": 12}),
         },
-        "run": {"epochs": 3},
+        "run": {"epochs": 6},
     },
 )
 def _specialized(*, problem, scenario, config=None, seed=None, **kwargs):
@@ -249,13 +266,11 @@ def _specialized(*, problem, scenario, config=None, seed=None, **kwargs):
     "sim-specialized",
     exemplar={
         "params": {
-            "problem": ProblemSpec("zdt1", {"dims": 8}),
+            "problem": ProblemSpec("schaffer-f2"),
             "scenario": _EX_SCENARIO,
-            "config": _EX_CONFIG,
-            "hv_reference": [1.1, 7.0],
-            "cluster": ClusterSpec(3),
-            "eval_cost": 1e-3,
-            "max_epochs": 3,
+            "config": GAConfigSpec({"population_size": 12}),
+            "cluster": ClusterSpec(2),
+            "max_epochs": 6,
         },
         "run": {},
     },

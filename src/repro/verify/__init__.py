@@ -19,7 +19,8 @@ fault plan.  Four pieces:
   fuzz driver (``python -m repro.verify fuzz --seed 0 --runs 25``).
 - :mod:`~repro.verify.engines` — generic contract audits (schema,
   determinism, invariants, observability transparency) over every
-  registered parallel engine (``python -m repro.verify engines``).
+  parallel engine, each running its builder's exemplar spec as the
+  contract scenario (``python -m repro.verify engines``).
 
 The observability invariants themselves (spans nest properly; every
 trace-emitted generation is covered by a sim-time span) live in
@@ -29,7 +30,13 @@ trace-emitted generation is covered by a sim-time span) live in
 from ..obs.validate import check_generation_coverage, check_spans
 
 from .digest import AuditResult, audit_determinism, result_fingerprint, trace_digest
-from .engines import EngineAudit, audit_engine, audit_engines, contract_engine_names
+from .engines import (
+    EngineAudit,
+    audit_engine,
+    audit_engines,
+    contract_engine_names,
+    contract_run,
+)
 from .fuzzer import FuzzFailure, FuzzReport, fuzz, sample_spec
 from .harness import RunOutcome, execute, run_replay
 from .invariants import (
@@ -51,6 +58,7 @@ __all__ = [
     "audit_engine",
     "audit_engines",
     "contract_engine_names",
+    "contract_run",
     "audit_determinism",
     "result_fingerprint",
     "trace_digest",

@@ -96,6 +96,8 @@ def _cmd_engines(args: argparse.Namespace) -> int:
 
 def _iter_spec_docs(doc: dict, experiment: str | None, index: int | None):
     """Yield ``(label, runspec_doc)`` from a single-spec or batch file."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"top level must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") == "repro-runspec-batch/v1":
         experiments = doc.get("experiments", {})
         keys = [experiment.upper()] if experiment else sorted(experiments)
@@ -199,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_eng = sub.add_parser(
-        "engines", help="generic contract audit of every registered engine"
+        "engines",
+        help="generic contract audit of every parallel engine's exemplar spec",
     )
     p_eng.add_argument(
         "names", nargs="*", default=[], help="engine names (default: all)"

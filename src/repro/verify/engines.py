@@ -1,10 +1,11 @@
-"""Engine-generic contract auditing over the parallel-engine registry.
+"""Engine-generic contract auditing over the engine-builder registry.
 
-The verification subsystem predates the shared runtime and was wired to
-three hand-picked scenarios.  This module closes the loop for *every*
-engine: anything registered in
-:data:`~repro.parallel.base.ENGINE_REGISTRY` with a contract scenario
-can be audited generically —
+Each parallel engine has exactly one registration: its builder in
+:data:`~repro.spec.registry.ENGINE_BUILDERS`.  The builder's exemplar
+spec is the engine's *contract scenario* — a small fully seeded run that
+``spec-fuzz`` and the audit below execute alike — so anything whose
+exemplar builds a :class:`~repro.parallel.base.ParallelEngine` is
+audited generically:
 
 * **schema** — the run returns a schema-valid
   :class:`~repro.parallel.base.RunReport`
@@ -12,29 +13,41 @@ can be audited generically —
 * **determinism** — two runs from the same seed produce identical result
   fingerprints and trace digests;
 * **invariants** — the emitted trace passes the streaming rules of
-  :mod:`~repro.verify.invariants` (each registry entry may name its own
-  rule set and conserved message kinds);
+  :mod:`~repro.verify.invariants`; engines on the timed deme runtime
+  also conserve their ``migration`` messages;
 * **observability** — a third run under an active
   :func:`~repro.obs.session.obs_session` must be *transparent* (same
   trace digest and result fingerprint as the unobserved runs), its spans
   must nest properly, and every trace-emitted ``generation`` event must
   be covered by a sim-time span (:mod:`repro.obs.validate`).
 
-The cross-engine contract test suite and ``python -m repro.verify
-engines`` are both thin wrappers over :func:`audit_engine`.
+Untimed engines are traced through a fresh ``trace=Trace()`` argument;
+timed engines (the exemplar carries a ``cluster``) trace through their
+cluster.  The cross-engine contract test suite and ``python -m
+repro.verify engines`` are both thin wrappers over :func:`audit_engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cluster.trace import Trace
 from ..obs.session import obs_session
 from ..obs.validate import check_generation_coverage, check_spans
-from ..parallel.base import ENGINE_REGISTRY, EngineInfo, RunReport, validate_report
+from ..parallel.base import ParallelEngine, RunReport, validate_report
+from ..runtime.deme import TimedDemeRuntime
+from ..spec import ENGINE_BUILDERS, build_run, build_value
 from .digest import result_fingerprint, trace_digest
 from .invariants import CheckContext, Violation, check_trace
+from .specs import exemplar_spec
 
-__all__ = ["EngineAudit", "audit_engine", "audit_engines", "contract_engine_names"]
+__all__ = [
+    "EngineAudit",
+    "audit_engine",
+    "audit_engines",
+    "contract_engine_names",
+    "contract_run",
+]
 
 
 @dataclass
@@ -72,73 +85,78 @@ class EngineAudit:
         return f"{self.engine}: FAILED — " + "; ".join(parts)
 
 
-def _registry() -> dict[str, EngineInfo]:
-    # the registry fills as engine modules import; make sure they have
-    from .. import parallel  # noqa: F401
-
-    return ENGINE_REGISTRY
-
-
 def contract_engine_names() -> list[str]:
-    """Engines that registered a runnable contract scenario."""
-    return sorted(n for n, info in _registry().items() if info.contract is not None)
+    """Builders whose exemplar builds a parallel engine: the audited names."""
+    return [
+        name
+        for name in ENGINE_BUILDERS
+        if isinstance(build_run(exemplar_spec(name)), ParallelEngine)
+    ]
 
 
-def _check(info: EngineInfo, trace, report: RunReport) -> list[Violation]:
-    if trace is None:
-        return []
-    context = CheckContext(conserved_kinds=info.conserved_kinds)
-    return check_trace(trace, context, info.rules)
+def _contract(name: str, seed: int) -> tuple[ParallelEngine, Trace, RunReport]:
+    """Build and run engine ``name``'s exemplar spec at ``seed``, traced."""
+    spec = exemplar_spec(name, seed=seed)
+    if name not in contract_engine_names():
+        raise ValueError(f"engine {name!r} is sequential and has no contract scenario")
+    params = {k: build_value(v) for k, v in spec.engine.params.items()}
+    if "cluster" not in params:
+        params["trace"] = Trace()
+    engine = ENGINE_BUILDERS.get(name).factory(seed=seed, **params)
+    report = engine.run(**{k: build_value(v) for k, v in spec.run.items()})
+    report.extras["spec_digest"] = spec.digest()
+    return engine, engine._report_trace(), report
+
+
+def contract_run(name: str, seed: int = 0) -> tuple[Trace, RunReport]:
+    """Execute engine ``name``'s contract scenario: ``(trace, report)``."""
+    _, trace, report = _contract(name, seed)
+    return trace, report
 
 
 def audit_engine(name: str, seed: int = 0) -> EngineAudit:
     """Run engine ``name``'s contract scenario twice and audit it."""
-    registry = _registry()
-    info = registry.get(name)
-    if info is None:
-        raise KeyError(f"unknown engine {name!r}; choose from {sorted(registry)}")
-    if info.contract is None:
-        raise ValueError(f"engine {name!r} registered no contract scenario")
-    trace_a, report_a = info.contract(seed)
-    trace_b, report_b = info.contract(seed)
-    fp_a, fp_b = result_fingerprint(report_a), result_fingerprint(report_b)
-    deterministic = fp_a == fp_b
-    if trace_a is not None and trace_b is not None:
-        deterministic = deterministic and trace_digest(trace_a) == trace_digest(trace_b)
-    obs_problems, span_count = _audit_observability(info, seed, trace_a, fp_a)
+    engine, trace_a, report_a = _contract(name, seed)
+    trace_b, report_b = contract_run(name, seed)
+    fp_a = result_fingerprint(report_a)
+    deterministic = (
+        fp_a == result_fingerprint(report_b)
+        and trace_digest(trace_a) == trace_digest(trace_b)
+    )
+    obs_problems, span_count = _audit_observability(name, seed, trace_a, fp_a)
+    timed = isinstance(engine, TimedDemeRuntime)
+    context = CheckContext(conserved_kinds=("migration",) if timed else ())
     return EngineAudit(
         engine=name,
         report=report_a,
         fingerprint=fp_a,
         deterministic=deterministic,
         schema_problems=validate_report(report_a, engine=name),
-        violations=_check(info, trace_a, report_a),
+        violations=check_trace(trace_a, context),
         obs_problems=obs_problems,
         span_count=span_count,
     )
 
 
 def _audit_observability(
-    info: EngineInfo, seed: int, trace_plain, fingerprint_plain: str
+    name: str, seed: int, trace_plain: Trace, fingerprint_plain: str
 ) -> tuple[list[str], int]:
     """Third contract run with observability *enabled*: the run must be
     behaviourally untouched and its span timeline structurally sound."""
-    with obs_session(label=f"audit-{info.name}") as session:
-        trace_obs, report_obs = info.contract(seed)
+    with obs_session(label=f"audit-{name}") as session:
+        trace_obs, report_obs = contract_run(name, seed)
     problems: list[str] = []
     if result_fingerprint(report_obs) != fingerprint_plain:
         problems.append("enabling observability changed the result fingerprint")
-    if trace_plain is not None and trace_obs is not None:
-        if trace_digest(trace_obs) != trace_digest(trace_plain):
-            problems.append("enabling observability changed the trace digest")
+    if trace_digest(trace_obs) != trace_digest(trace_plain):
+        problems.append("enabling observability changed the trace digest")
     problems.extend(check_spans(session.spans))
-    if trace_obs is not None:
-        problems.extend(check_generation_coverage(session.spans, trace_obs))
+    problems.extend(check_generation_coverage(session.spans, trace_obs))
     return problems, len(session.spans)
 
 
 def audit_engines(
     names: list[str] | None = None, seed: int = 0
 ) -> dict[str, EngineAudit]:
-    """Audit each named engine (default: all with contracts)."""
+    """Audit each named engine (default: every audited builder)."""
     return {n: audit_engine(n, seed) for n in (names or contract_engine_names())}

@@ -9,7 +9,9 @@ Two checks fall out of "every run is data" (see ``docs/run_specs.md``):
 - *fuzz*: every registered engine builder carries a buildable exemplar
   (:class:`~repro.spec.registry.RegistryEntry`), so the whole engine
   surface can be swept generically: round-trip each exemplar spec, run
-  it twice, and schema-validate the resulting report.
+  it twice, and schema-validate the resulting report.  An engine's
+  exemplar spec is also its contract scenario, which
+  :mod:`repro.verify.engines` audits for trace invariants.
 
 Both are exposed on the CLI as ``python -m repro.verify spec-replay``
 and ``spec-fuzz``.

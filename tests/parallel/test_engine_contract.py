@@ -1,8 +1,9 @@
 """Cross-engine contract suite: every registered engine honours the
 shared runtime contract.
 
-Three generic properties, checked for *every* engine in the registry via
-its seeded contract scenario:
+Three generic properties, checked for *every* parallel engine in
+``ENGINE_BUILDERS`` via its contract scenario (the builder's exemplar
+spec):
 
 1. the run returns a schema-valid :class:`~repro.parallel.base.RunReport`;
 2. two runs from the same seed are fingerprint- and digest-identical;
@@ -23,34 +24,54 @@ from repro.cluster import Network, SimulatedCluster
 from repro.cluster.faults import FaultPlan
 from repro.core import GAConfig
 from repro.migration import MigrationPolicy
+import repro.parallel
 from repro.parallel import (
-    ENGINE_REGISTRY,
+    ParallelEngine,
     RunReport,
     SimulatedAsyncMasterSlave,
     SimulatedMasterSlaveIslandModel,
     SimulatedSpecializedIslandModel,
-    contract_run,
-    engine_names,
     validate_report,
 )
 from repro.parallel.base import EpochRecord
 from repro.parallel.specialized import standard_scenarios
 from repro.problems import OneMax
 from repro.problems.multiobjective import SchafferF2
-from repro.verify.engines import audit_engine, audit_engines, contract_engine_names
+from repro.spec import ENGINE_BUILDERS, build_run
+from repro.verify.engines import (
+    audit_engine,
+    audit_engines,
+    contract_engine_names,
+    contract_run,
+)
 from repro.verify.invariants import CheckContext, check_trace
+from repro.verify.specs import exemplar_spec
 
 ENGINES = contract_engine_names()
-
-
-def test_every_registered_engine_has_a_contract():
-    assert ENGINES == engine_names()
-    assert len(ENGINES) >= 8  # the survey's full taxonomy is covered
 
 
 @pytest.fixture(scope="module")
 def audits():
     return audit_engines(seed=2)
+
+
+def _exported_engine_names():
+    return sorted(
+        obj.engine_name
+        for obj in vars(repro.parallel).values()
+        if isinstance(obj, type)
+        and issubclass(obj, ParallelEngine)
+        and obj is not ParallelEngine
+    )
+
+
+def test_every_registered_engine_has_a_contract(audits):
+    """Every exported parallel engine class has exactly one audited
+    contract scenario, and each audited report names its engine back."""
+    assert ENGINES == _exported_engine_names()
+    assert len(ENGINES) >= 8  # the survey's full taxonomy is covered
+    for name in ENGINES:
+        assert audits[name].report.engine == name
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -95,10 +116,17 @@ def test_audit_engine_rejects_unknown_name():
         audit_engine("no-such-engine")
 
 
+@pytest.mark.parametrize("name", ["generational", "steady-state"])
+def test_sequential_builders_have_no_contract_scenario(name):
+    assert name not in ENGINES
+    with pytest.raises(ValueError, match="sequential"):
+        contract_run(name)
+
+
 def test_registry_exposes_engine_classes():
     for name in ENGINES:
-        info = ENGINE_REGISTRY[name]
-        assert info.cls.engine_name == name
+        engine = build_run(exemplar_spec(name))
+        assert type(engine).engine_name == name
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +170,8 @@ def test_span_derived_utilisation_matches_extras():
     ``extras["utilisation"]`` bookkeeping to within float tolerance."""
     from repro.obs import obs_session, utilisation_by_track
 
-    info = ENGINE_REGISTRY["async-master-slave"]
     with obs_session(label="util-check") as session:
-        _, report = info.contract(2)
+        _, report = contract_run("async-master-slave", 2)
     derived = utilisation_by_track(session.spans, horizon=report.sim_time)
     expected = report.extras["utilisation"]
     assert len(expected) >= 1
@@ -157,9 +184,8 @@ def test_span_derived_comm_compute_matches_extras():
     ``compute_time``/``comm_time`` extras, and so does the ratio."""
     from repro.obs import comm_compute_times, comm_fraction, obs_session
 
-    info = ENGINE_REGISTRY["distributed-cellular"]
     with obs_session(label="comm-check") as session:
-        _, report = info.contract(2)
+        _, report = contract_run("distributed-cellular", 2)
     comm, compute = comm_compute_times(session.spans)
     assert comm == pytest.approx(report.extras["comm_time"], abs=1e-9)
     assert compute == pytest.approx(report.extras["compute_time"], abs=1e-9)
@@ -172,7 +198,7 @@ def test_session_notes_every_run():
     from repro.obs import obs_session
 
     with obs_session(label="notes") as session:
-        _, report = ENGINE_REGISTRY["sim-island"].contract(1)
+        _, report = contract_run("sim-island", 1)
     assert len(session.runs) == 1
     assert session.runs[0]["engine"] == "sim-island"
     assert session.runs[0]["metrics"] == report.metrics

@@ -44,6 +44,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             engine_class_by_name("cellular")
 
+    @pytest.mark.parametrize("alias", ["ss", "steadystate"])
+    def test_engine_by_name_rejects_retired_aliases(self, alias):
+        with pytest.raises(ValueError, match="unknown engine name"):
+            engine_class_by_name(alias)
+
     def test_deme_rngs_independent(self):
         m = IslandModel(OneMax(32), 4, GAConfig(population_size=10), seed=3)
         m.initialize()

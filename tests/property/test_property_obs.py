@@ -377,13 +377,12 @@ class TestObservabilityTransparency:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_fingerprints_identical_with_obs_enabled(self, engine):
-        from repro.parallel.base import ENGINE_REGISTRY
         from repro.verify import result_fingerprint, trace_digest
+        from repro.verify.engines import contract_run
 
-        info = ENGINE_REGISTRY[engine]
-        trace_off, report_off = info.contract(seed=5)
+        trace_off, report_off = contract_run(engine, seed=5)
         with obs_session(label="property-test") as session:
-            trace_on, report_on = info.contract(seed=5)
+            trace_on, report_on = contract_run(engine, seed=5)
         assert result_fingerprint(report_on) == result_fingerprint(report_off)
         if trace_off is not None and trace_on is not None:
             assert trace_digest(trace_on) == trace_digest(trace_off)
@@ -392,10 +391,9 @@ class TestObservabilityTransparency:
 
     def test_metrics_snapshot_is_pure(self):
         """Same report → same snapshot, session active or not."""
-        from repro.parallel.base import ENGINE_REGISTRY
+        from repro.verify.engines import contract_run
 
-        info = ENGINE_REGISTRY["island"]
-        _, report = info.contract(seed=3)
+        _, report = contract_run("island", seed=3)
         plain = metrics_snapshot(report)
         with obs_session(label="purity"):
             inside = metrics_snapshot(report)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, GenerationalEngine
+from repro.core import GAConfig, GenerationalEngine, SerialEvaluator
 from repro.core.problem import CountingProblem
 from repro.problems import OneMax, Sphere
 from repro.runtime import (
@@ -14,7 +14,6 @@ from repro.runtime import (
     MultiprocessingExecutor,
     QuarantineError,
     ResilienceConfig,
-    SerialExecutor,
     ThreadExecutor,
     WorkerTaskError,
     chunk_indices,
@@ -52,14 +51,12 @@ def _genomes(problem, n, seed=0):
 
 
 class TestSerialExecutor:
+    """The one-processor case is the engines' default ``SerialEvaluator``."""
+
     def test_matches_direct_evaluation(self):
         p = OneMax(16)
         genomes = _genomes(p, 7)
-        assert SerialExecutor().evaluate(p, genomes) == [p.evaluate(g) for g in genomes]
-
-    def test_context_manager(self):
-        with SerialExecutor() as ex:
-            assert ex.evaluate(OneMax(4), []) == []
+        assert SerialEvaluator().evaluate(p, genomes) == [p.evaluate(g) for g in genomes]
 
 
 class TestThreadExecutor:
@@ -76,12 +73,6 @@ class TestThreadExecutor:
         with ThreadExecutor(workers=4) as ex:
             out = ex.evaluate(p, genomes)
         assert out == [p.evaluate(g) for g in genomes]
-
-    def test_unchunked_mode(self):
-        p = OneMax(8)
-        genomes = _genomes(p, 5)
-        with ThreadExecutor(workers=2, chunked=False) as ex:
-            assert ex.evaluate(p, genomes) == [p.evaluate(g) for g in genomes]
 
     def test_empty_batch(self):
         with ThreadExecutor(workers=2) as ex:

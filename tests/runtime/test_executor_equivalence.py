@@ -1,7 +1,6 @@
 """Cross-executor equivalence: every evaluation path must agree exactly.
 
-The batch fast path, the thread pool (chunked and unchunked), and the
-process pool are alternative transports for the *same* mathematical
+The batch fast path, the thread pool and the process pool are alternative transports for the *same* mathematical
 function — so for one seeded population they must return identical fitness
 vectors and leave identical evaluation counts behind.  This is the guard
 that keeps "faster" from quietly becoming "different".
@@ -12,10 +11,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, GenerationalEngine
+from repro.core import GAConfig, GenerationalEngine, SerialEvaluator
 from repro.core.problem import CountingProblem, FitnessBudgetExceeded, Problem
 from repro.problems import OneMax, Rastrigin, Sphere
-from repro.runtime import MultiprocessingExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime import MultiprocessingExecutor, ThreadExecutor
 
 from ..conftest import ScalarOnly
 
@@ -32,15 +31,13 @@ def test_all_executors_return_identical_fitness_vectors(make_problem):
     batch = np.stack(genomes)
 
     reference = [problem.evaluate(g) for g in genomes]
-    results = {"serial": SerialExecutor().evaluate(problem, genomes)}
-    with ThreadExecutor(workers=3, chunked=True) as ex:
-        results["thread-chunked"] = ex.evaluate(problem, genomes)
-    with ThreadExecutor(workers=3, chunked=False) as ex:
-        results["thread-unchunked"] = ex.evaluate(problem, genomes)
+    results = {"serial": SerialEvaluator().evaluate(problem, genomes)}
+    with ThreadExecutor(workers=3) as ex:
+        results["thread"] = ex.evaluate(problem, genomes)
     with MultiprocessingExecutor(problem, workers=2) as ex:
         results["process"] = ex.evaluate(problem, genomes)
-    results["serial-batched"] = SerialExecutor().evaluate(problem, batch)
-    results["serial-scalar"] = SerialExecutor().evaluate(ScalarOnly(problem), batch)
+    results["serial-batched"] = SerialEvaluator().evaluate(problem, batch)
+    results["serial-scalar"] = SerialEvaluator().evaluate(ScalarOnly(problem), batch)
 
     for name, out in results.items():
         assert out == reference, f"{name} diverged from the direct scalar loop"
@@ -58,8 +55,7 @@ def test_engine_trajectory_identical_across_executors():
 
     base_fit, base_evals, base_pop = run()
     for make in (
-        lambda: ThreadExecutor(workers=3, chunked=True),
-        lambda: ThreadExecutor(workers=2, chunked=False),
+        lambda: ThreadExecutor(workers=3),
         lambda: MultiprocessingExecutor(problem, workers=2),
     ):
         with make() as ex:
@@ -96,14 +92,10 @@ class TestCountingAcrossExecutors:
         assert out == [counting.inner.evaluate(g) for g in genomes]
 
     def test_serial(self):
-        self._check(lambda p, g: SerialExecutor().evaluate(p, g))
+        self._check(lambda p, g: SerialEvaluator().evaluate(p, g))
 
     def test_thread_chunked(self):
-        with ThreadExecutor(workers=3, chunked=True) as ex:
-            self._check(ex.evaluate)
-
-    def test_thread_unchunked(self):
-        with ThreadExecutor(workers=3, chunked=False) as ex:
+        with ThreadExecutor(workers=3) as ex:
             self._check(ex.evaluate)
 
     def test_process(self):
@@ -124,18 +116,13 @@ class TestCountingAcrossExecutors:
 
     def test_budget_exhaustion_serial(self):
         self._check_budget(
-            lambda p, g: SerialExecutor().evaluate(p, g),
+            lambda p, g: SerialEvaluator().evaluate(p, g),
             CountingProblem(OneMax(16), budget=15),
         )
 
     def test_budget_exhaustion_thread(self):
         counting = CountingProblem(OneMax(16), budget=15)
-        with ThreadExecutor(workers=3, chunked=True) as ex:
-            self._check_budget(ex.evaluate, counting)
-
-    def test_budget_exhaustion_thread_unchunked(self):
-        counting = CountingProblem(OneMax(16), budget=15)
-        with ThreadExecutor(workers=3, chunked=False) as ex:
+        with ThreadExecutor(workers=3) as ex:
             self._check_budget(ex.evaluate, counting)
 
     def test_budget_exhaustion_process(self):
@@ -145,11 +132,12 @@ class TestCountingAcrossExecutors:
 
 
 class TestCountingThreadSafety:
-    def test_unchunked_thread_executor_counts_exactly(self):
-        """The original counter was a bare ``+= 1``; hammer it concurrently."""
+    def test_thread_counts_exactly(self):
+        """The original counter was a bare ``+= 1``; hammer it from
+        concurrent chunks."""
         counting = CountingProblem(OneMax(8))
         genomes = _population(counting, 500)
-        with ThreadExecutor(workers=8, chunked=False) as ex:
+        with ThreadExecutor(workers=8) as ex:
             ex.evaluate(counting, genomes)
         assert counting.evaluations == 500
 

@@ -103,6 +103,46 @@ class TestRunSpecDocument:
         with pytest.raises(ValueError, match="schema"):
             RunSpec.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc", [[], "repro-runspec/v1", 7, None], ids=["list", "str", "int", "null"]
+    )
+    def test_from_dict_rejects_a_non_mapping_document(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            RunSpec.from_dict(doc)
+
+    def test_from_dict_names_a_missing_engine(self):
+        doc = RunSpec(engine=EngineSpec("generational")).to_dict()
+        del doc["engine"]
+        with pytest.raises(ValueError, match="missing required field 'engine'"):
+            RunSpec.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path,field",
+        [
+            (("engine",), "name"),
+            (("engine", "params", "problem"), "name"),
+            (("engine", "params", "cluster"), "n_nodes"),
+        ],
+        ids=["engine-name", "component-name", "cluster-n_nodes"],
+    )
+    def test_from_dict_names_a_missing_spec_field(self, path, field):
+        doc = RunSpec(
+            engine=EngineSpec(
+                "sim-island",
+                {"problem": ProblemSpec("onemax", {"length": 8}), "cluster": ClusterSpec(2)},
+            )
+        ).to_dict()
+        target = doc
+        for key in path:
+            target = target[key]
+        del target[field]
+        with pytest.raises(ValueError, match=f"missing required field {field!r}"):
+            RunSpec.from_dict(doc)
+
+    def test_decode_value_names_a_missing_component_name(self):
+        with pytest.raises(ValueError, match="operator spec is missing required field 'name'"):
+            decode_value({"$spec": "operator", "params": {}})
+
     def test_digest_is_order_insensitive(self):
         a = EngineSpec("island", {"n_islands": 3, "foo": 1})
         b = EngineSpec("island", {"foo": 1, "n_islands": 3})

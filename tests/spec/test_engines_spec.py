@@ -33,9 +33,17 @@ def _exemplar(name):
 
 
 def test_every_parallel_engine_has_a_builder():
-    from repro.parallel.base import ENGINE_REGISTRY
+    import repro.parallel
+    from repro.parallel import ParallelEngine
 
-    missing = [n for n in ENGINE_REGISTRY if n not in ENGINE_BUILDERS]
+    missing = [
+        obj.engine_name
+        for obj in vars(repro.parallel).values()
+        if isinstance(obj, type)
+        and issubclass(obj, ParallelEngine)
+        and obj is not ParallelEngine
+        and obj.engine_name not in ENGINE_BUILDERS
+    ]
     assert missing == [], f"engines without spec builders: {missing}"
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.parallel.base import contract_run
 from repro.spec import (
     ENGINE_BUILDERS,
     OPERATORS,
@@ -11,6 +10,7 @@ from repro.spec import (
     UnknownComponentError,
     suggest,
 )
+from repro.verify.engines import contract_run
 
 
 def test_suggest_finds_close_names():

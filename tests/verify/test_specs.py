@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.spec import ENGINE_BUILDERS
 from repro.verify.specs import check_spec, exemplar_spec, fuzz_specs
 
@@ -50,3 +52,29 @@ def test_spec_fuzz_cli_rejects_unknown_engine(capsys):
     from repro.verify.__main__ import main
 
     assert main(["spec-fuzz", "not-an-engine"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[], [exemplar_spec("island").to_dict()], "spec", 3],
+    ids=["empty-array", "array-of-specs", "string", "number"],
+)
+def test_spec_replay_cli_rejects_a_non_object_document(tmp_path, capsys, doc):
+    from repro.verify.__main__ import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spec-replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON object" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_spec_replay_cli_rejects_a_non_object_batch_entry(tmp_path, capsys):
+    from repro.verify.__main__ import main
+
+    doc = {"schema": "repro-runspec-batch/v1", "experiments": {"EX": [["x"]]}}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spec-replay", str(path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
