@@ -56,7 +56,7 @@ copy-pasted per engine, and this check keeps them centralised:
    documents dispatched through spec-backed trials (see
    ``docs/run_specs.md``); importing an engine class for typing or
    docs is fine, *calling* one bypasses the registry, the spec digest
-   cache key and the ``runspec`` replay path.  The allowlist below
+   cache key and the ``verify replay`` path.  The allowlist below
    names the deliberate exceptions (trials whose construction depends
    on results only known at execution time).
 
@@ -74,13 +74,18 @@ copy-pasted per engine, and this check keeps them centralised:
    assign or import the retired global toggles ``batch_evaluation``,
    ``use_batch_evaluation``, ``set_verify_digest`` or
    ``DigestMismatchError``, the second engine registry
-   ``ENGINE_REGISTRY`` / ``EngineInfo``, or ``SerialExecutor``; and no
-   module under ``repro/parallel/`` may bring back ``register_engine``
-   or ``contract_run``.  Callers name ``RunReport`` directly, batch
+   ``ENGINE_REGISTRY`` / ``EngineInfo``, ``SerialExecutor``, or the
+   fuzzer's second run format and its checkers ``ReplaySpec``,
+   ``run_replay``, ``fuzz_specs`` and ``EngineAudit``; no module under
+   ``repro/parallel/`` may bring back ``register_engine`` or
+   ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
+   ``RunOutcome``.  Callers name ``RunReport`` directly, batch
    evaluation is always on, the digest walker is a test oracle,
    ``ENGINE_BUILDERS`` is the one engine registry (its exemplar specs
-   are the contract scenarios, run by ``repro.verify.engines``) and
-   ``SerialEvaluator`` is the one serial evaluator.
+   are the contract scenarios, run by ``repro.verify.engines``),
+   ``SerialEvaluator`` is the one serial evaluator, and
+   ``repro-runspec/v1`` documents checked by
+   ``repro.verify.specs.check_spec`` are the one replayable run format.
 
 Run from the repository root::
 
@@ -98,6 +103,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 PARALLEL = REPO / "src" / "repro" / "parallel"
+VERIFY = REPO / "src" / "repro" / "verify"
 EXPERIMENTS = REPO / "src" / "repro" / "experiments"
 VECTORIZED = REPO / "src" / "repro" / "core" / "vectorized"
 
@@ -401,6 +407,11 @@ _REGISTRY = (
     "registry and its exemplar specs are the contract scenarios "
     "(repro.verify.engines runs them)"
 )
+_REPLAY = (
+    "retired replay format — repro-runspec/v1 documents are the one "
+    "replayable run format and repro.verify.specs.check_spec the one "
+    "run checker"
+)
 
 #: names rule 9 forbids defining, assigning or importing anywhere under
 #: repro/, with the reason printed for each
@@ -415,12 +426,23 @@ _RETIRED_NAMES = {
         "retired executor — repro.core.engine.SerialEvaluator is the one "
         "serial evaluator"
     ),
+    "ReplaySpec": _REPLAY,
+    "run_replay": _REPLAY,
+    "fuzz_specs": _REPLAY,
+    "EngineAudit": _REPLAY,
 }
 
 #: names rule 9 additionally forbids under repro/parallel/
 _RETIRED_PARALLEL_NAMES = {
     "register_engine": _REGISTRY,
     "contract_run": _REGISTRY,
+}
+
+#: names rule 9 additionally forbids under repro/verify/ (repro.metrics
+#: keeps its own, unrelated RunOutcome)
+_RETIRED_VERIFY_NAMES = {
+    "SCENARIOS": _REPLAY,
+    "RunOutcome": _REPLAY,
 }
 
 
@@ -432,6 +454,8 @@ def lint_retired_file(path: Path) -> list[str]:
     retired = dict(_RETIRED_NAMES)
     if PARALLEL in path.parents:
         retired.update(_RETIRED_PARALLEL_NAMES)
+    if VERIFY in path.parents:
+        retired.update(_RETIRED_VERIFY_NAMES)
     problems: list[str] = []
     for node in tree.body:
         if (

@@ -20,23 +20,17 @@ same spans in Chrome trace-event format for ``chrome://tracing`` /
 Perfetto.  Both leave stdout — and the experiment results themselves —
 byte-identical to an unobserved run.
 
-Two declarative-spec verbs ride alongside the runner (see
-``docs/run_specs.md``):
-
-``specs [--quick] [--out FILE] [E3 ...]`` dumps every spec-backed run
-the selected experiments would dispatch as one canonical
-``repro-runspec-batch/v1`` JSON document;
-
-``runspec FILE [--experiment E] [--index N]`` loads a single
-``repro-runspec/v1`` document (or one entry of a batch) and executes
-it, printing the spec digest and the result fingerprint — the exact
-run an experiment dispatched, replayed from data alone.
+A declarative-spec verb rides alongside the runner (see
+``docs/run_specs.md``): ``specs [--quick] [--out FILE] [E3 ...]`` dumps
+every spec-backed run the selected experiments would dispatch as one
+canonical ``repro-runspec-batch/v1`` JSON document.  ``python -m
+repro.verify replay FILE [--experiment E] [--index N]`` replays and
+checks any of those runs from data alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -103,74 +97,10 @@ def _cmd_specs(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_runspec(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments runspec",
-        description="Execute one serialized repro-runspec/v1 document "
-        "(or one entry of a specs batch).",
-    )
-    parser.add_argument("file", help="RunSpec JSON file, or a batch from 'specs'")
-    parser.add_argument(
-        "--experiment", metavar="E", default=None,
-        help="batch files: which experiment's spec list to index into "
-        "(default: the first non-empty one)",
-    )
-    parser.add_argument(
-        "--index", type=int, default=0, metavar="N",
-        help="batch files: which spec of the experiment to run (default: 0)",
-    )
-    args = parser.parse_args(argv)
-    from ..spec import RunSpec, run_spec
-    from ..verify.digest import result_fingerprint
-
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load {args.file}: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(doc, dict):
-        print(f"error: {args.file}: expected a JSON object", file=sys.stderr)
-        return 2
-    if doc.get("schema") == BATCH_SCHEMA:
-        experiments = doc.get("experiments", {})
-        key = normalize_id(args.experiment) if args.experiment else next(
-            (k for k, v in experiments.items() if v), None
-        )
-        if key is None or key not in experiments:
-            print(
-                f"error: {args.file}: no experiment {args.experiment or '(any)'} "
-                f"in batch; present: {sorted(experiments)}",
-                file=sys.stderr,
-            )
-            return 2
-        entries = experiments[key]
-        if not 0 <= args.index < len(entries):
-            print(
-                f"error: --index {args.index} out of range for {key} "
-                f"({len(entries)} specs)",
-                file=sys.stderr,
-            )
-            return 2
-        doc = entries[args.index]
-        print(f"[runspec] {args.file}: {key}[{args.index}]", file=sys.stderr)
-    try:
-        spec = RunSpec.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: not a valid run spec: {exc}", file=sys.stderr)
-        return 2
-    print(f"spec digest:        {spec.digest()}")
-    result = run_spec(spec)
-    print(f"result fingerprint: {result_fingerprint(result)}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     if raw and raw[0].lower() == "specs":
         return _cmd_specs(raw[1:])
-    if raw and raw[0].lower() == "runspec":
-        return _cmd_runspec(raw[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the survey's tables/figures (E1–E13).",

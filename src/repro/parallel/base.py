@@ -59,8 +59,8 @@ class RunReport:
     Core fields are shared by all models; anything model-specific
     (utilisation curves, hypervolumes, work-unit ledgers, …) lives in
     :attr:`extras` and remains attribute-accessible (``report.hypervolume``
-    reads ``report.extras["hypervolume"]``), which is what keeps the old
-    per-engine result classes thin aliases instead of real subclasses.
+    reads ``report.extras["hypervolume"]``), so every engine returns this
+    one class and none needs a result subclass.
     """
 
     #: registry name of the engine that produced this report

@@ -89,6 +89,7 @@ class DistributedCellularGA(ParallelEngine):
             )
         if eval_cost <= 0:
             raise ValueError(f"eval_cost must be positive, got {eval_cost}")
+        self.problem = problem
         self.cga = CellularGA(
             problem, config, rows=rows, cols=cols, update=update, seed=seed
         )

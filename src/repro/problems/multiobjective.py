@@ -36,6 +36,8 @@ class MultiObjectiveProblem(abc.ABC):
 
     spec: GenomeSpec
     n_objectives: int
+    #: every objective is minimised, and so is every scalarisation of them
+    maximize = False
 
     @abc.abstractmethod
     def evaluate_objectives(self, genome: np.ndarray) -> np.ndarray:

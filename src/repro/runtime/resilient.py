@@ -97,22 +97,8 @@ class ResilienceConfig:
     heartbeat_s: float = 0.2
     #: how long shutdown waits for a clean worker exit before terminating
     shutdown_grace_s: float = 5.0
-    #: ambient trace retention installed in every worker process
-    #: (``full`` | ``compact`` | ``digest-only``); ``None`` leaves the
-    #: library default.  Bounds worker memory and pipe payloads when the
-    #: worker_fn runs traced simulations — the sweep harness layers its
-    #: own per-trial modes on top, so it leaves this at ``None``.
-    trace_retention: str | None = None
 
     def __post_init__(self) -> None:
-        if self.trace_retention is not None:
-            from ..cluster.trace import RETENTION_MODES
-
-            if self.trace_retention not in RETENTION_MODES:
-                raise ValueError(
-                    f"trace_retention must be None or one of {RETENTION_MODES}, "
-                    f"got {self.trace_retention!r}"
-                )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -202,22 +188,13 @@ class PoolStats:
 # -- worker side -------------------------------------------------------------------
 
 
-def _worker_main(conn, worker_fn, initializer, initargs, chaos, retention=None) -> None:
+def _worker_main(conn, worker_fn, initializer, initargs, chaos) -> None:
     """Worker loop: recv ``(task_id, key, attempt, payload)``, run, send back.
 
     Chaos faults execute *before* the task body, keyed by the task's
     stable key and attempt number, so a planned fault replays no matter
     which worker the task lands on.  ``None`` is the shutdown sentinel.
-
-    ``retention``, when set, becomes the worker's ambient trace retention
-    for its whole lifetime (``ResilienceConfig.trace_retention``): traces
-    built inside task bodies then default to bounded storage.
     """
-    if retention is not None:
-        from ..cluster.trace import trace_retention as _trace_retention
-
-        retention_ctx = _trace_retention(retention)
-        retention_ctx.__enter__()  # held for the process lifetime
     if initializer is not None:
         initializer(*initargs)
     while True:
@@ -328,7 +305,7 @@ class SupervisedPool:
             target=_worker_main,
             args=(
                 child, self.worker_fn, self.initializer, self.initargs,
-                self.config.chaos, self.config.trace_retention,
+                self.config.chaos,
             ),
             daemon=True,
         )

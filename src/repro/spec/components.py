@@ -152,7 +152,9 @@ class ClusterSpec:
     ``latency`` / ``bandwidth`` describe the :class:`Network` (``None``
     for both means the cluster's default network); ``fault_plan`` is a
     :class:`~repro.cluster.faults.FaultPlan` (serialized as a tagged
-    dict).  ``speeds`` is a scalar or per-node list.
+    dict).  ``speeds`` is a scalar or per-node list.  ``tiebreak_jitter``
+    is the integer seed of the scheduler's tie-break jitter (``None``
+    keeps same-timestamp events in FIFO order).
     """
 
     n_nodes: int
@@ -160,11 +162,18 @@ class ClusterSpec:
     latency: float | None = None
     bandwidth: float | None = None
     fault_plan: FaultPlan | None = None
-    tiebreak_jitter: float | None = None
+    tiebreak_jitter: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"cluster needs >= 1 node, got {self.n_nodes}")
+        jitter = self.tiebreak_jitter
+        if jitter is not None:
+            if isinstance(jitter, bool) or not isinstance(jitter, (int, np.integer)):
+                raise ValueError(
+                    f"tiebreak_jitter must be an integer seed or None, got {jitter!r}"
+                )
+            object.__setattr__(self, "tiebreak_jitter", int(jitter))
 
     def build(self) -> SimulatedCluster:
         network = None
@@ -183,7 +192,11 @@ class ClusterSpec:
             speeds=speeds,
             network=network,
             fault_plan=self.fault_plan,
-            tiebreak_jitter=self.tiebreak_jitter,
+            tiebreak_jitter=(
+                None
+                if self.tiebreak_jitter is None
+                else np.random.default_rng(self.tiebreak_jitter)
+            ),
         )
 
 

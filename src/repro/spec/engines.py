@@ -9,9 +9,8 @@ execute it.
 
 Each builder's exemplar spec is that engine's contract scenario: a
 small fully seeded run (several epochs; migration on wherever the model
-migrates) that ``python -m repro.verify spec-fuzz`` replays as a
-document and ``python -m repro.verify engines`` audits for schema,
-determinism, trace invariants and observability
+migrates) that ``python -m repro.verify engines`` checks as a document
+for round-trip, determinism, schema, trace invariants and observability
 (:mod:`repro.verify.engines`).
 
 Builders receive already-built params (problems, configs, clusters,
@@ -62,8 +61,9 @@ __all__ = ["build_run", "run_spec"]
 
 def _island_like(cls):
     """Builder for the island family: ``total_population`` selects the
-    :meth:`partitioned` classmethod (equal split, remainder to the first
-    demes), otherwise ``config`` is per-deme."""
+    :meth:`partitioned` classmethod (``total_population // n_islands``
+    per deme; the remainder is dropped), otherwise ``config`` is
+    per-deme."""
 
     def build(
         *,
@@ -315,15 +315,18 @@ def build_run(spec: RunSpec) -> Any:
     return spec.engine.build(seed=spec.seed)
 
 
-def run_spec(spec: RunSpec) -> Any:
+def run_spec(spec: RunSpec, engine: Any = None) -> Any:
     """Build and execute one :class:`RunSpec`.
 
+    ``engine``, when given, is the not-yet-run engine :func:`build_run`
+    made from ``spec`` (callers that attach a trace before running).
     Parallel engines return a :class:`~repro.parallel.base.RunReport`
     with ``extras["spec_digest"]`` stamped for provenance; the two
     sequential engines return their native
     :class:`~repro.core.engine.EvolutionResult` unchanged.
     """
-    engine = build_run(spec)
+    if engine is None:
+        engine = build_run(spec)
     run_kwargs = {k: build_value(v) for k, v in spec.run.items()}
     report = engine.run(**run_kwargs)
     if isinstance(report, RunReport):

@@ -1,44 +1,42 @@
 """Deterministic-simulation verification subsystem.
 
 FoundationDB-style testing for the simulated parallel machine: every
-run is a pure function of its :class:`~repro.verify.replay.ReplaySpec`
-(seed, topology, fault plan, tie-break jitter), so bugs found by random
-fuzzing are reproduced from one printed line and shrunk to a minimal
-fault plan.  Four pieces:
+run is a pure function of its ``repro-runspec/v1`` document (engine,
+seed, cluster, fault plan, tie-break jitter seed), so bugs found by
+random fuzzing are reproduced from one printed document and shrunk to a
+minimal fault plan.  The pieces:
 
 - :mod:`~repro.verify.invariants` — streaming trace-invariant rules
   (time monotonicity, no dispatch to dead nodes, message conservation,
   generation/best monotonicity), runnable post-hoc or inline.
-- :mod:`~repro.verify.digest` — canonical trace digests and result
-  fingerprints for same-seed determinism audits.
-- :mod:`~repro.verify.replay` / :mod:`~repro.verify.harness` /
-  :mod:`~repro.verify.shrink` — one-line replay specs, the scenario
-  harness that reconstructs and checks a run, and the greedy fault-plan
-  shrinker.
-- :mod:`~repro.verify.fuzzer` — randomised scenario sampling + the
-  fuzz driver (``python -m repro.verify fuzz --seed 0 --runs 25``).
-- :mod:`~repro.verify.engines` — generic contract audits (schema,
-  determinism, invariants, observability transparency) over every
-  parallel engine, each running its builder's exemplar spec as the
-  contract scenario (``python -m repro.verify engines``).
+- :mod:`~repro.verify.digest` — canonical trace digests, result
+  fingerprints and :func:`audit_determinism`, the one run-N-times loop.
+- :mod:`~repro.verify.specs` — :func:`check_spec`, the one run checker:
+  JSON round-trip, determinism, report schema, observability and trace
+  invariants over a :class:`~repro.spec.RunSpec`.
+- :mod:`~repro.verify.fuzzer` / :mod:`~repro.verify.shrink` — randomised
+  run-spec sampling, the fuzz driver
+  (``python -m repro.verify fuzz --seed 0 --runs 25``) and the greedy
+  fault-plan shrinker.
+- :mod:`~repro.verify.engines` — every engine builder's exemplar spec
+  is its contract scenario (``python -m repro.verify engines``).
 
-The observability invariants themselves (spans nest properly; every
-trace-emitted generation is covered by a sim-time span) live in
-:mod:`repro.obs.validate` and are re-exported here for symmetry.
+``python -m repro.verify replay FILE`` checks any run-spec document or
+``specs`` batch.  The observability invariants themselves (spans nest
+properly; every trace-emitted generation is covered by a sim-time span)
+live in :mod:`repro.obs.validate` and are re-exported here for symmetry.
 """
 
 from ..obs.validate import check_generation_coverage, check_spans
 
 from .digest import AuditResult, audit_determinism, result_fingerprint, trace_digest
 from .engines import (
-    EngineAudit,
     audit_engine,
     audit_engines,
     contract_engine_names,
     contract_run,
 )
 from .fuzzer import FuzzFailure, FuzzReport, fuzz, sample_spec
-from .harness import RunOutcome, execute, run_replay
 from .invariants import (
     INVARIANTS,
     CheckContext,
@@ -49,12 +47,11 @@ from .invariants import (
     check_trace,
     default_rules,
 )
-from .replay import SCENARIOS, ReplaySpec
 from .shrink import ShrinkResult, shrink_spec
+from .specs import SpecCheckResult, check_context, check_spec, execute, exemplar_spec
 
 __all__ = [
     "AuditResult",
-    "EngineAudit",
     "audit_engine",
     "audit_engines",
     "contract_engine_names",
@@ -66,9 +63,6 @@ __all__ = [
     "FuzzReport",
     "fuzz",
     "sample_spec",
-    "RunOutcome",
-    "execute",
-    "run_replay",
     "INVARIANTS",
     "CheckContext",
     "InvariantViolation",
@@ -79,8 +73,11 @@ __all__ = [
     "check_generation_coverage",
     "check_spans",
     "default_rules",
-    "SCENARIOS",
-    "ReplaySpec",
     "ShrinkResult",
     "shrink_spec",
+    "SpecCheckResult",
+    "check_context",
+    "check_spec",
+    "execute",
+    "exemplar_spec",
 ]

@@ -3,13 +3,15 @@
 ::
 
     python -m repro.verify fuzz --seed 0 --runs 25
-    python -m repro.verify replay 'ReplaySpec {"scenario":...}'
+    python -m repro.verify replay spec.json           # or '-' for stdin
+    python -m repro.verify replay specs.json --experiment E8 --index 0
     python -m repro.verify audit --quick E2 E3
     python -m repro.verify engines --seed 0
-    python -m repro.verify spec-fuzz --seed 0
-    python -m repro.verify spec-replay specs.json --experiment E8
 
-Exit status 1 on any failure, so every subcommand is CI-ready.
+``replay`` and ``engines`` check ``repro-runspec/v1`` documents with
+:func:`~repro.verify.specs.check_spec`; ``fuzz`` samples them.  Exit
+status 1 on any failure and 2 on unreadable input, so every subcommand
+is CI-ready.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import json
 import sys
 
 from .fuzzer import fuzz
-from .harness import run_replay
-from .replay import ReplaySpec
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -32,23 +32,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         audit=not args.no_audit,
     )
     return 0 if report.ok else 1
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        spec = ReplaySpec.from_line(args.line)
-    except (ValueError, TypeError, KeyError) as err:
-        # json.JSONDecodeError is a ValueError; TypeError covers unknown keys
-        print(f"error: not a valid ReplaySpec line: {err}", file=sys.stderr)
-        return 2
-    outcome = run_replay(spec, audit=not args.no_audit)
-    print(f"replaying: {spec.to_line()}")
-    print(f"trace digest: {outcome.digest}")
-    if outcome.ok:
-        print("ok — all invariants and properties hold")
-        return 0
-    print(f"FAILED ({outcome.signature}): {outcome.describe()}")
-    return 1
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -74,23 +57,24 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:
-    # imported lazily: pulls in every engine module to fill the registry
-    from .engines import audit_engines, contract_engine_names
+    from ..spec import ENGINE_BUILDERS
+    from .engines import audit_engines
 
     names = [n.lower() for n in args.names] or None
-    known = contract_engine_names()
-    unknown = [n for n in (names or []) if n not in known]
+    unknown = [n for n in (names or []) if n not in ENGINE_BUILDERS]
     if unknown:
         print(
-            f"error: unknown engine(s) {unknown}; choose from {known}",
+            f"error: unknown engine(s) {unknown}; choose from "
+            f"{ENGINE_BUILDERS.names()}",
             file=sys.stderr,
         )
         return 2
-    failed = False
-    for audit in audit_engines(names, seed=args.seed).values():
+    audits = audit_engines(names, seed=args.seed).values()
+    failed = 0
+    for audit in audits:
         print(audit.describe())
-        if not audit.ok:
-            failed = True
+        failed += not audit.ok
+    print(f"engines: {len(audits) - failed}/{len(audits)} ok")
     return 1 if failed else 0
 
 
@@ -110,13 +94,16 @@ def _iter_spec_docs(doc: dict, experiment: str | None, index: int | None):
         yield "spec", doc
 
 
-def _cmd_spec_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace) -> int:
     from ..spec import RunSpec
     from .specs import check_spec
 
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        if args.file == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.file, encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, ValueError) as err:
         print(f"error: cannot load {args.file}: {err}", file=sys.stderr)
         return 2
@@ -136,37 +123,15 @@ def _cmd_spec_replay(args: argparse.Namespace) -> int:
     if checked == 0:
         print(f"error: {args.file}: no specs selected", file=sys.stderr)
         return 2
-    print(f"spec-replay: {checked - failed}/{checked} ok")
-    return 1 if failed else 0
-
-
-def _cmd_spec_fuzz(args: argparse.Namespace) -> int:
-    from ..spec import ENGINE_BUILDERS
-    from .specs import fuzz_specs
-
-    names = [n.lower() for n in args.names] or None
-    unknown = [n for n in (names or []) if n not in ENGINE_BUILDERS]
-    if unknown:
-        print(
-            f"error: unknown engine(s) {unknown}; choose from "
-            f"{ENGINE_BUILDERS.names()}",
-            file=sys.stderr,
-        )
-        return 2
-    failed = 0
-    results = fuzz_specs(seed=args.seed, names=names, runs=args.runs)
-    for outcome in results:
-        print(outcome.describe())
-        if not outcome.ok:
-            failed += 1
-    print(f"spec-fuzz: {len(results) - failed}/{len(results)} engine exemplars ok")
+    print(f"replay: {checked - failed}/{checked} ok")
     return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="Deterministic-simulation verification: fuzz, replay, audit.",
+        description="Deterministic-simulation verification: fuzz, replay, "
+        "audit, engines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,10 +147,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
-    p_replay = sub.add_parser("replay", help="re-run a printed ReplaySpec line")
-    p_replay.add_argument("line", help="the 'ReplaySpec {...}' line to reproduce")
+    p_replay = sub.add_parser(
+        "replay",
+        help="check serialized run specs (a repro-runspec/v1 document or a "
+        "'specs' batch): round-trip, determinism, report schema, invariants",
+    )
     p_replay.add_argument(
-        "--no-audit", action="store_true", help="run once instead of twice"
+        "file", help="RunSpec JSON file or runspec batch ('-' reads stdin)"
+    )
+    p_replay.add_argument(
+        "--experiment", default=None, metavar="E",
+        help="batch files: restrict to one experiment's specs",
+    )
+    p_replay.add_argument(
+        "--index", type=int, default=None, metavar="N",
+        help="batch files: restrict to one spec per selected experiment",
+    )
+    p_replay.add_argument(
+        "--runs", type=int, default=2, metavar="K",
+        help="executions per spec for the determinism check (default: 2)",
     )
     p_replay.set_defaults(func=_cmd_replay)
 
@@ -193,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         "audit", help="same-seed determinism audit of the experiment suite"
     )
     p_audit.add_argument(
-        "ids", nargs="*", default=[], help="experiment ids (default: all E1–E12)"
+        "ids", nargs="*", default=[], help="experiment ids (default: all E1–E13)"
     )
     p_audit.add_argument(
         "--quick", action="store_true", help="quick-mode experiment budgets"
@@ -202,48 +182,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p_eng = sub.add_parser(
         "engines",
-        help="generic contract audit of every parallel engine's exemplar spec",
+        help="check every engine builder's exemplar spec (its contract scenario)",
     )
     p_eng.add_argument(
         "names", nargs="*", default=[], help="engine names (default: all)"
     )
     p_eng.add_argument("--seed", type=int, default=0, help="contract-scenario seed")
     p_eng.set_defaults(func=_cmd_engines)
-
-    p_sre = sub.add_parser(
-        "spec-replay",
-        help="replay serialized run specs (repro-runspec/v1 file or a "
-        "'specs' batch) and check round-trip + determinism + report schema",
-    )
-    p_sre.add_argument("file", help="RunSpec JSON file or runspec batch")
-    p_sre.add_argument(
-        "--experiment", default=None, metavar="E",
-        help="batch files: restrict to one experiment's specs",
-    )
-    p_sre.add_argument(
-        "--index", type=int, default=None, metavar="N",
-        help="batch files: restrict to one spec per selected experiment",
-    )
-    p_sre.add_argument(
-        "--runs", type=int, default=2, metavar="K",
-        help="executions per spec for the determinism check (default: 2)",
-    )
-    p_sre.set_defaults(func=_cmd_spec_replay)
-
-    p_sfz = sub.add_parser(
-        "spec-fuzz",
-        help="sweep every registered engine builder's exemplar spec: "
-        "round-trip, same-spec determinism, report schema",
-    )
-    p_sfz.add_argument(
-        "names", nargs="*", default=[], help="engine names (default: all)"
-    )
-    p_sfz.add_argument("--seed", type=int, default=0, help="master seed")
-    p_sfz.add_argument(
-        "--runs", type=int, default=2, metavar="K",
-        help="executions per exemplar (default: 2)",
-    )
-    p_sfz.set_defaults(func=_cmd_spec_fuzz)
 
     args = parser.parse_args(argv)
     return args.func(args)

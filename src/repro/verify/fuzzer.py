@@ -1,23 +1,26 @@
 """Randomised simulation fuzzing with seed replay.
 
 Each fuzz run samples a small scenario — model, cluster size, GA sizes,
-fault plan, optional scheduler tie-break jitter — executes it through the
-:mod:`~repro.verify.harness`, and checks every invariant and engine
+fault plan, optional scheduler tie-break jitter — as a
+``repro-runspec/v1`` document and checks it with
+:func:`~repro.verify.specs.check_spec`: every invariant and engine
 property, plus a same-seed determinism audit (the run is executed twice
 and the trace digests must match).
 
-Every run is fully described by its :class:`~repro.verify.replay.ReplaySpec`;
-a failure prints the spec as one line so
-``python -m repro.verify replay '<line>'`` reproduces it exactly, after a
-greedy shrink pass has minimised the fault plan.
+The three scenarios are the ``sim-master-slave``, ``sim-island`` and
+``island`` engine builders.  Faults travel in the cluster's fault plan
+and jitter as the cluster's ``tiebreak_jitter`` seed, so a failing run
+is fully described by its document: the fuzzer prints it on one line
+after a greedy shrink pass has minimised the fault plan, and
+``python -m repro.verify replay -`` reproduces it exactly from stdin.
 
-The jitter seam deserves a note: with ``jitter_seed`` set, events that
-share a timestamp are reordered by a seeded random key instead of FIFO.
-Any code that silently relies on insertion order at timestamp ties —
-instead of on actual causal ordering — fails under some jitter seed, which
-is exactly the class of bug deterministic-simulation testing exists to
-flush out (FoundationDB's "simulation is only as good as the chaos you
-inject").
+The jitter seam deserves a note: with ``tiebreak_jitter`` set, events
+that share a timestamp are reordered by a seeded random key instead of
+FIFO.  Any code that silently relies on insertion order at timestamp
+ties — instead of on actual causal ordering — fails under some jitter
+seed, which is exactly the class of bug deterministic-simulation testing
+exists to flush out (FoundationDB's "simulation is only as good as the
+chaos you inject").
 """
 
 from __future__ import annotations
@@ -26,9 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harness import RunOutcome, run_replay
-from .replay import ReplaySpec
-from .shrink import shrink_spec
+from ..cluster.faults import FaultPlan
+from ..spec import (
+    ClusterSpec,
+    EngineSpec,
+    GAConfigSpec,
+    OperatorSpec,
+    ProblemSpec,
+    RunSpec,
+)
+from .shrink import fault_plan, shrink_spec
+from .specs import check_spec
 
 __all__ = ["FuzzFailure", "FuzzReport", "sample_spec", "fuzz"]
 
@@ -37,13 +48,13 @@ __all__ = ["FuzzFailure", "FuzzReport", "sample_spec", "fuzz"]
 class FuzzFailure:
     """One failing fuzz case, shrunk and ready to replay."""
 
-    spec: ReplaySpec          # minimal (shrunk) failing spec
-    original: ReplaySpec      # spec as originally sampled
+    spec: RunSpec             # minimal (shrunk) failing spec
+    original: RunSpec         # spec as originally sampled
     signature: str
     detail: str
 
     def line(self) -> str:
-        return self.spec.to_line()
+        return self.spec.to_json()
 
 
 @dataclass
@@ -56,6 +67,8 @@ class FuzzReport:
     scenarios: dict[str, int] = field(default_factory=dict)
     faulty_runs: int = 0
     jittered_runs: int = 0
+    #: trace digest of every run, in sampling order
+    digests: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -71,8 +84,8 @@ class FuzzReport:
         )
 
 
-def sample_spec(rng: np.random.Generator) -> ReplaySpec:
-    """Draw one random scenario spec.
+def sample_spec(rng: np.random.Generator) -> RunSpec:
+    """Draw one random scenario as a run spec.
 
     Sizes are deliberately small — the point is many cheap runs across the
     configuration space, not a few big ones.
@@ -146,24 +159,44 @@ def sample_spec(rng: np.random.Generator) -> ReplaySpec:
                     )
                 )
             latency_spikes = tuple(spikes)
-    return ReplaySpec(
-        scenario=scenario,
-        seed=seed,
-        n_nodes=n_nodes,
-        pop=pop,
-        generations=generations,
-        genome_len=genome_len,
-        eval_cost=eval_cost,
-        fault_intervals=fault_intervals,
-        latency_spikes=latency_spikes,
-        jitter_seed=jitter_seed,
-        fault_tolerant=fault_tolerant,
-        loss_rate=loss_rate,
-        dup_rate=dup_rate,
-        partitions=partitions,
-        link_seed=link_seed,
-        reliable=reliable,
+    problem = ProblemSpec("onemax", {"length": genome_len})
+    config = GAConfigSpec({"population_size": pop, "elitism": 1})
+    policy = OperatorSpec(
+        "migration-policy", {"rate": 1, "replacement": "worst-if-better"}
     )
+    if scenario == "island":
+        engine = EngineSpec(
+            "island",
+            {"problem": problem, "n_islands": n_nodes, "config": config, "policy": policy},
+        )
+        return RunSpec(engine=engine, seed=seed, run={"termination": generations})
+    plan = None
+    if any(fault_intervals) or latency_spikes or partitions or loss_rate or dup_rate:
+        plan = FaultPlan(
+            intervals=fault_intervals or ((),) * n_nodes,
+            latency_spikes=latency_spikes,
+            loss_rate=loss_rate,
+            dup_rate=dup_rate,
+            partitions=partitions,
+            link_seed=link_seed,
+        )
+    cluster = ClusterSpec(
+        n_nodes, latency=1e-3, bandwidth=1e6, fault_plan=plan, tiebreak_jitter=jitter_seed
+    )
+    params = {
+        "problem": problem, "config": config, "cluster": cluster, "eval_cost": eval_cost
+    }
+    if scenario == "master-slave":
+        params["fault_tolerant"] = fault_tolerant
+        engine = EngineSpec("sim-master-slave", params)
+        return RunSpec(engine=engine, seed=seed, run={"termination": generations})
+    params.update(
+        n_islands=n_nodes,
+        max_epochs=generations,
+        policy=policy,
+        reliable_migration=reliable,
+    )
+    return RunSpec(engine=EngineSpec("sim-island", params), seed=seed)
 
 
 def fuzz(
@@ -176,24 +209,28 @@ def fuzz(
 ) -> FuzzReport:
     """Run ``runs`` randomised scenarios from master ``seed``.
 
-    Returns a :class:`FuzzReport`; failures carry shrunk
-    :class:`ReplaySpec` lines.  With ``verbose`` each failure (and the
-    final summary) is printed as it happens.
+    Returns a :class:`FuzzReport`; failures carry shrunk run specs.  With
+    ``verbose`` each failure (and the final summary) is printed as it
+    happens.
     """
     rng = np.random.default_rng(seed)
     report = FuzzReport(seed=seed, runs=runs)
     for i in range(runs):
         spec = sample_spec(rng)
-        report.scenarios[spec.scenario] = report.scenarios.get(spec.scenario, 0) + 1
-        if spec.fault_plan() is not None:
+        name = spec.engine.name
+        report.scenarios[name] = report.scenarios.get(name, 0) + 1
+        cluster = spec.engine.params.get("cluster")
+        plan = fault_plan(spec)
+        if plan is not None:
             report.faulty_runs += 1
-        if spec.jitter_seed is not None:
+        if cluster is not None and cluster.tiebreak_jitter is not None:
             report.jittered_runs += 1
-        outcome: RunOutcome = run_replay(spec, audit=audit)
+        outcome = check_spec(spec, label=f"run {i}", runs=2 if audit else 1)
+        report.digests.append(outcome.trace_digest)
         if outcome.ok:
             continue
         minimal = spec
-        if shrink and (spec.fault_intervals or spec.latency_spikes):
+        if shrink and plan is not None and (any(plan.intervals) or plan.latency_spikes):
             try:
                 minimal = shrink_spec(spec, signature=outcome.signature).spec
             except ValueError:
@@ -206,8 +243,11 @@ def fuzz(
         )
         report.failures.append(failure)
         if verbose:
-            print(f"run {i}: {failure.signature}: {failure.detail}")
-            print(f"  reproduce with: {failure.line()}")
+            print(f"{failure.signature}: {failure.detail}")
+            print(
+                f"  reproduce with: echo '{failure.line()}' "
+                "| python -m repro.verify replay -"
+            )
     if verbose:
         print(report.summary())
     return report

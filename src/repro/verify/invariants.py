@@ -30,8 +30,10 @@ the machine-checkable core of that contract:
     generation under a new ``incarnation`` field).
 ``best-monotone``
     Per-deme recorded best fitness never worsens (per incarnation).  Only
-    meaningful for elitist engines, so it is *not* part of the default
-    rule set; the fuzzer enables it when the scenario guarantees elitism.
+    meaningful for engines whose per-deme best cannot regress, so it is
+    *not* part of the default rule set; the run checker
+    (:func:`repro.verify.specs.check_spec`) enables it, in the direction
+    of the built engine's problem.
 
 Rules are stateful streaming objects: feed events with
 :meth:`Rule.observe`, collect end-of-stream violations with

@@ -1,4 +1,6 @@
-"""The ``specs`` / ``runspec`` CLI verbs and the experiment_specs hook."""
+"""The ``specs`` CLI verb, the experiment_specs hook, and replaying its
+documents through ``python -m repro.verify replay`` (which absorbed the
+old ``runspec`` verb)."""
 
 import json
 
@@ -7,6 +9,7 @@ import pytest
 from repro.experiments import REGISTRY, experiment_specs
 from repro.experiments.__main__ import main
 from repro.spec import RunSpec
+from repro.verify.__main__ import main as replay
 
 
 def test_every_experiment_answers_the_specs_hook():
@@ -39,31 +42,38 @@ def test_runspec_verb_replays_a_single_spec_file(tmp_path, capsys):
     spec = experiment_specs("E10", quick=True)[0]
     path = tmp_path / "one.json"
     path.write_text(spec.to_json())
-    assert main(["runspec", str(path)]) == 0
+    assert replay(["replay", str(path), "--runs", "1"]) == 0
     out = capsys.readouterr().out
-    assert f"spec digest:        {spec.digest()}" in out
-    assert "result fingerprint: " in out
+    assert "spec: trace " in out
+    assert "replay: 1/1 ok" in out
 
 
 def test_runspec_verb_indexes_into_a_batch(tmp_path, capsys):
     out = tmp_path / "batch.json"
     assert main(["specs", "--quick", "E10", "--out", str(out)]) == 0
-    assert main(["runspec", str(out), "--experiment", "E10", "--index", "1"]) == 0
+    argv = ["replay", str(out), "--experiment", "e10", "--index", "1", "--runs", "1"]
+    assert replay(argv) == 0
     printed = capsys.readouterr().out
-    expected = experiment_specs("E10", quick=True)[1].digest()
-    assert expected in printed
+    assert "E10[1]: trace " in printed
+    assert "replay: 1/1 ok" in printed
 
 
 def test_runspec_verb_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"schema": "nope"}')
-    assert main(["runspec", str(path)]) == 2
+    assert replay(["replay", str(path)]) == 2
 
 
 def test_runspec_verb_index_out_of_range(tmp_path):
     out = tmp_path / "batch.json"
     assert main(["specs", "--quick", "E10", "--out", str(out)]) == 0
-    assert main(["runspec", str(out), "--experiment", "E10", "--index", "999"]) == 2
+    assert replay(["replay", str(out), "--experiment", "E10", "--index", "999"]) == 2
+
+
+def test_runspec_verb_is_gone():
+    # replaying a document is `python -m repro.verify replay`
+    with pytest.raises(SystemExit):
+        main(["runspec", "spec.json"])
 
 
 def test_specs_verb_rejects_unknown_ids():

@@ -91,6 +91,30 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(0)
 
+    def test_tiebreak_jitter_is_a_seed_the_built_cluster_runs_with(self):
+        from repro.spec import run_spec
+        from repro.verify.specs import exemplar_spec
+
+        base = exemplar_spec("sim-island", seed=3)
+        params = dict(base.engine.params)
+        params["cluster"] = ClusterSpec(3, tiebreak_jitter=5)
+        spec = RunSpec(EngineSpec("sim-island", params), seed=3, run=base.run)
+        again = RunSpec.from_json(spec.to_json())
+        assert again == spec and again.engine.params["cluster"].tiebreak_jitter == 5
+        a, b = run_spec(spec), run_spec(again)
+        assert a.trace_digest == b.trace_digest  # seeded: same jitter both times
+        # the jitter really reorders same-timestamp events
+        assert a.trace_digest != run_spec(base).trace_digest
+
+    @pytest.mark.parametrize("jitter", [0.5, 3.0, "7", True])
+    def test_tiebreak_jitter_rejects_a_non_integer_seed(self, jitter):
+        with pytest.raises(ValueError, match="tiebreak_jitter"):
+            ClusterSpec(3, tiebreak_jitter=jitter)
+        doc = encode_value(ClusterSpec(3))
+        doc["tiebreak_jitter"] = jitter
+        with pytest.raises(ValueError, match="tiebreak_jitter"):
+            decode_value(doc)
+
 
 class TestRunSpecDocument:
     def test_engine_params_must_not_carry_seed(self):

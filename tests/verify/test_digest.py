@@ -6,8 +6,8 @@ from repro.cluster.machine import SimulatedCluster
 from repro.cluster.sim import Timeout
 from repro.core.individual import Individual
 from repro.verify.digest import audit_determinism, result_fingerprint, trace_digest
-from repro.verify.harness import execute
-from repro.verify.replay import ReplaySpec
+from repro.spec import ClusterSpec, EngineSpec, RunSpec
+from repro.verify.specs import check_spec, exemplar_spec
 
 
 def _tiny_trace_run():
@@ -86,10 +86,10 @@ class TestResultFingerprint:
 
 class TestScenarioDeterminism:
     def test_same_spec_same_digest_across_fresh_runs(self):
-        spec = ReplaySpec(
-            scenario="sim-island", seed=3, n_nodes=3, pop=12,
-            generations=3, genome_len=16, eval_cost=1e-3, jitter_seed=5,
-        )
-        a, b = execute(spec), execute(spec)
-        assert a.digest == b.digest
+        base = exemplar_spec("sim-island", seed=3)
+        params = dict(base.engine.params)
+        params["cluster"] = ClusterSpec(3, tiebreak_jitter=5)
+        spec = RunSpec(EngineSpec("sim-island", params), seed=3)
+        a, b = check_spec(spec, runs=1), check_spec(spec, runs=1)
+        assert a.trace_digest == b.trace_digest
         assert a.ok and b.ok

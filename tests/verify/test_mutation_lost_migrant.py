@@ -7,7 +7,7 @@ exactly the failure mode of a buggy transport that loses messages without
 telling anyone.  The verification stack must:
 
 1. catch it via the ``message-conservation`` invariant,
-2. print a one-line ReplaySpec that reproduces the failure,
+2. reproduce the failure from the run-spec document alone,
 3. shrink the fault plan away (the bug needs no faults to manifest).
 
 The safety net is only as good as its ability to catch a real planted
@@ -15,23 +15,37 @@ bug; if this test ever starts passing *without* the patch doing anything,
 the invariant has rotted.
 """
 
+from functools import partial
 from unittest import mock
 
+from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import SimulatedCluster
-from repro.verify.harness import execute
-from repro.verify.replay import ReplaySpec
-from repro.verify.shrink import shrink_spec
+from repro.spec import RunSpec, cluster, engine, ga_config, operator, problem
+from repro.verify.shrink import fault_plan, shrink_spec
+from repro.verify.specs import check_spec
 
-SPEC = ReplaySpec(
-    scenario="sim-island",
+SPEC = RunSpec(
+    engine=engine(
+        "sim-island",
+        problem=problem("onemax", length=24),
+        n_islands=4,
+        config=ga_config(population_size=16, elitism=1),
+        cluster=cluster(
+            4,
+            latency=1e-3,
+            bandwidth=1e6,
+            fault_plan=FaultPlan(
+                intervals=((), ((0.05, float("inf")),), (), ((0.1, 0.2),))
+            ),
+        ),
+        eval_cost=2e-3,
+        max_epochs=5,
+        policy=operator("migration-policy", rate=1, replacement="worst-if-better"),
+    ),
     seed=42,
-    n_nodes=4,
-    pop=16,
-    generations=5,
-    genome_len=24,
-    eval_cost=2e-3,
-    fault_intervals=((), ((0.05, float("inf")),), (), ((0.1, 0.2),)),
 )
+
+execute_once = partial(check_spec, runs=1)
 
 
 def _lossy_deliver():
@@ -48,28 +62,27 @@ def _lossy_deliver():
 
 class TestLostMigrantMutation:
     def test_unpatched_run_is_clean(self):
-        outcome = execute(SPEC)
+        outcome = execute_once(SPEC)
         assert outcome.ok, outcome.describe()
 
     def test_invariant_catches_the_injected_bug(self):
         with _lossy_deliver():
-            outcome = execute(SPEC)
+            outcome = execute_once(SPEC)
         assert not outcome.ok
         assert outcome.signature == "invariant:message-conservation"
         assert any("no receive, drop or loss receipt" in str(v) for v in outcome.violations)
 
     def test_replay_line_reproduces_the_failure(self):
-        line = SPEC.to_line()
-        assert line.startswith("ReplaySpec ")
+        doc = SPEC.to_json()
         with _lossy_deliver():
-            replayed = execute(ReplaySpec.from_line(line))
+            replayed = execute_once(RunSpec.from_json(doc))
         assert replayed.signature == "invariant:message-conservation"
 
     def test_shrinker_strips_irrelevant_faults(self):
         # the bug is in the transport, not the fault plan: shrinking under
         # the patch must remove every downtime interval
         with _lossy_deliver():
-            result = shrink_spec(SPEC, run=execute)
-        assert result.spec.fault_intervals == ((), (), (), ())
+            result = shrink_spec(SPEC, run=execute_once)
+        assert fault_plan(result.spec).intervals == ((), (), (), ())
         assert result.removed == 2
         assert result.outcome.signature == "invariant:message-conservation"
