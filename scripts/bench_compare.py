@@ -59,10 +59,12 @@ def _per_experiment_wall(data: dict) -> dict[str, float]:
 
 
 def _per_experiment_cpu(data: dict) -> dict[str, float]:
-    """Summed trial CPU time per experiment; absent when never recorded."""
+    """Summed CPU time of the trials each experiment executed; absent when
+    never recorded.  Cache hits carry the cost of the run that computed
+    them, not of this one, so they are left out (as in ``totals``)."""
     out: dict[str, float] = {}
     for trial in data.get("trials", []):
-        if "cpu_s" in trial:
+        if "cpu_s" in trial and not trial.get("cached"):
             name = trial.get("experiment", "?")
             out[name] = out.get(name, 0.0) + float(trial["cpu_s"])
     return out

@@ -76,7 +76,9 @@ copy-pasted per engine, and this check keeps them centralised:
    ``DigestMismatchError``, the second engine registry
    ``ENGINE_REGISTRY`` / ``EngineInfo``, ``SerialExecutor``, or the
    fuzzer's second run format and its checkers ``ReplaySpec``,
-   ``run_replay``, ``fuzz_specs`` and ``EngineAudit``; no module under
+   ``run_replay``, ``fuzz_specs`` and ``EngineAudit``, the sweep resume
+   journal ``SweepJournal`` and ``run_all``, or the fitness memo-cache
+   ``FitnessCache`` / ``MemoizingEvaluator``; no module under
    ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
@@ -85,7 +87,9 @@ copy-pasted per engine, and this check keeps them centralised:
    are the contract scenarios, run by ``repro.verify.engines``),
    ``SerialEvaluator`` is the one serial evaluator, and
    ``repro-runspec/v1`` documents checked by
-   ``repro.verify.specs.check_spec`` are the one replayable run format.
+   ``repro.verify.specs.check_spec`` are the one replayable run format,
+   and the ``TrialCache`` entry (result + measured ``TrialCost``) is the
+   one per-trial sweep record, configured by one ``SweepConfig``.
 
 Run from the repository root::
 
@@ -412,6 +416,14 @@ _REPLAY = (
     "replayable run format and repro.verify.specs.check_spec the one "
     "run checker"
 )
+_SWEEP = (
+    "retired sweep path — the TrialCache entry (result + TrialCost) is the "
+    "one per-trial record and SweepConfig the one sweep configuration"
+)
+_MEMO = (
+    "retired fitness memo-cache — it changed evaluation counts and no "
+    "caller used it"
+)
 
 #: names rule 9 forbids defining, assigning or importing anywhere under
 #: repro/, with the reason printed for each
@@ -430,6 +442,10 @@ _RETIRED_NAMES = {
     "run_replay": _REPLAY,
     "fuzz_specs": _REPLAY,
     "EngineAudit": _REPLAY,
+    "SweepJournal": _SWEEP,
+    "run_all": _SWEEP,
+    "FitnessCache": _MEMO,
+    "MemoizingEvaluator": _MEMO,
 }
 
 #: names rule 9 additionally forbids under repro/parallel/

@@ -8,6 +8,7 @@ EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 from . import (
@@ -25,14 +26,12 @@ from . import (
     e13_island_resilience,
     table1,
 )
-from ..runtime.resilient import ResilienceConfig
-from ..runtime.sweep import SweepTelemetry, sweep_context
+from ..runtime.sweep import SweepConfig, sweep_context
 from .report import Expectation, ExperimentReport, SeriesSpec, TableSpec
 
 __all__ = [
     "REGISTRY",
     "run_experiment",
-    "run_all",
     "experiment_specs",
     "ExperimentReport",
     "TableSpec",
@@ -83,49 +82,37 @@ def run_experiment(
     quick: bool = False,
     *,
     audit: bool = False,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    telemetry: SweepTelemetry | None = None,
-    resilience: ResilienceConfig | None = None,
-    resume: bool = False,
+    config: SweepConfig | None = None,
 ) -> ExperimentReport:
     """Run one experiment by id ('E1' … 'E13').
 
-    ``jobs`` fans the experiment's independent trials out over a process
-    pool and ``cache_dir`` enables the content-addressed trial cache (see
-    :mod:`repro.runtime.sweep`); both default to the hermetic serial,
-    uncached configuration.  ``telemetry`` collects per-trial timing.
-    ``resilience`` sets the fork pool's supervision policy (per-trial
-    deadline, retry/backoff, chaos plan) and ``resume=True`` replays the
-    completion journal of a crashed run (see
-    :mod:`repro.runtime.resilient`).
+    ``config`` sets how the experiment's trials execute — process
+    fan-out, the content-addressed trial cache, telemetry and the fork
+    pool's supervision policy (see :mod:`repro.runtime.sweep`); the
+    default is the hermetic serial, uncached configuration.
 
     With ``audit=True`` the runner executes *twice* and a
     ``determinism-audit`` expectation is appended comparing the two
     reports' canonical fingerprints — every experiment is seeded, so two
     fresh runs must be behaviourally identical (same tables, same series,
     same expectation outcomes).  The audit re-run always executes with
-    the cache disabled: replaying cached values would audit the cache,
-    not the experiment.
+    the cache and telemetry disabled: replaying cached values would audit
+    the cache, not the experiment.
     """
     key = experiment_id.upper()
     if key not in REGISTRY:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; choose from {sorted(REGISTRY)}"
         )
-    with sweep_context(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        telemetry=telemetry,
-        resilience=resilience,
-        resume=resume,
-    ):
+    config = config if config is not None else SweepConfig()
+    with sweep_context(config):
         report = REGISTRY[key](quick=quick)
     if audit:
         from ..verify.digest import result_fingerprint
 
         first = result_fingerprint(report)
-        with sweep_context(jobs=jobs, cache_dir=None, resilience=resilience):
+        rerun = dataclasses.replace(config, cache_dir=None, telemetry=None)
+        with sweep_context(rerun):
             second = result_fingerprint(REGISTRY[key](quick=quick))
         report.expect(
             "determinism-audit",
@@ -133,31 +120,3 @@ def run_experiment(
             f"run fingerprints {first[:16]}… vs {second[:16]}…",
         )
     return report
-
-
-def run_all(
-    quick: bool = False,
-    ids: list[str] | None = None,
-    *,
-    audit: bool = False,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    telemetry: SweepTelemetry | None = None,
-    resilience: ResilienceConfig | None = None,
-    resume: bool = False,
-) -> list[ExperimentReport]:
-    """Run every experiment (or a subset) and return the reports in order."""
-    keys = [k.upper() for k in ids] if ids else list(REGISTRY)
-    return [
-        run_experiment(
-            k,
-            quick=quick,
-            audit=audit,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            telemetry=telemetry,
-            resilience=resilience,
-            resume=resume,
-        )
-        for k in keys
-    ]

@@ -31,13 +31,12 @@ checks any of those runs from data alone.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..obs import obs_session, sweep_obs_summary, write_chrome_trace, write_timeline
 from ..runtime.chaos import ChaosPlan
 from ..runtime.resilient import ResilienceConfig
-from ..runtime.sweep import SweepTelemetry
+from ..runtime.sweep import SweepConfig, SweepTelemetry
 from . import REGISTRY, experiment_specs, run_experiment
 
 DEFAULT_CACHE_DIR = ".sweep_cache"
@@ -126,10 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_SWEEP_JOBS", "1")),
+        default=1,
         metavar="N",
-        help="worker processes for trial fan-out (default: 1, i.e. serial; "
-        "env REPRO_SWEEP_JOBS overrides the default)",
+        help="worker processes for trial fan-out (default: 1, i.e. serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -174,13 +172,6 @@ def main(argv: list[str] | None = None) -> int:
         "only applies with --jobs > 1 (the serial path never faults)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a sweep killed mid-flight: trials journalled by the "
-        "crashed run are served from the cache and counted as resumed "
-        "(requires the trial cache)",
-    )
-    parser.add_argument(
         "--obs-out",
         metavar="FILE",
         help="enable observability and write the merged span timeline "
@@ -209,9 +200,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"unknown experiment ids {unknown}; choose from {', '.join(REGISTRY)}"
         )
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.resume and cache_dir is None:
-        parser.error("--resume requires the trial cache (drop --no-cache)")
     chaos = None
     if args.chaos_plan:
         try:
@@ -224,29 +212,27 @@ def main(argv: list[str] | None = None) -> int:
                 "(faults only apply inside pool workers)",
                 file=sys.stderr,
             )
-    resilience = ResilienceConfig(
-        deadline_s=args.deadline,
-        max_retries=args.max_retries,
-        chaos=chaos,
+    telemetry = (
+        SweepTelemetry(autoflush_path=args.bench_out) if args.bench_out else None
     )
-    telemetry = SweepTelemetry() if args.bench_out else None
-    if telemetry is not None:
-        telemetry.autoflush_path = args.bench_out
+    config = SweepConfig(
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        telemetry=telemetry,
+        resilience=ResilienceConfig(
+            deadline_s=args.deadline,
+            max_retries=args.max_retries,
+            chaos=chaos,
+        ),
+    )
     obs_requested = bool(args.obs_out or args.obs_trace)
     any_failed = False
 
-    def _run_all() -> bool:
+    def _run_selected() -> bool:
         failed = False
         for key in ids:
             report = run_experiment(
-                key,
-                quick=args.quick,
-                audit=args.audit,
-                jobs=args.jobs,
-                cache_dir=cache_dir,
-                telemetry=telemetry,
-                resilience=resilience,
-                resume=args.resume,
+                key, quick=args.quick, audit=args.audit, config=config
             )
             print(report.render())
             print()
@@ -257,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if obs_requested:
             with obs_session(label="+".join(ids)) as session:
-                any_failed = _run_all()
+                any_failed = _run_selected()
             if args.obs_out:
                 write_timeline(session, args.obs_out)
                 print(f"[obs] timeline -> {args.obs_out}", file=sys.stderr)
@@ -267,9 +253,9 @@ def main(argv: list[str] | None = None) -> int:
             if telemetry is not None:
                 telemetry.obs = sweep_obs_summary(session)
         else:
-            any_failed = _run_all()
+            any_failed = _run_selected()
     except KeyboardInterrupt:
-        # run_sweep already flushed journal + partial telemetry; make sure
+        # run_sweep already flushed partial telemetry; make sure
         # an interrupt *between* sweeps persists telemetry too
         if telemetry is not None:
             telemetry.flush()

@@ -1,13 +1,14 @@
 """Engine runtime: executors behind the evaluator seam, the shared deme
-lifecycle every parallel model runs on (:mod:`repro.runtime.deme`), and
-the supervised real-process execution layer both process backends share
-(:mod:`repro.runtime.resilient` + :mod:`repro.runtime.chaos`)."""
+lifecycle every parallel model runs on (:mod:`repro.runtime.deme`), the
+supervised real-process execution layer both process backends share
+(:mod:`repro.runtime.resilient` + :mod:`repro.runtime.chaos`), and the
+trial sweep whose content-addressed cache is the one record of every
+finished trial — its result and measured cost — so a killed sweep
+restarts from the cache alone (:mod:`repro.runtime.sweep`)."""
 
-from .cache import FitnessCache, MemoizingEvaluator
 from .chaos import ChaosError, ChaosPlan
 from .deme import EpochLoop, RuntimeCapabilities, TimedDemeRuntime, emit_generation
 from .executor import MultiprocessingExecutor, ThreadExecutor, chunk_indices
-from .journal import SweepJournal
 from .resilient import (
     PoolStats,
     QuarantinedTask,
@@ -23,6 +24,7 @@ from .sweep import (
     SweepTelemetry,
     Trial,
     TrialCache,
+    TrialCost,
     kernel_digest,
     run_sweep,
     sweep_context,
@@ -32,9 +34,9 @@ from .sweep import (
 __all__ = [
     "Trial",
     "TrialCache",
+    "TrialCost",
     "SweepConfig",
     "SweepTelemetry",
-    "SweepJournal",
     "run_sweep",
     "sweep_context",
     "kernel_digest",
@@ -46,8 +48,6 @@ __all__ = [
     "ThreadExecutor",
     "MultiprocessingExecutor",
     "chunk_indices",
-    "FitnessCache",
-    "MemoizingEvaluator",
     "ResilienceConfig",
     "SupervisedPool",
     "PoolStats",

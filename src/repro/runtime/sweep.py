@@ -21,7 +21,11 @@ flag, kernel-code digest)``.  The kernel digest hashes every ``*.py``
 file of the ``repro`` package, so *any* code edit transparently
 invalidates every cached trial, while re-runs after unrelated edits
 (docs, tests) are near-instant cache hits.  Entries carry a checksum; a
-corrupt entry is detected, discarded and recomputed, never trusted.
+corrupt entry is detected, discarded and recomputed, never trusted.  An
+entry is the sweep's one record of a finished trial: it stores the
+result together with the cost measured when the trial ran, so a re-run
+of a killed sweep recomputes no finished trial and reports each one's
+original figures.
 
 Configuration is ambient (:func:`sweep_context`) so the thirteen runners
 keep their ``run(quick=False)`` signature; the CLI exposes ``--jobs``,
@@ -48,7 +52,6 @@ import numpy as np
 from ..cluster.trace import RETENTION_MODES, trace_retention
 from ..obs.export import timeline_doc
 from ..obs.session import current_obs, obs_session
-from .journal import SweepJournal
 from .resilient import (
     QuarantinedTask,
     QuarantineError,
@@ -59,6 +62,7 @@ from .resilient import (
 __all__ = [
     "Trial",
     "TrialCache",
+    "TrialCost",
     "SweepConfig",
     "SweepTelemetry",
     "TrialRecord",
@@ -82,8 +86,9 @@ class Trial:
     pure given its arguments, and must return plain picklable data —
     numbers, strings, lists/tuples/dicts and small dataclasses of those.
 
-    **Raw-callable trials** (``spec=None``, the compatibility form) invoke
-    ``fn(**params)``, plus ``seed=seed`` when a seed is declared.
+    **Raw-callable trials** (``spec=None``) invoke ``fn(**params)``, plus
+    ``seed=seed`` when a seed is declared — the form for trials that run
+    no engine (E1's literature table, analytic models).
 
     **Spec-backed trials** carry one :class:`repro.spec.RunSpec` (or a
     tuple of them) describing the engine run(s); ``fn`` becomes the
@@ -222,10 +227,10 @@ def trial_digest(
 
     Spec-backed trials key on their :class:`repro.spec.RunSpec` content
     digests (plus the extraction fn and its params) — a portable,
-    declarative address.  Raw-callable trials keep the compatibility
-    fallback: fn identity + canonicalised params (opaque objects digest
-    their pickled bytes).  Both include the kernel digest, so any code
-    edit invalidates every cached trial either way.
+    declarative address.  Raw-callable trials key on fn identity +
+    canonicalised params (opaque objects digest their pickled bytes).
+    Both include the kernel digest, so any code edit invalidates every
+    cached trial either way.
     """
     parts = [
         experiment_id,
@@ -244,7 +249,22 @@ def trial_digest(
 
 # -- on-disk cache -----------------------------------------------------------------
 
-_MAGIC = b"RSWEEP1\n"
+#: entry header; v2 entries pickle ``(result, TrialCost)``, so v1 entries
+#: (a bare result) fail the magic check and read as misses
+_MAGIC = b"RSWEEP2\n"
+
+
+@dataclass(frozen=True)
+class TrialCost:
+    """What one trial cost when it ran: wall and CPU seconds (rounded to
+    the microsecond), simulated events dispatched and fitness evaluations
+    observed.  Stored in the trial's cache entry, so a cache hit reports
+    the figures of the run that computed it."""
+
+    wall_s: float = 0.0
+    cpu_s: float = 0.0
+    sim_events: int = 0
+    evaluations: int = 0
 
 
 def _pid_alive(pid: int) -> bool:
@@ -264,17 +284,19 @@ _TMP_SEQ = itertools.count()
 
 
 class TrialCache:
-    """Content-addressed on-disk store of trial results.
+    """Content-addressed on-disk store of finished trials.
 
     Layout: ``<root>/<digest[:2]>/<digest[2:]>.pkl``; each entry is a
-    magic header, the hex sha256 of the payload, and the pickled payload.
-    A short, damaged or tampered entry fails the checksum (or unpickling)
-    and is treated as a miss — the trial recomputes and the entry is
-    rewritten.  Writes are atomic (unique temp file + rename, unlinked on
-    failure), so a crashed writer can at worst leave a corrupt entry,
-    never a half-trusted one; temp files orphaned by a *killed* writer
-    (no chance to unlink) are swept on the next cache open, guarded by a
-    pid-liveness probe so a concurrent writer's live temp survives.
+    magic header, the hex sha256 of the payload, and the pickled
+    ``(result, TrialCost)`` pair.  A short, damaged or tampered entry
+    fails the checksum (or unpickling) and is treated as a miss — the
+    trial recomputes and the entry is rewritten.  Writes are atomic
+    (unique temp file + rename, unlinked on failure): the rename is the
+    commit point of a finished trial, so a crashed writer can at worst
+    leave a corrupt entry, never a half-trusted one.  Temp files orphaned
+    by a *killed* writer (no chance to unlink) are swept on the next
+    cache open, guarded by a pid-liveness probe so a concurrent writer's
+    live temp survives.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -302,14 +324,14 @@ class TrialCache:
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest[2:]}.pkl"
 
-    def load(self, digest: str) -> tuple[bool, Any]:
-        """``(hit, value)``; corrupt entries count as misses."""
+    def load(self, digest: str) -> tuple[bool, Any, TrialCost | None]:
+        """``(hit, result, cost)``; corrupt entries count as misses."""
         path = self._path(digest)
         try:
             blob = path.read_bytes()
         except OSError:
             self.misses += 1
-            return False, None
+            return False, None, None
         try:
             if not blob.startswith(_MAGIC):
                 raise ValueError("bad magic")
@@ -319,18 +341,20 @@ class TrialCache:
                 raise ValueError("bad header")
             if hashlib.sha256(payload).hexdigest() != checksum:
                 raise ValueError("checksum mismatch")
-            value = pickle.loads(payload)
+            value, cost = pickle.loads(payload)
+            if not isinstance(cost, TrialCost):
+                raise ValueError("entry carries no trial cost")
         except Exception:
             self.corrupt += 1
             self.misses += 1
-            return False, None
+            return False, None, None
         self.hits += 1
-        return True, value
+        return True, value, cost
 
-    def store(self, digest: str, value: Any) -> None:
+    def store(self, digest: str, value: Any, cost: TrialCost) -> None:
         path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps((value, cost), protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" + payload
         tmp = path.parent / f"{path.name}.tmp.{os.getpid()}.{next(_TMP_SEQ)}"
         try:
@@ -349,7 +373,11 @@ class TrialCache:
 
 @dataclass
 class TrialRecord:
-    """Per-trial perf telemetry (never part of a result fingerprint)."""
+    """Per-trial perf telemetry (never part of a result fingerprint).
+
+    A cache hit (``cached=True``) reports the cost stored with its entry:
+    the figures of the run that computed it.
+    """
 
     experiment: str
     fn: str
@@ -363,9 +391,6 @@ class TrialRecord:
     evaluations: int = 0
     #: span count of the trial's child observability session (0 when obs off)
     obs_spans: int = 0
-    #: True when this cache hit was journalled by a crashed run of the
-    #: same sweep (its wall/cpu/sim/eval columns are restored from the journal)
-    resumed: bool = False
     #: True when the trial was quarantined as poison after K failed attempts
     quarantined: bool = False
 
@@ -386,7 +411,7 @@ class SweepTelemetry:
     #: set by the CLI when a session is active; ``None`` keeps the artifact as-is
     obs: dict[str, Any] | None = None
     #: when set, :meth:`flush` rewrites this file — the sweep driver
-    #: flushes after every sweep and on KeyboardInterrupt, so a killed
+    #: flushes after every sweep, finished or not, so a killed
     #: invocation still leaves partial telemetry on disk
     autoflush_path: str | Path | None = None
 
@@ -399,7 +424,6 @@ class SweepTelemetry:
         cache_corrupt: int,
         jobs: int,
         wall_s: float,
-        resumed: int = 0,
         quarantined: int = 0,
         interrupted: bool = False,
     ) -> None:
@@ -411,21 +435,24 @@ class SweepTelemetry:
                 "cache_corrupt": cache_corrupt,
                 "jobs": jobs,
                 "wall_s": round(wall_s, 6),
-                "resumed": resumed,
                 "quarantined": quarantined,
                 "interrupted": interrupted,
             }
         )
 
     def totals(self) -> dict[str, Any]:
+        """Suite totals.  Time, events and evaluations sum over the trials
+        this invocation executed; cache hits carry their original cost but
+        cost nothing now, so a warm run reports the time it spent."""
+        executed = [t for t in self.trials if not t.cached]
         return {
             "trials": len(self.trials),
-            "cache_hits": sum(1 for t in self.trials if t.cached),
-            "trial_wall_s": round(sum(t.wall_s for t in self.trials), 6),
-            "trial_cpu_s": round(sum(t.cpu_s for t in self.trials), 6),
+            "cache_hits": len(self.trials) - len(executed),
+            "trial_wall_s": round(sum(t.wall_s for t in executed), 6),
+            "trial_cpu_s": round(sum(t.cpu_s for t in executed), 6),
             "sweep_wall_s": round(sum(s["wall_s"] for s in self.sweeps), 6),
-            "sim_events": sum(t.sim_events for t in self.trials),
-            "evaluations": sum(t.evaluations for t in self.trials),
+            "sim_events": sum(t.sim_events for t in executed),
+            "evaluations": sum(t.evaluations for t in executed),
         }
 
     def to_json(self) -> dict[str, Any]:
@@ -466,17 +493,17 @@ class SweepConfig:
     ``resilience`` is the supervision policy for the fork pool (deadline,
     retry/backoff, chaos plan — :class:`repro.runtime.resilient.ResilienceConfig`);
     the sweep always runs it in quarantine mode, so one poison trial
-    cannot abort the rest of the grid.  ``resume=True`` (requires the
-    cache) replays the completion journal of a crashed run of the same
-    sweep: journalled trials are served from the cache, counted as
-    ``resumed``, and their telemetry is restored from the journal.
+    cannot abort the rest of the grid.
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
     telemetry: SweepTelemetry | None = None
     resilience: ResilienceConfig | None = None
-    resume: bool = False
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 _ACTIVE = SweepConfig()
@@ -487,27 +514,14 @@ def current_config() -> SweepConfig:
 
 
 @contextmanager
-def sweep_context(
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-    telemetry: SweepTelemetry | None = None,
-    resilience: ResilienceConfig | None = None,
-    resume: bool = False,
-) -> Iterator[SweepConfig]:
-    """Install an ambient :class:`SweepConfig` for the enclosed runners."""
+def sweep_context(config: SweepConfig) -> Iterator[SweepConfig]:
+    """Install ``config`` as the ambient :class:`SweepConfig` for the
+    enclosed runners."""
     global _ACTIVE
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     prev = _ACTIVE
-    _ACTIVE = SweepConfig(
-        jobs=int(jobs),
-        cache_dir=cache_dir,
-        telemetry=telemetry,
-        resilience=resilience,
-        resume=bool(resume),
-    )
+    _ACTIVE = config
     try:
-        yield _ACTIVE
+        yield config
     finally:
         _ACTIVE = prev
 
@@ -517,7 +531,7 @@ def sweep_context(
 
 def _execute_indexed(
     job: tuple[int, Trial]
-) -> tuple[int, Any, float, float, int, int, dict[str, Any] | None]:
+) -> tuple[int, Any, TrialCost, dict[str, Any] | None]:
     """Run one trial (in the sweeping process or a pool worker), measuring
     wall and CPU time and the simulation-kernel / evaluation-stack counters
     around it.
@@ -554,15 +568,13 @@ def _execute_indexed(
             value = trial.call()
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu0
-    return (
-        index,
-        value,
-        wall,
-        cpu,
-        _sim.events_dispatched() - si0,
-        _problem.evaluations_observed() - ev0,
-        obs_doc,
+    cost = TrialCost(
+        wall_s=round(wall, 6),
+        cpu_s=round(cpu, 6),
+        sim_events=_sim.events_dispatched() - si0,
+        evaluations=_problem.evaluations_observed() - ev0,
     )
+    return index, value, cost, obs_doc
 
 
 def run_sweep(
@@ -583,11 +595,15 @@ def run_sweep(
     are fingerprint-identical across serial, parallel, cached and
     chaos-injected executions.
 
-    Trials that stay poison after every allowed attempt are quarantined:
-    all other trials still complete (and are cached/journalled), then a
+    Each finished trial is committed to the cache (result + cost) the
+    moment it is absorbed, so a sweep that dies — killed, interrupted or
+    failed — leaves every finished trial behind, and a re-run with the
+    same cache recomputes none of them.  Trials that stay poison after
+    every allowed attempt are quarantined: all other trials still
+    complete (and are cached), then a
     :class:`~repro.runtime.resilient.QuarantineError` is raised naming
-    them.  ``KeyboardInterrupt`` flushes the journal and telemetry
-    before re-raising, so an interrupted sweep loses no absorbed work.
+    them.  The sweep's telemetry is recorded and flushed however the
+    sweep ends.
     """
     cfg = config if config is not None else _ACTIVE
     trials = list(trials)
@@ -595,92 +611,65 @@ def run_sweep(
     cache = TrialCache(cfg.cache_dir) if cfg.cache_dir is not None else None
     telemetry = cfg.telemetry
     sweep_start = time.perf_counter()
-    cache_hits = 0
-    resumed_trials = 0
 
-    pending: list[int] = []
-    digests: list[str | None] = [None] * len(trials)
+    digests = [""] * len(trials)
     if cache is not None:
         kernel = kernel_digest()
-        for i, trial in enumerate(trials):
-            digests[i] = trial_digest(experiment_id, trial, quick=quick, kernel=kernel)
-    journal: SweepJournal | None = None
-    prior: dict[str, dict[str, Any]] = {}
-    if cache is not None and cfg.resume:
-        journal = SweepJournal(
-            SweepJournal.path_for(cache.root, experiment_id, digests)
-        )
-        prior = journal.load()
-    for i, trial in enumerate(trials):
-        if cache is not None:
-            hit, value = cache.load(digests[i])
-            if hit:
-                results[i] = value
-                cache_hits += 1
-                rec = prior.get(digests[i])
-                if rec is not None:
-                    resumed_trials += 1
-                if telemetry is not None:
-                    telemetry.trials.append(
-                        TrialRecord(
-                            experiment=experiment_id,
-                            fn=trial.fn_id,
-                            seed=trial.seed,
-                            digest=digests[i][:16],
-                            wall_s=float(rec.get("wall_s", 0.0)) if rec else 0.0,
-                            cached=True,
-                            cpu_s=float(rec.get("cpu_s", 0.0)) if rec else 0.0,
-                            sim_events=int(rec.get("sim_events", 0)) if rec else 0,
-                            evaluations=int(rec.get("evaluations", 0)) if rec else 0,
-                            resumed=rec is not None,
-                        )
-                    )
-                continue
-        pending.append(i)
+        digests = [
+            trial_digest(experiment_id, trial, quick=quick, kernel=kernel)
+            for trial in trials
+        ]
 
-    obs_docs: dict[int, dict[str, Any]] = {}
-
-    def _absorb(
+    def _record(
         index: int,
-        value: Any,
-        wall: float,
-        cpu: float,
-        sim_events: int,
-        evals: int,
-        obs_doc: dict[str, Any] | None = None,
+        cost: TrialCost,
+        *,
+        cached: bool = False,
+        obs_spans: int = 0,
+        quarantined: bool = False,
     ) -> None:
-        results[index] = value
-        if cache is not None:
-            cache.store(digests[index], value)
-        if journal is not None:
-            journal.append(
-                digests[index],
-                {
-                    "wall_s": round(wall, 6),
-                    "cpu_s": round(cpu, 6),
-                    "sim_events": sim_events,
-                    "evaluations": evals,
-                },
-            )
-        if obs_doc is not None:
-            obs_docs[index] = obs_doc
         if telemetry is not None:
             telemetry.trials.append(
                 TrialRecord(
                     experiment=experiment_id,
                     fn=trials[index].fn_id,
                     seed=trials[index].seed,
-                    digest=(digests[index] or "")[:16],
-                    wall_s=round(wall, 6),
-                    cached=False,
-                    cpu_s=round(cpu, 6),
-                    sim_events=sim_events,
-                    evaluations=evals,
-                    obs_spans=len(obs_doc["spans"]) if obs_doc is not None else 0,
+                    digest=digests[index][:16],
+                    wall_s=cost.wall_s,
+                    cached=cached,
+                    cpu_s=cost.cpu_s,
+                    sim_events=cost.sim_events,
+                    evaluations=cost.evaluations,
+                    obs_spans=obs_spans,
+                    quarantined=quarantined,
                 )
             )
 
+    pending: list[int] = []
+    for i in range(len(trials)):
+        if cache is not None:
+            hit, value, cost = cache.load(digests[i])
+            if hit:
+                results[i] = value
+                _record(i, cost, cached=True)
+                continue
+        pending.append(i)
+    cache_hits = len(trials) - len(pending)
+
+    obs_docs: dict[int, dict[str, Any]] = {}
+
+    def _absorb(
+        index: int, value: Any, cost: TrialCost, obs_doc: dict[str, Any] | None
+    ) -> None:
+        results[index] = value
+        if cache is not None:
+            cache.store(digests[index], value, cost)
+        if obs_doc is not None:
+            obs_docs[index] = obs_doc
+        _record(index, cost, obs_spans=len(obs_doc["spans"]) if obs_doc else 0)
+
     quarantined: list[QuarantinedTask] = []
+    finished = False
     try:
         jobs = min(cfg.jobs, len(pending))
         if jobs > 1:
@@ -704,27 +693,17 @@ def run_sweep(
             for slot, value in zip(pending, batch):
                 if isinstance(value, QuarantinedTask):
                     quarantined.append(value)
-                    if telemetry is not None:
-                        telemetry.trials.append(
-                            TrialRecord(
-                                experiment=experiment_id,
-                                fn=trials[slot].fn_id,
-                                seed=trials[slot].seed,
-                                digest=(digests[slot] or "")[:16],
-                                wall_s=0.0,
-                                cached=False,
-                                quarantined=True,
-                            )
-                        )
+                    _record(slot, TrialCost(), quarantined=True)
         else:
             # the serial path runs in-process: chaos plans (worker-only by
             # design) never apply here, which is what makes it the clean
             # reference the chaos runs are compared against
             for i in pending:
                 _absorb(*_execute_indexed((i, trials[i])))
-    except KeyboardInterrupt:
-        # crash-safe exit: everything absorbed so far is already durable
-        # (cache entries + journal lines); flush partial telemetry too
+        finished = True
+    finally:
+        # everything absorbed so far is already in the cache; persist the
+        # partial telemetry of a sweep that died too
         if telemetry is not None:
             telemetry.record_sweep(
                 experiment=experiment_id,
@@ -733,14 +712,10 @@ def run_sweep(
                 cache_corrupt=cache.corrupt if cache is not None else 0,
                 jobs=cfg.jobs,
                 wall_s=time.perf_counter() - sweep_start,
-                resumed=resumed_trials,
-                interrupted=True,
+                quarantined=len(quarantined),
+                interrupted=not finished,
             )
             telemetry.flush()
-        raise
-    finally:
-        if journal is not None:
-            journal.close()
 
     session = current_obs()
     if session is not None:
@@ -751,26 +726,11 @@ def run_sweep(
             session.merge_child(obs_docs[i], prefix=f"{experiment_id}/t{i}")
         session.metrics.counter("sweep.trials").inc(len(trials))
         session.metrics.counter("sweep.cache_hits").inc(cache_hits)
-        session.metrics.counter("sweep.resumed_trials").inc(resumed_trials)
         if cache is not None:
             session.metrics.counter("sweep.cache_corrupt").inc(cache.corrupt)
 
-    if telemetry is not None:
-        telemetry.record_sweep(
-            experiment=experiment_id,
-            n_trials=len(trials),
-            cache_hits=cache_hits,
-            cache_corrupt=cache.corrupt if cache is not None else 0,
-            jobs=cfg.jobs,
-            wall_s=time.perf_counter() - sweep_start,
-            resumed=resumed_trials,
-            quarantined=len(quarantined),
-        )
-        telemetry.flush()
     if quarantined:
-        # every healthy trial completed (and is cached/journalled); the
-        # journal is kept so a re-run after fixing the poison resumes
+        # every healthy trial completed and is cached, so a re-run after
+        # fixing the poison recomputes only the poison trial
         raise QuarantineError(quarantined)
-    if journal is not None:
-        journal.complete()
     return results

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import REGISTRY, run_all, run_experiment
+from repro.experiments import REGISTRY, run_experiment
 from repro.experiments.table1 import SELF_ENTRY, TABLE1_LIBRARIES
 
 
@@ -17,10 +17,6 @@ class TestRegistry:
     def test_case_insensitive(self):
         rep = run_experiment("e1")
         assert rep.experiment_id == "E1"
-
-    def test_run_all_subset(self):
-        reports = run_all(quick=True, ids=["E1"])
-        assert len(reports) == 1
 
 
 class TestTable1Content:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -12,6 +13,7 @@ from repro.runtime.sweep import (
     SweepTelemetry,
     Trial,
     TrialCache,
+    TrialCost,
     canonical_params,
     current_config,
     kernel_digest,
@@ -19,6 +21,7 @@ from repro.runtime.sweep import (
     sweep_context,
     trial_digest,
 )
+from repro.verify.specs import exemplar_spec
 
 
 def _square(*, x: float, seed: int) -> float:
@@ -31,6 +34,14 @@ def _pair(*, a: int, b: int) -> tuple[int, int]:
 
 def _boom(*, seed: int) -> None:
     raise RuntimeError("trial failure must propagate")
+
+
+#: a stand-in measured cost for entries stored directly through the cache API
+COST = TrialCost(wall_s=0.25, cpu_s=0.2, sim_events=7, evaluations=11)
+
+
+def _best_fitness(result) -> float:
+    return float(result.best_fitness)
 
 
 def _spin(*, n: int, seed: int) -> int:
@@ -114,26 +125,26 @@ class TestTrialDigest:
 class TestTrialCache:
     def test_roundtrip(self, tmp_path):
         cache = TrialCache(tmp_path)
-        cache.store("ab" + "0" * 62, {"v": [1, 2.5, "x"]})
-        hit, value = cache.load("ab" + "0" * 62)
-        assert hit and value == {"v": [1, 2.5, "x"]}
+        cache.store("ab" + "0" * 62, {"v": [1, 2.5, "x"]}, COST)
+        hit, value, cost = cache.load("ab" + "0" * 62)
+        assert hit and value == {"v": [1, 2.5, "x"]} and cost == COST
         assert cache.hits == 1 and cache.corrupt == 0
 
     def test_missing_entry_is_miss(self, tmp_path):
         cache = TrialCache(tmp_path)
-        hit, value = cache.load("cd" + "1" * 62)
-        assert not hit and value is None
+        hit, value, cost = cache.load("cd" + "1" * 62)
+        assert not hit and value is None and cost is None
         assert cache.misses == 1
 
     def test_corrupt_payload_detected_and_recomputed(self, tmp_path):
         digest = "ef" + "2" * 62
         cache = TrialCache(tmp_path)
-        cache.store(digest, 12345)
+        cache.store(digest, 12345, COST)
         path = cache._path(digest)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF  # flip a payload byte -> checksum mismatch
         path.write_bytes(bytes(blob))
-        hit, value = cache.load(digest)
+        hit, value, _ = cache.load(digest)
         assert not hit and value is None
         assert cache.corrupt == 1
         # the orchestrator path: a corrupt entry is recomputed and rewritten
@@ -141,30 +152,44 @@ class TestTrialCache:
         trial = Trial(_square, dict(x=2.0), seed=1)
         real = trial_digest("EX", trial, quick=False)
         bad = TrialCache(tmp_path)
-        bad.store(real, "WRONG")
+        bad.store(real, "WRONG", COST)
         p = bad._path(real)
         raw = bytearray(p.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         p.write_bytes(bytes(raw))
         assert run_sweep("EX", [trial], config=cfg) == [5.0]
         fresh = TrialCache(tmp_path)
-        assert fresh.load(real) == (True, 5.0)
+        assert fresh.load(real)[:2] == (True, 5.0)
 
     def test_truncated_entry_is_corrupt(self, tmp_path):
         digest = "aa" + "3" * 62
         cache = TrialCache(tmp_path)
-        cache.store(digest, [1, 2, 3])
+        cache.store(digest, [1, 2, 3], COST)
         path = cache._path(digest)
         path.write_bytes(path.read_bytes()[:10])
-        hit, _ = cache.load(digest)
+        hit, _, _ = cache.load(digest)
         assert not hit and cache.corrupt == 1
+
+    def test_entry_without_cost_is_a_miss(self, tmp_path):
+        # a checksummed entry of the old format (RSWEEP1, bare result) and
+        # a current-magic entry holding a bare result both read as misses
+        cache = TrialCache(tmp_path)
+        payload = pickle.dumps(5.0)
+        header = hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n"
+        for i, magic in enumerate((b"RSWEEP1\n", sweep_mod._MAGIC)):
+            digest = f"{i:02d}" + "5" * 62
+            path = cache._path(digest)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(magic + header + payload)
+            assert cache.load(digest) == (False, None, None)
+        assert cache.corrupt == 2
 
 
 class TestTrialCacheTempHygiene:
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache = TrialCache(tmp_path)
         for i in range(3):
-            cache.store(f"{i:02d}" + "0" * 62, i)
+            cache.store(f"{i:02d}" + "0" * 62, i, COST)
         assert list(tmp_path.glob("*/*.tmp.*")) == []
 
     def test_failed_store_unlinks_its_temp(self, tmp_path, monkeypatch):
@@ -177,7 +202,7 @@ class TestTrialCacheTempHygiene:
 
         monkeypatch.setattr(os_mod, "replace", _boom)
         with pytest.raises(OSError, match="disk full"):
-            cache.store("ab" + "0" * 62, 1)
+            cache.store("ab" + "0" * 62, 1, COST)
         assert list(tmp_path.glob("*/*.tmp.*")) == []
 
     def test_stale_temp_from_dead_writer_swept_on_open(self, tmp_path):
@@ -211,8 +236,8 @@ class TestTrialCacheTempHygiene:
 
     def test_finished_entries_untouched_by_sweep(self, tmp_path):
         digest = "ab" + "4" * 62
-        TrialCache(tmp_path).store(digest, "keep me")
-        assert TrialCache(tmp_path).load(digest) == (True, "keep me")
+        TrialCache(tmp_path).store(digest, "keep me", COST)
+        assert TrialCache(tmp_path).load(digest) == (True, "keep me", COST)
 
 
 class TestRunSweep:
@@ -239,6 +264,29 @@ class TestRunSweep:
         assert cold == warm
         assert all(t.cached for t in warm_cfg.telemetry.trials)
         assert not any(t.cached for t in cfg.telemetry.trials)
+
+    def test_warm_hit_reports_the_cold_run_cost(self, tmp_path):
+        trials = [
+            Trial(_best_fitness, spec=exemplar_spec("sim-master-slave", seed=s))
+            for s in range(2)
+        ]
+        cold = SweepTelemetry()
+        run_sweep("EX", trials, config=SweepConfig(cache_dir=tmp_path, telemetry=cold))
+        warm = SweepTelemetry()
+        run_sweep("EX", trials, config=SweepConfig(cache_dir=tmp_path, telemetry=warm))
+
+        def cost(rec):
+            return rec.digest, rec.wall_s, rec.cpu_s, rec.sim_events, rec.evaluations
+
+        assert all(t.cached for t in warm.trials)
+        assert [cost(t) for t in warm.trials] == [cost(t) for t in cold.trials]
+        assert all(t.cpu_s > 0.0 and t.sim_events > 0 for t in warm.trials)
+        assert all(t.evaluations > 0 for t in warm.trials)
+        # totals count the work this run did: the hits cost nothing now
+        totals = warm.totals()
+        assert totals["cache_hits"] == len(trials)
+        assert totals["trial_wall_s"] == totals["trial_cpu_s"] == 0.0
+        assert totals["sim_events"] == totals["evaluations"] == 0
 
     def test_kernel_digest_change_invalidates(self, tmp_path, monkeypatch):
         trials = [Trial(_square, dict(x=2.0), seed=0)]
@@ -306,12 +354,11 @@ class TestSweepContext:
         assert cfg.jobs == 1 and cfg.cache_dir is None
 
     def test_context_installs_and_restores(self, tmp_path):
-        with sweep_context(jobs=3, cache_dir=tmp_path) as cfg:
-            assert current_config() is cfg
-            assert cfg.jobs == 3
+        config = SweepConfig(jobs=3, cache_dir=tmp_path)
+        with sweep_context(config) as cfg:
+            assert current_config() is cfg is config
         assert current_config().jobs == 1
 
     def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            with sweep_context(jobs=0):
-                pass
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            SweepConfig(jobs=0)

@@ -1,13 +1,14 @@
-"""Integration tests: sweeps under chaos, quarantine, crash resume, interrupt.
+"""Integration tests: sweeps under chaos, quarantine, crash restart, interrupt.
 
 These drive :func:`repro.runtime.sweep.run_sweep` end-to-end through the
-supervised fork pool with deterministic fault plans, and exercise the
-crash-safe journal with a real SIGKILLed orchestrator process.
+supervised fork pool with deterministic fault plans, and restart killed
+sweeps — including a real SIGKILLed orchestrator process — from the
+trial cache alone.
 
 The trial functions read environment variables to decide whether to
 fail or how long to sleep — deliberately: the environment is *not* part
-of a trial's content digest, so a "crashed" run and its "fixed" resume
-run address the same cache entries, exactly like a real crash/restart.
+of a trial's content digest, so a "crashed" run and its "fixed" re-run
+address the same cache entries, exactly like a real crash/restart.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import pytest
 
 from repro.obs import obs_session
 from repro.runtime.chaos import ChaosPlan
-from repro.runtime.journal import SweepJournal
 from repro.runtime.resilient import QuarantineError, ResilienceConfig
 from repro.runtime.sweep import (
     SweepConfig,
     SweepTelemetry,
     Trial,
     TrialCache,
+    TrialCost,
     run_sweep,
     trial_digest,
 )
@@ -73,12 +74,37 @@ def _trials(fn, n: int = 6) -> list[Trial]:
     return [Trial(fn, dict(x=i), seed=i) for i in range(n)]
 
 
+def _finished(cache_dir, experiment_id: str, trials: list[Trial]) -> dict:
+    """The cost stored with each finished trial's cache entry, by digest."""
+    cache = TrialCache(cache_dir)
+    finished = {}
+    for trial in trials:
+        digest = trial_digest(experiment_id, trial, quick=False)
+        hit, _, cost = cache.load(digest)
+        if hit:
+            finished[digest[:16]] = cost
+    return finished
+
+
+def _cost(record) -> TrialCost:
+    return TrialCost(record.wall_s, record.cpu_s, record.sim_events, record.evaluations)
+
+
+def _record_costs(telemetry: SweepTelemetry, *, cached: bool = True) -> dict:
+    """The cost each cache hit (or executed trial) of a sweep reported, by digest."""
+    return {
+        t.digest: _cost(t)
+        for t in telemetry.trials
+        if t.cached == cached and not t.quarantined
+    }
+
+
 def _crash_child(cache_dir: str) -> None:
     """Entry point for the SIGKILL test's victim orchestrator process."""
     run_sweep(
         "EKILL",
         _trials(_slow_square),
-        config=SweepConfig(cache_dir=cache_dir, resume=True),
+        config=SweepConfig(cache_dir=cache_dir),
     )
 
 
@@ -134,9 +160,7 @@ class TestQuarantine:
         plan = ChaosPlan({(1, 0): "raise", (1, 1): "raise"})
         res = ResilienceConfig(max_retries=1, chaos=plan, **FAST)
         tele = SweepTelemetry()
-        cfg = SweepConfig(
-            jobs=2, cache_dir=tmp_path, resume=True, telemetry=tele, resilience=res
-        )
+        cfg = SweepConfig(jobs=2, cache_dir=tmp_path, telemetry=tele, resilience=res)
         with pytest.raises(QuarantineError) as excinfo:
             run_sweep("EQ", trials, config=cfg)
         assert [q.key for q in excinfo.value.quarantined] == [1]
@@ -144,85 +168,71 @@ class TestQuarantine:
         # healthy trials completed and are durable; the poison one is not
         cache = TrialCache(tmp_path)
         assert [cache.load(d)[0] for d in digests] == [True, False, True, True]
-        # the journal survives a quarantined sweep so a fixed re-run resumes
-        journal_path = SweepJournal.path_for(tmp_path, "EQ", digests)
-        assert journal_path.exists()
         assert sum(1 for t in tele.trials if t.quarantined) == 1
         assert tele.sweeps[0]["quarantined"] == 1
 
-        # re-run without the fault: journalled trials resume, poison recomputes
+        # re-run without the fault: only the poison trial recomputes, and
+        # the healthy hits report what they cost in the quarantined sweep
         tele2 = SweepTelemetry()
         out = run_sweep(
             "EQ",
             trials,
-            config=SweepConfig(
-                jobs=2, cache_dir=tmp_path, resume=True, telemetry=tele2
-            ),
+            config=SweepConfig(jobs=2, cache_dir=tmp_path, telemetry=tele2),
         )
         assert out == [i * i + i for i in range(4)]
-        assert sum(1 for t in tele2.trials if t.resumed) == 3
-        assert not journal_path.exists()  # completed: nothing left to resume
+        assert [t.digest for t in tele2.trials if not t.cached] == [digests[1][:16]]
+        assert _record_costs(tele2) == _record_costs(tele, cached=False)
 
 
-class TestCrashResume:
-    def test_mid_sweep_error_then_resume_recomputes_nothing_journalled(
+class TestCrashRestart:
+    def test_mid_sweep_error_then_rerun_recomputes_no_finished_trial(
         self, tmp_path, monkeypatch
     ):
         trials = _trials(_gated_square)
-        digests = [trial_digest("ER", t, quick=False) for t in trials]
-        journal_path = SweepJournal.path_for(tmp_path, "ER", digests)
         monkeypatch.setenv(_FAIL_ENV, "3")
+        tele = SweepTelemetry()
         with pytest.raises(RuntimeError, match="injected failure"):
             run_sweep(
-                "ER", trials, config=SweepConfig(cache_dir=tmp_path, resume=True)
+                "ER", trials, config=SweepConfig(cache_dir=tmp_path, telemetry=tele)
             )
-        assert len(SweepJournal(journal_path).load()) == 3  # trials 0..2 landed
+        finished = _finished(tmp_path, "ER", trials)
+        assert len(finished) == 3  # trials 0..2 landed
+        assert tele.sweeps[0]["interrupted"] is True
 
         monkeypatch.delenv(_FAIL_ENV)
-        tele = SweepTelemetry()
-        with obs_session(label="resume-test") as session:
+        tele2 = SweepTelemetry()
+        with obs_session(label="restart-test") as session:
             out = run_sweep(
-                "ER",
-                trials,
-                config=SweepConfig(cache_dir=tmp_path, resume=True, telemetry=tele),
+                "ER", trials, config=SweepConfig(cache_dir=tmp_path, telemetry=tele2)
             )
         assert out == [i * i + i for i in range(6)]
-        resumed = [t for t in tele.trials if t.resumed]
-        assert len(resumed) == 3 and all(t.cached for t in resumed)
-        assert sum(1 for t in tele.trials if not t.cached) == 3
-        assert tele.sweeps[0]["resumed"] == 3
-        assert session.metrics.counter("sweep.resumed_trials").value == 3
-        assert not journal_path.exists()
+        assert _record_costs(tele2) == finished
+        assert sum(1 for t in tele2.trials if not t.cached) == 3
+        assert tele2.sweeps[0]["cache_hits"] == 3
+        assert session.metrics.counter("sweep.cache_hits").value == 3
 
-    def test_journal_carries_cpu_time_into_resumed_records(
-        self, tmp_path, monkeypatch
-    ):
+    def test_cache_hit_carries_the_killed_run_cost(self, tmp_path, monkeypatch):
         trials = _trials(_gated_square)
-        digests = [trial_digest("EC", t, quick=False) for t in trials]
-        journal_path = SweepJournal.path_for(tmp_path, "EC", digests)
         monkeypatch.setenv(_FAIL_ENV, "2")
+        tele = SweepTelemetry()
         with pytest.raises(RuntimeError, match="injected failure"):
             run_sweep(
-                "EC", trials, config=SweepConfig(cache_dir=tmp_path, resume=True)
+                "EC", trials, config=SweepConfig(cache_dir=tmp_path, telemetry=tele)
             )
-        records = SweepJournal(journal_path).load()
-        assert len(records) == 2
-        assert all(rec["cpu_s"] >= 0.0 for rec in records.values())
+        measured = _record_costs(tele, cached=False)
+        assert len(measured) == 2
+        assert all(cost.cpu_s >= 0.0 for cost in measured.values())
+        assert _finished(tmp_path, "EC", trials) == measured
 
         monkeypatch.delenv(_FAIL_ENV)
-        tele = SweepTelemetry()
-        run_sweep(
-            "EC",
-            trials,
-            config=SweepConfig(cache_dir=tmp_path, resume=True, telemetry=tele),
-        )
-        restored = {t.digest: t.cpu_s for t in tele.trials if t.resumed}
-        assert restored == {d[:16]: rec["cpu_s"] for d, rec in records.items()}
+        tele2 = SweepTelemetry()
+        run_sweep("EC", trials, config=SweepConfig(cache_dir=tmp_path, telemetry=tele2))
+        assert _record_costs(tele2) == measured
 
-    def test_sigkilled_orchestrator_resumes_from_journal(self, tmp_path, monkeypatch):
+    def test_sigkilled_orchestrator_rerun_recomputes_no_finished_trial(
+        self, tmp_path, monkeypatch
+    ):
         trials = _trials(_slow_square)
-        digests = [trial_digest("EKILL", t, quick=False) for t in trials]
-        journal_path = SweepJournal.path_for(tmp_path, "EKILL", digests)
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -237,7 +247,7 @@ class TestCrashResume:
         try:
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
-                if len(SweepJournal(journal_path).load()) >= 2:
+                if len(_finished(tmp_path, "EKILL", trials)) >= 2:
                     break
                 if child.poll() is not None:
                     break
@@ -247,53 +257,55 @@ class TestCrashResume:
         finally:
             child.wait(timeout=30)
 
-        completed = len(SweepJournal(journal_path).load())
-        assert 2 <= completed < len(trials)
+        # the entry's atomic rename is the commit point: what is on disk
+        # after the kill is exactly the set of finished trials
+        finished = _finished(tmp_path, "EKILL", trials)
+        assert 2 <= len(finished) < len(trials)
 
         monkeypatch.setenv(_SLEEP_ENV, "0")
         tele = SweepTelemetry()
         out = run_sweep(
             "EKILL",
             trials,
-            config=SweepConfig(cache_dir=tmp_path, resume=True, telemetry=tele),
+            config=SweepConfig(cache_dir=tmp_path, telemetry=tele),
         )
         assert out == [i * i + i for i in range(len(trials))]
-        # every journalled trial is served from the cache, recomputing zero
-        resumed = [t for t in tele.trials if t.resumed]
-        assert len(resumed) == completed and all(t.cached for t in resumed)
-        # a kill between cache.store and journal.append can leave at most
-        # unjournalled cache hits — never a journalled recompute
-        assert sum(1 for t in tele.trials if not t.cached) <= len(trials) - completed
-        assert not journal_path.exists()
+        # every trial that finished before the kill is served from the
+        # cache with the killed run's cost, recomputing zero of them
+        assert _record_costs(tele) == finished
+        recomputed = {t.digest for t in tele.trials if not t.cached}
+        assert not recomputed & finished.keys()
+        assert len(recomputed) == len(trials) - len(finished)
 
 
 class TestKeyboardInterrupt:
-    def test_interrupt_flushes_journal_and_telemetry(self, tmp_path, monkeypatch):
+    def test_interrupt_flushes_telemetry_and_keeps_finished_trials(
+        self, tmp_path, monkeypatch
+    ):
         bench = tmp_path / "bench.json"
         cache_dir = tmp_path / "cache"
         trials = _trials(_interrupting_square, 4)
-        digests = [trial_digest("EKI", t, quick=False) for t in trials]
-        journal_path = SweepJournal.path_for(cache_dir, "EKI", digests)
         tele = SweepTelemetry(autoflush_path=bench)
         monkeypatch.setenv(_FAIL_ENV, "2")
         with pytest.raises(KeyboardInterrupt):
             run_sweep(
                 "EKI",
                 trials,
-                config=SweepConfig(cache_dir=cache_dir, resume=True, telemetry=tele),
+                config=SweepConfig(cache_dir=cache_dir, telemetry=tele),
             )
         # partial telemetry hit the disk before the interrupt propagated
         doc = json.loads(bench.read_text())
         assert doc["sweeps"][0]["interrupted"] is True
         assert doc["totals"]["trials"] == 2
-        assert len(SweepJournal(journal_path).load()) == 2
+        finished = _finished(cache_dir, "EKI", trials)
+        assert len(finished) == 2
 
         monkeypatch.delenv(_FAIL_ENV)
         tele2 = SweepTelemetry()
         out = run_sweep(
             "EKI",
             trials,
-            config=SweepConfig(cache_dir=cache_dir, resume=True, telemetry=tele2),
+            config=SweepConfig(cache_dir=cache_dir, telemetry=tele2),
         )
         assert out == [i * i + i for i in range(4)]
-        assert sum(1 for t in tele2.trials if t.resumed) == 2
+        assert _record_costs(tele2) == finished

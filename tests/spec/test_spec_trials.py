@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.runtime.sweep import Trial, run_sweep, sweep_context, trial_digest
+from repro.runtime.sweep import (
+    SweepConfig,
+    SweepTelemetry,
+    Trial,
+    run_sweep,
+    sweep_context,
+    trial_digest,
+)
 from repro.spec import EngineSpec, ProblemSpec, RunSpec
 
 SPEC = RunSpec(
@@ -86,12 +93,11 @@ class TestTrialDigest:
 class TestWarmCache:
     def test_spec_backed_sweep_rehits_100_percent(self, tmp_path):
         trials = [Trial(extract_best, spec=_spec(seed=s)) for s in range(4)]
-        with sweep_context(cache_dir=tmp_path) as cfg:
+        with sweep_context(SweepConfig(cache_dir=tmp_path)) as cfg:
             cold = run_sweep("EX", trials, quick=True, config=cfg)
-        from repro.runtime.sweep import SweepTelemetry
-
         telemetry = SweepTelemetry()
-        with sweep_context(cache_dir=tmp_path, telemetry=telemetry) as cfg:
+        warm_config = SweepConfig(cache_dir=tmp_path, telemetry=telemetry)
+        with sweep_context(warm_config) as cfg:
             warm = run_sweep("EX", trials, quick=True, config=cfg)
         assert warm == cold
         assert telemetry.totals()["cache_hits"] == len(trials)
@@ -101,7 +107,7 @@ class TestWarmCache:
             Trial(extract_best, spec=_spec()),
             Trial(raw_case, dict(x=10), seed=1),
         ]
-        with sweep_context(cache_dir=tmp_path) as cfg:
+        with sweep_context(SweepConfig(cache_dir=tmp_path)) as cfg:
             first = run_sweep("EX", trials, quick=True, config=cfg)
-        with sweep_context(cache_dir=tmp_path) as cfg:
+        with sweep_context(SweepConfig(cache_dir=tmp_path)) as cfg:
             assert run_sweep("EX", trials, quick=True, config=cfg) == first
