@@ -63,8 +63,8 @@ copy-pasted per engine, and this check keeps them centralised:
 8. **Columnar traces.**  ``Trace.events`` is a lazily rebuilt read-only
    view over interned columnar storage — mutating the returned list
    (``trace.events.append(...)``, ``trace.events[...] = ...``,
-   ``trace.events = ...``) silently bypasses the incremental digest, the
-   per-kind indexes and the listener seam.  Events enter a trace through
+   ``trace.events = ...``) silently bypasses the incremental digest and
+   the per-kind indexes.  Events enter a trace through
    ``Trace.record`` only; no module outside ``repro/cluster/`` may
    mutate an ``.events`` attribute.
 
@@ -77,8 +77,10 @@ copy-pasted per engine, and this check keeps them centralised:
    ``ENGINE_REGISTRY`` / ``EngineInfo``, ``SerialExecutor``, or the
    fuzzer's second run format and its checkers ``ReplaySpec``,
    ``run_replay``, ``fuzz_specs`` and ``EngineAudit``, the sweep resume
-   journal ``SweepJournal`` and ``run_all``, or the fitness memo-cache
-   ``FitnessCache`` / ``MemoizingEvaluator``; no module under
+   journal ``SweepJournal`` and ``run_all``, the fitness memo-cache
+   ``FitnessCache`` / ``MemoizingEvaluator``, the in-line trace checker
+   ``TraceChecker`` / ``InvariantViolation``, or the wall-clock backoff
+   span ``_record_backoff_span``; no module under
    ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
@@ -88,8 +90,10 @@ copy-pasted per engine, and this check keeps them centralised:
    ``SerialEvaluator`` is the one serial evaluator, and
    ``repro-runspec/v1`` documents checked by
    ``repro.verify.specs.check_spec`` are the one replayable run format,
-   and the ``TrialCache`` entry (result + measured ``TrialCost``) is the
-   one per-trial sweep record, configured by one ``SweepConfig``.
+   the ``TrialCache`` entry (result + measured ``TrialCost``) is the
+   one per-trial sweep record, configured by one ``SweepConfig``,
+   ``check_trace`` checks trace invariants post-hoc only, and spans run
+   on simulated time only.
 
 Run from the repository root::
 
@@ -397,7 +401,7 @@ def lint_trace_events_file(path: Path) -> list[str]:
                 f"mutation {offence} — events enter a Trace through "
                 "Trace.record() only (the .events view is rebuilt from "
                 "columnar storage and feeds neither the digest nor the "
-                "listeners)"
+                "per-kind indexes)"
             )
     return problems
 
@@ -424,6 +428,10 @@ _MEMO = (
     "retired fitness memo-cache — it changed evaluation counts and no "
     "caller used it"
 )
+_INLINE = (
+    "retired in-line trace checker — repro.verify.invariants.check_trace "
+    "checks invariants post-hoc only"
+)
 
 #: names rule 9 forbids defining, assigning or importing anywhere under
 #: repro/, with the reason printed for each
@@ -446,6 +454,12 @@ _RETIRED_NAMES = {
     "run_all": _SWEEP,
     "FitnessCache": _MEMO,
     "MemoizingEvaluator": _MEMO,
+    "TraceChecker": _INLINE,
+    "InvariantViolation": _INLINE,
+    "_record_backoff_span": (
+        "retired wall-clock span — spans run on simulated time only; a "
+        "retry's backoff is backoff_delay(config, key, attempt)"
+    ),
 }
 
 #: names rule 9 additionally forbids under repro/parallel/

@@ -29,10 +29,9 @@ Retention modes bound memory and transport cost (``docs/tracing.md``):
 ``digest-only``
     keep nothing but the digest and counts.
 
-In every mode the digest covers *all* events, listeners observe *all*
-events, and ``count``/``kinds``/``len`` stay exact; only post-hoc event
-queries (``of_kind`` on a discarded kind, ``events``, iteration) raise
-:class:`TraceRetentionError`.
+In every mode the digest covers *all* events and ``count``/``kinds``/``len``
+stay exact; only post-hoc event queries (``of_kind`` on a discarded kind,
+``events``, iteration) raise :class:`TraceRetentionError`.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .canon import _FLOAT_REPRS, _NAME_ORDERS, _float_repr, _norm, canonical_line
 
@@ -131,13 +130,8 @@ class TraceSummary:
 class Trace:
     """Append-only event log over interned columnar storage.
 
-    Listeners registered with :meth:`attach` observe every event as it is
-    recorded — the seam in-line invariant checkers
-    (:class:`repro.verify.invariants.TraceChecker`) hook into, so a
-    violation can surface at the moment it happens instead of post-hoc.
-    Dispatch snapshots the listener list per event, so a listener may
-    attach or detach others (or itself) from inside its callback without
-    skipping or double-firing its neighbours.
+    Invariants are checked post-hoc on the finished trace
+    (:func:`repro.verify.invariants.check_trace`).
 
     ``retention`` defaults to the ambient mode (see :func:`trace_retention`;
     ``full`` unless overridden).  ``retained_kinds`` customises which kinds
@@ -147,7 +141,6 @@ class Trace:
     __slots__ = (
         "retention",
         "retained_kinds",
-        "_listeners",
         "_kind_ids",      # kind -> interned id
         "_kind_names",    # id -> kind
         "_counts",        # id -> events observed (all modes, exact)
@@ -181,7 +174,6 @@ class Trace:
             )
         else:
             self.retained_kinds = frozenset()
-        self._listeners: list[Callable[[TraceEvent], None]] = []
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
         self._counts: list[int] = []
@@ -198,15 +190,6 @@ class Trace:
         self._events_cache: list[TraceEvent] | None = None
         self._last_time: Any = _NO_TIME
         self._last_tn = ""
-
-    # -- listeners ---------------------------------------------------------------
-    def attach(self, listener: Callable[[TraceEvent], None]) -> Callable[[TraceEvent], None]:
-        """Register a callable invoked with each newly recorded event."""
-        self._listeners.append(listener)
-        return listener
-
-    def detach(self, listener: Callable[[TraceEvent], None]) -> None:
-        self._listeners.remove(listener)
 
     # -- recording ---------------------------------------------------------------
     def record(self, time: float, kind: str, **fields: Any) -> None:
@@ -289,11 +272,6 @@ class Trace:
             self._names_col.append(interned)
             self._values_col.append(tuple(fields.values()))
             self._events_cache = None
-        if self._listeners:
-            event = TraceEvent(time=time, kind=kind, fields=fields)
-            # snapshot: callbacks may attach/detach listeners mid-dispatch
-            for listener in tuple(self._listeners):
-                listener(event)
 
     def generation(
         self,
@@ -346,7 +324,7 @@ class Trace:
         """The full event list, rebuilt lazily (and cached) as views.
 
         Treat it as read-only: mutating the returned list never feeds the
-        digest, the indexes or the listeners (lint rule 8 rejects direct
+        digest or the indexes (lint rule 8 rejects direct
         ``.events`` mutation outside ``repro/cluster/``)."""
         if self.retained_kinds is not None:
             raise TraceRetentionError(
@@ -393,8 +371,7 @@ class Trace:
             slot: getattr(self, slot)
             for slot in self.__slots__
             if slot not in (
-                "_sha", "_pending", "_listeners", "_frozen_digest",
-                "_last_time", "_last_tn",
+                "_sha", "_pending", "_frozen_digest", "_last_time", "_last_tn",
             )
         }
         state["_digest"] = self.digest_hex()
@@ -404,7 +381,6 @@ class Trace:
         digest = state.pop("_digest")
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
-        self._listeners = []  # callables don't transport; checkers re-attach
         self._pending = []
         self._sha = hashlib.sha256()
         self._last_time = _NO_TIME

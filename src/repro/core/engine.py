@@ -305,23 +305,13 @@ class GenerationalEngine(EvolutionEngine):
     def _advance_vectorized(self) -> None:
         assert self.population is not None
         cfg = self.config
-        obs = current_obs()
-        t0 = obs.wall_now() if obs is not None else 0.0
         n = len(self.population)
         needed = n - min(cfg.elitism, n)
         fits = self.population.fitness_array()
         parent_idx = self._select_indices(fits, needed + needed % 2)
         offspring = self._vector_offspring(parent_idx, needed)
+        obs = current_obs()
         if obs is not None:
-            obs.spans.record(
-                "variation",
-                t0,
-                obs.wall_now(),
-                clock="wall",
-                track="variation",
-                engine="generational",
-                offspring=needed,
-            )
             obs.metrics.counter("variation.offspring_vectorized").inc(needed)
         self._evaluate(offspring)
         elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
@@ -366,33 +356,17 @@ class SteadyStateEngine(EvolutionEngine):
     def _advance_vectorized(self) -> None:
         assert self.population is not None
         cfg = self.config
-        obs = current_obs()
         births_per_generation = len(self.population)
         born = 0
-        spent = 0.0
         while born < births_per_generation:
             k = min(cfg.offspring_per_step, births_per_generation - born)
-            t0 = obs.wall_now() if obs is not None else 0.0
             fits = self.population.fitness_array()
             parent_idx = self._select_indices(fits, 2)
             batch = self._vector_offspring(parent_idx, k)
-            if obs is not None:
-                spent += obs.wall_now() - t0
             self._evaluate(batch)
             for child in batch:
                 cfg.replacement(self.rng, self.population, child)
             born += k
+        obs = current_obs()
         if obs is not None:
-            # one aggregated span per generation: duration = the summed
-            # variation fragments of all steady-state steps
-            now = obs.wall_now()
-            obs.spans.record(
-                "variation",
-                now - spent,
-                now,
-                clock="wall",
-                track="variation",
-                engine="steady-state",
-                offspring=born,
-            )
             obs.metrics.counter("variation.offspring_vectorized").inc(born)

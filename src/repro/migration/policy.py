@@ -44,17 +44,14 @@ class MigrationPolicy:
         ``"random"``, ``"worst-if-better"`` (only accept improving
         immigrants), ``"similar"`` (displace the genotypically closest —
         crowding-flavoured).
-    copy:
-        If True (pollination model) the emigrant also stays home; if False
-        it genuinely leaves (the island keeps its size by back-filling with
-        the immigrant flow, so we always copy in practice — the flag only
-        affects whether the source deme *also* keeps its copy).
+
+    Emigrants are copies: the source deme keeps its own (pollination
+    model).
     """
 
     rate: int = 1
     selection: MigrantSelection = "best"
     replacement: ImmigrantReplacement = "worst-if-better"
-    copy: bool = True
 
     def __post_init__(self) -> None:
         if self.rate < 0:

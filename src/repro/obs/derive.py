@@ -52,10 +52,6 @@ SPAN_PHASES: dict[str, str] = {
 }
 
 
-def _sim_spans(spans: Iterable[SpanRecord]) -> list[SpanRecord]:
-    return [s for s in spans if s.clock == "sim"]
-
-
 def phase_of(span: SpanRecord) -> str:
     return SPAN_PHASES.get(span.name, "other")
 
@@ -64,7 +60,7 @@ def phase_times(spans: Iterable[SpanRecord]) -> dict[str, float]:
     """Total sim-time per phase (frame spans excluded — they contain
     the others and would double count)."""
     totals: dict[str, float] = {}
-    for span in _sim_spans(spans):
+    for span in spans:
         phase = phase_of(span)
         if phase == "frame":
             continue
@@ -88,8 +84,7 @@ def comm_fraction(spans: Iterable[SpanRecord]) -> float:
 
 def sim_horizon(spans: Iterable[SpanRecord]) -> float:
     """Latest sim-time any span reaches (the timeline's right edge)."""
-    sim = _sim_spans(spans)
-    return max((s.t1 for s in sim), default=0.0)
+    return max((s.t1 for s in spans), default=0.0)
 
 
 def busy_time_by_track(
@@ -97,7 +92,7 @@ def busy_time_by_track(
 ) -> dict[str, float]:
     """Per-track sum of leaf-span durations in the given phases."""
     busy: dict[str, float] = {}
-    for span in _sim_spans(spans):
+    for span in spans:
         if phase_of(span) not in phases:
             continue
         busy[span.track] = busy.get(span.track, 0.0) + span.duration

@@ -5,8 +5,8 @@ Three consumers, three formats:
 * :func:`timeline_doc` / :func:`write_timeline` — the canonical per-run
   JSON document (``--obs-out``): spans, session metrics, per-run report
   metrics and the derived paper metrics, under the versioned schema
-  ``repro-obs-timeline/v1``.  :func:`repro.obs.validate.check_timeline`
-  validates this shape.
+  ``repro-obs-timeline/v2`` (v1 spans also carried a ``clock`` key).
+  :func:`repro.obs.validate.check_timeline` validates this shape.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome trace
   event format (``--obs-trace``): load the file in ``chrome://tracing``
   or Perfetto for a flamegraph.  Sim seconds are mapped to microseconds
@@ -33,7 +33,7 @@ __all__ = [
     "write_timeline",
 ]
 
-TIMELINE_SCHEMA = "repro-obs-timeline/v1"
+TIMELINE_SCHEMA = "repro-obs-timeline/v2"
 
 
 def timeline_doc(session: ObsSession) -> dict[str, Any]:
@@ -68,7 +68,7 @@ def chrome_trace(session: ObsSession) -> dict[str, Any]:
         events.append(
             {
                 "name": span.name,
-                "cat": span.clock,
+                "cat": "sim",
                 "ph": "X",
                 "ts": span.t0 * 1e6,  # sim seconds -> trace microseconds
                 "dur": span.duration * 1e6,

@@ -90,7 +90,6 @@ def _span_from_dict(span: dict[str, Any], id_base: int, prefix: str) -> SpanReco
         track=f"{prefix}/{span['track']}",
         t0=span["t0"],
         t1=span["t1"],
-        clock=span.get("clock", "sim"),
         attrs=dict(span.get("attrs", {})),
     )
 

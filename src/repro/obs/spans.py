@@ -1,10 +1,12 @@
-"""Span recording: nested sim-time/wall-time intervals on named tracks.
+"""Span recording: nested simulated-time intervals on named tracks.
 
-A *span* is a closed interval ``[t0, t1]`` on one clock (``"sim"`` for
-simulated cluster time, ``"wall"`` for host time) attached to a *track* —
-one lane of the run's timeline, e.g. ``deme-3``, ``slave-2``,
-``supervisor``.  Spans on the same track must nest properly: a child is
-fully contained in its parent, and siblings never partially overlap.
+A *span* is a closed interval ``[t0, t1]`` of simulated cluster time
+attached to a *track* — one lane of the run's timeline, e.g. ``deme-3``,
+``slave-2``, ``supervisor``.  Host time is not a span: it is measured
+per trial by the sweep (``BENCH_sweep.json``) and per layer by the
+suite-wide layer tracer (``BENCH_layers.json``).  Spans on the same
+track must nest properly: a child is fully contained in its parent, and
+siblings never partially overlap.
 That discipline is what makes the phase-resolved derivations in
 :mod:`repro.obs.derive` meaningful (summing leaf durations never double
 counts) and is machine-checked by :func:`repro.obs.validate.check_spans`.
@@ -40,7 +42,6 @@ class SpanRecord:
     track: str
     t0: float
     t1: float
-    clock: str = "sim"
     attrs: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -53,7 +54,6 @@ class SpanRecord:
             "parent_id": self.parent_id,
             "name": self.name,
             "track": self.track,
-            "clock": self.clock,
             "t0": self.t0,
             "t1": self.t1,
             "attrs": dict(self.attrs),
@@ -69,17 +69,16 @@ class SpanHandle:
     name: str
     track: str
     t0: float
-    clock: str
     attrs: dict[str, Any]
     closed: bool = False
 
 
 class SpanRecorder:
-    """Collects spans; keeps one open-span stack per ``(clock, track)``."""
+    """Collects spans; keeps one open-span stack per track."""
 
     def __init__(self) -> None:
         self.spans: list[SpanRecord] = []
-        self._stacks: dict[tuple[str, str], list[SpanHandle]] = {}
+        self._stacks: dict[str, list[SpanHandle]] = {}
         self._next_id = 0
 
     def __len__(self) -> int:
@@ -92,8 +91,8 @@ class SpanRecorder:
         self._next_id += 1
         return self._next_id
 
-    def _stack(self, clock: str, track: str) -> list[SpanHandle]:
-        return self._stacks.setdefault((clock, track), [])
+    def _stack(self, track: str) -> list[SpanHandle]:
+        return self._stacks.setdefault(track, [])
 
     def begin(
         self,
@@ -101,11 +100,10 @@ class SpanRecorder:
         *,
         t0: float,
         track: str = "main",
-        clock: str = "sim",
         **attrs: Any,
     ) -> SpanHandle:
         """Open a span; its parent is the innermost open span on the track."""
-        stack = self._stack(clock, track)
+        stack = self._stack(track)
         parent = stack[-1].span_id if stack else None
         handle = SpanHandle(
             span_id=self._issue_id(),
@@ -113,7 +111,6 @@ class SpanRecorder:
             name=name,
             track=track,
             t0=t0,
-            clock=clock,
             attrs=dict(attrs),
         )
         stack.append(handle)
@@ -123,7 +120,7 @@ class SpanRecorder:
         """Close ``handle`` (and any forgotten children still open inside it)."""
         if handle.closed:
             return None
-        stack = self._stack(handle.clock, handle.track)
+        stack = self._stack(handle.track)
         # close dangling descendants at the same instant so nesting holds
         while stack and stack[-1] is not handle:
             self._close(stack.pop(), t1)
@@ -140,7 +137,6 @@ class SpanRecorder:
             track=handle.track,
             t0=handle.t0,
             t1=max(t1, handle.t0),
-            clock=handle.clock,
             attrs=handle.attrs,
         )
         self.spans.append(record)
@@ -153,11 +149,10 @@ class SpanRecorder:
         t1: float,
         *,
         track: str = "main",
-        clock: str = "sim",
         **attrs: Any,
     ) -> SpanRecord:
         """Record an already-closed interval under the innermost open span."""
-        stack = self._stack(clock, track)
+        stack = self._stack(track)
         parent = stack[-1].span_id if stack else None
         record = SpanRecord(
             span_id=self._issue_id(),
@@ -166,7 +161,6 @@ class SpanRecorder:
             track=track,
             t0=t0,
             t1=max(t1, t0),
-            clock=clock,
             attrs=dict(attrs),
         )
         self.spans.append(record)
@@ -183,15 +177,11 @@ class SpanRecorder:
         latest recorded end so a crash does not stretch the timeline.
         """
         closed = 0
-        for (clock, track), stack in self._stacks.items():
+        for track, stack in self._stacks.items():
             if not stack:
                 continue
             if t1 is None:
-                ends = [
-                    s.t1
-                    for s in self.spans
-                    if s.clock == clock and s.track == track
-                ]
+                ends = [s.t1 for s in self.spans if s.track == track]
                 cut = max(ends) if ends else max(h.t0 for h in stack)
             else:
                 cut = t1

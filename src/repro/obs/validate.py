@@ -3,14 +3,14 @@
 The observability layer earns its keep only if its output is trustworthy,
 so it gets the same treatment as the engines: machine-checked invariants.
 
-* :func:`check_spans` — on every ``(clock, track)`` lane, spans must
-  *nest*: a span is either disjoint from another or fully contains it
-  (endpoints may touch).  Within one lane, sibling start times are
-  monotone.  Declared parents must contain their children.
+* :func:`check_spans` — on every track, spans must *nest*: a span is
+  either disjoint from another or fully contains it (endpoints may
+  touch).  Within one lane, sibling start times are monotone.  Declared
+  parents must contain their children.
 * :func:`check_generation_coverage` — every ``generation`` event an
-  engine emitted into the cluster trace must fall inside some sim-clock
-  span: the timeline accounts for all recorded progress.  Vacuous when
-  the run produced no spans (untimed engines).
+  engine emitted into the cluster trace must fall inside some span: the
+  timeline accounts for all recorded progress.  Vacuous when the run
+  produced no spans (untimed engines).
 * :func:`check_metrics` / :func:`check_timeline` — schema checks for
   the ``RunReport.metrics`` snapshot and exported timeline documents.
 
@@ -40,7 +40,7 @@ def check_spans(spans: Iterable[SpanRecord]) -> list[str]:
     spans = list(spans)
     problems: list[str] = []
     by_id: dict[int, SpanRecord] = {}
-    lanes: dict[tuple[str, str], list[SpanRecord]] = {}
+    lanes: dict[str, list[SpanRecord]] = {}
     for span in spans:
         if span.span_id in by_id:
             problems.append(f"duplicate span_id {span.span_id}")
@@ -54,7 +54,7 @@ def check_spans(spans: Iterable[SpanRecord]) -> list[str]:
                 f" [{span.t0}, {span.t1}]"
             )
             continue
-        lanes.setdefault((span.clock, span.track), []).append(span)
+        lanes.setdefault(span.track, []).append(span)
 
     # parent containment (same lane, child inside parent)
     for span in spans:
@@ -66,7 +66,7 @@ def check_spans(spans: Iterable[SpanRecord]) -> list[str]:
                 f"span {span.span_id} ({span.name}) has unknown parent"
                 f" {span.parent_id}"
             )
-        elif (parent.clock, parent.track) != (span.clock, span.track):
+        elif parent.track != span.track:
             problems.append(
                 f"span {span.span_id} ({span.name}) and parent {parent.span_id}"
                 f" live on different tracks"
@@ -79,7 +79,7 @@ def check_spans(spans: Iterable[SpanRecord]) -> list[str]:
             )
 
     # per-lane nesting: sweep left-to-right with an enclosing-interval stack
-    for (clock, track), lane in lanes.items():
+    for track, lane in lanes.items():
         lane.sort(key=lambda s: (s.t0, -s.t1))
         stack: list[SpanRecord] = []
         for span in lane:
@@ -88,7 +88,7 @@ def check_spans(spans: Iterable[SpanRecord]) -> list[str]:
             if stack and span.t1 > stack[-1].t1:
                 top = stack[-1]
                 problems.append(
-                    f"{clock}/{track}: span {span.span_id} ({span.name})"
+                    f"{track}: span {span.span_id} ({span.name})"
                     f" [{span.t0}, {span.t1}] partially overlaps"
                     f" {top.span_id} ({top.name}) [{top.t0}, {top.t1}]"
                 )
@@ -100,7 +100,7 @@ def check_spans(spans: Iterable[SpanRecord]) -> list[str]:
 def check_generation_coverage(
     spans: Iterable[SpanRecord], trace: Iterable[Any]
 ) -> list[str]:
-    """Every trace ``generation`` event must lie inside some sim span.
+    """Every trace ``generation`` event must lie inside some span.
 
     ``trace`` is any iterable of objects with ``kind`` and ``time``
     attributes (duck-typed so this module stays free of repro imports).
@@ -108,12 +108,10 @@ def check_generation_coverage(
     ``generation`` events directly — that path stays valid under
     ``compact`` retention, where generation events are retained but
     whole-stream iteration is refused.  Returns no problems when there
-    are no sim spans at all — untimed engines legitimately run without
+    are no spans at all — untimed engines legitimately run without
     a timeline.
     """
-    union = _merged_union(
-        [(s.t0, s.t1) for s in spans if s.clock == "sim"]
-    )
+    union = _merged_union([(s.t0, s.t1) for s in spans])
     if not union:
         return []
     of_kind = getattr(trace, "of_kind", None)
@@ -203,7 +201,6 @@ def check_timeline(doc: Any) -> list[str]:
                 track=raw["track"],
                 t0=raw["t0"],
                 t1=raw["t1"],
-                clock=raw.get("clock", "sim"),
                 attrs=raw.get("attrs", {}),
             )
         )

@@ -162,19 +162,6 @@ class _IslandBase(ParallelEngine):
         assert deme.population is not None
         for dst in targets:
             migrants = select_migrants(self.rng, deme.population, self.policy)
-            if not self.policy.copy:
-                # emigrants genuinely leave: remove them from home deme by
-                # resampling replacements (keeps deme size constant)
-                for m in migrants:
-                    idx = next(
-                        i for i, ind in enumerate(deme.population.individuals)
-                        if ind.uid == m.uid or np.array_equal(ind.genome, m.genome)
-                    )
-                    fresh_genome = self.problem.spec.sample(self.rng)
-                    fresh = Individual(genome=fresh_genome, origin="refill")
-                    fresh.fitness = self.problem.evaluate(fresh_genome)
-                    deme.state.evaluations += 1
-                    deme.population.individuals[idx] = fresh
             self.buffers[dst].post(migrants, source=deme_idx, sent_at=now)
             self.migrants_sent += len(migrants)
 

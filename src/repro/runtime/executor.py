@@ -155,7 +155,6 @@ class MultiprocessingExecutor:
             config=self.resilience,
             initializer=_init_worker,
             initargs=(payload,),
-            label="executor",
         )
 
     @property

@@ -279,7 +279,6 @@ class SupervisedPool:
         config: ResilienceConfig | None = None,
         initializer: Callable[..., None] | None = None,
         initargs: Sequence[Any] = (),
-        label: str = "pool",
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -288,7 +287,6 @@ class SupervisedPool:
         self.config = config if config is not None else ResilienceConfig()
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.label = label
         self.stats = PoolStats()
         self._ctx = get_context("fork" if os.name == "posix" else "spawn")
         self._closed = False
@@ -415,7 +413,6 @@ class SupervisedPool:
             _obs_inc("executor.retries")
             delay = backoff_delay(cfg, task.key, task.attempt - 1)
             task.ready_at = time.monotonic() + delay
-            self._record_backoff_span(task, delay)
             pending.append(task)
 
         try:
@@ -600,18 +597,3 @@ class SupervisedPool:
             self._reap(w)
         self._workers = []
         self._stranded.clear()
-
-    def _record_backoff_span(self, task: _TaskState, delay: float) -> None:
-        session = current_obs()
-        if session is None:
-            return
-        t0 = session.wall_now()
-        session.spans.record(
-            "retry-backoff",
-            t0,
-            t0 + delay,
-            track=f"{self.label}/supervisor",
-            clock="wall",
-            key=task.key,
-            attempt=task.attempt,
-        )

@@ -678,12 +678,7 @@ def run_sweep(
             )
             # quarantine mode: one poison trial must not abort the grid
             resilience = dataclasses.replace(resilience, quarantine=True)
-            with SupervisedPool(
-                _execute_indexed,
-                jobs,
-                config=resilience,
-                label=f"sweep/{experiment_id}",
-            ) as pool:
+            with SupervisedPool(_execute_indexed, jobs, config=resilience) as pool:
                 payloads = [(i, trials[i]) for i in pending]
                 batch = pool.run_batch(
                     payloads,

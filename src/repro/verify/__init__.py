@@ -8,7 +8,7 @@ minimal fault plan.  The pieces:
 
 - :mod:`~repro.verify.invariants` — streaming trace-invariant rules
   (time monotonicity, no dispatch to dead nodes, message conservation,
-  generation/best monotonicity), runnable post-hoc or inline.
+  generation/best monotonicity), checked post-hoc over a finished trace.
 - :mod:`~repro.verify.digest` — canonical trace digests, result
   fingerprints and :func:`audit_determinism`, the one run-N-times loop.
 - :mod:`~repro.verify.specs` — :func:`check_spec`, the one run checker:
@@ -40,9 +40,7 @@ from .fuzzer import FuzzFailure, FuzzReport, fuzz, sample_spec
 from .invariants import (
     INVARIANTS,
     CheckContext,
-    InvariantViolation,
     Rule,
-    TraceChecker,
     Violation,
     check_trace,
     default_rules,
@@ -65,9 +63,7 @@ __all__ = [
     "sample_spec",
     "INVARIANTS",
     "CheckContext",
-    "InvariantViolation",
     "Rule",
-    "TraceChecker",
     "Violation",
     "check_trace",
     "check_generation_coverage",

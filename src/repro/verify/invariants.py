@@ -37,15 +37,14 @@ the machine-checkable core of that contract:
 
 Rules are stateful streaming objects: feed events with
 :meth:`Rule.observe`, collect end-of-stream violations with
-:meth:`Rule.finish`.  :class:`TraceChecker` drives them either post-hoc
-(:meth:`TraceChecker.check`) or in-line while a simulation runs
-(:meth:`TraceChecker.attach` on a live trace).
+:meth:`Rule.finish`.  :func:`check_trace` drives them over a finished
+trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..cluster.machine import SimulatedCluster
@@ -53,7 +52,6 @@ from ..cluster.trace import Trace, TraceEvent
 
 __all__ = [
     "Violation",
-    "InvariantViolation",
     "CheckContext",
     "Rule",
     "TimeMonotoneRule",
@@ -65,7 +63,6 @@ __all__ = [
     "BestMonotoneRule",
     "INVARIANTS",
     "default_rules",
-    "TraceChecker",
     "check_trace",
 ]
 
@@ -82,14 +79,6 @@ class Violation:
     def __str__(self) -> str:
         where = f"event #{self.index}" if self.index >= 0 else "end of trace"
         return f"[{self.rule}] t={self.time:.6g} ({where}): {self.message}"
-
-
-class InvariantViolation(AssertionError):
-    """Raised by in-line checking the moment a rule is breached."""
-
-    def __init__(self, violations: list[Violation]) -> None:
-        self.violations = violations
-        super().__init__("; ".join(str(v) for v in violations))
 
 
 @dataclass(frozen=True)
@@ -373,78 +362,23 @@ def default_rules(names: Iterable[str] | None = None) -> list[Rule]:
     return [INVARIANTS[n]() for n in chosen]
 
 
-@dataclass
-class TraceChecker:
-    """Drives a rule set over a trace, post-hoc or in-line.
-
-    Post-hoc::
-
-        violations = TraceChecker(context=ctx).check(cluster.trace)
-
-    In-line (raises :class:`InvariantViolation` at the offending event)::
-
-        checker = TraceChecker(context=ctx).attach(cluster.trace)
-        ...  # run the simulation
-        checker.close()   # end-of-stream rules (conservation)
-
-    Post-hoc :meth:`check` iterates the stored event list, so it needs a
-    ``full``-retention trace; the in-line mode works under *any* retention
-    mode — listeners observe every event even when the trace keeps none.
-    ``Trace.record`` snapshots its listener list per event, so
-    :meth:`close` (which detaches) is safe to call from inside another
-    listener's callback without skipping neighbours.
-    """
-
-    rules: list[Rule] = field(default_factory=default_rules)
-    context: CheckContext = field(default_factory=CheckContext)
-    raise_inline: bool = True
-    violations: list[Violation] = field(default_factory=list)
-    _index: int = 0
-
-    def check(self, trace: Trace) -> list[Violation]:
-        """Run all rules over a finished trace; returns every violation."""
-        for index, event in enumerate(trace):
-            self._observe(index, event)
-        return self.close()
-
-    # -- in-line mode -------------------------------------------------------------
-    def attach(self, trace: Trace) -> "TraceChecker":
-        self._trace = trace
-        trace.attach(self._on_event)
-        return self
-
-    def _on_event(self, event: TraceEvent) -> None:
-        index = self._index
-        self._index += 1
-        before = len(self.violations)
-        self._observe(index, event)
-        if self.raise_inline and len(self.violations) > before:
-            raise InvariantViolation(self.violations[before:])
-
-    def close(self) -> list[Violation]:
-        """Flush end-of-stream rules and (if attached) detach from the trace."""
-        trace = getattr(self, "_trace", None)
-        if trace is not None:
-            trace.detach(self._on_event)
-            self._trace = None
-        for rule in self.rules:
-            self.violations.extend(rule.finish(self.context))
-        return self.violations
-
-    def _observe(self, index: int, event: TraceEvent) -> None:
-        for rule in self.rules:
-            v = rule.observe(index, event, self.context)
-            if v is not None:
-                self.violations.append(v)
-
-
 def check_trace(
     trace: Trace,
     context: CheckContext | None = None,
     rule_names: Iterable[str] | None = None,
 ) -> list[Violation]:
-    """One-shot post-hoc check with fresh rules."""
-    return TraceChecker(
-        rules=default_rules(rule_names),
-        context=context or CheckContext(),
-    ).check(trace)
+    """Run fresh rules over a finished trace; returns every violation.
+
+    Iterates the stored event list, so it needs a ``full``-retention trace.
+    """
+    context = context or CheckContext()
+    rules = default_rules(rule_names)
+    violations: list[Violation] = []
+    for index, event in enumerate(trace):
+        for rule in rules:
+            v = rule.observe(index, event, context)
+            if v is not None:
+                violations.append(v)
+    for rule in rules:
+        violations.extend(rule.finish(context))
+    return violations

@@ -32,79 +32,6 @@ class TestTrace:
         assert t.of_kind("anything") == []
 
 
-class TestListenerDispatch:
-    def test_listener_observes_events(self):
-        t = Trace()
-        seen = []
-        t.attach(lambda e: seen.append((e.time, e.kind)))
-        t.record(1.0, "a")
-        t.record(2.0, "b", x=1)
-        assert seen == [(1.0, "a"), (2.0, "b")]
-
-    def test_detach_stops_delivery(self):
-        t = Trace()
-        seen = []
-        listener = t.attach(lambda e: seen.append(e.kind))
-        t.record(1.0, "a")
-        t.detach(listener)
-        t.record(2.0, "b")
-        assert seen == ["a"]
-
-    def test_self_detach_mid_dispatch_does_not_skip_neighbours(self):
-        """Regression: a listener detaching itself from inside its callback
-        used to shift the live listener list under the dispatch loop,
-        silently skipping the next listener for that event."""
-        t = Trace()
-        calls = {"one_shot": 0, "second": 0}
-
-        def one_shot(event):
-            calls["one_shot"] += 1
-            t.detach(one_shot)
-
-        def second(event):
-            calls["second"] += 1
-
-        t.attach(one_shot)
-        t.attach(second)
-        t.record(1.0, "a")  # both must fire exactly once
-        t.record(2.0, "b")  # only `second` remains
-        assert calls == {"one_shot": 1, "second": 2}
-
-    def test_attach_mid_dispatch_starts_next_event(self):
-        t = Trace()
-        late_seen = []
-
-        def late(event):
-            late_seen.append(event.kind)
-
-        def installer(event):
-            if event.kind == "a":
-                t.attach(late)
-
-        t.attach(installer)
-        t.record(1.0, "a")  # `late` attaches during this dispatch...
-        t.record(2.0, "b")
-        assert late_seen == ["b"]  # ...and only sees subsequent events
-
-    def test_checker_close_inside_listener_is_safe(self):
-        """TraceChecker.close() detaches from inside the listener seam —
-        with per-event snapshots this cannot corrupt dispatch."""
-        t = Trace()
-        order = []
-
-        def closer(event):
-            order.append("closer")
-            t.detach(closer)
-
-        def tail(event):
-            order.append("tail")
-
-        t.attach(closer)
-        t.attach(tail)
-        t.record(1.0, "x")
-        assert order == ["closer", "tail"]
-
-
 class TestRetentionModes:
     def _populated(self, mode):
         from repro.cluster import trace_retention
@@ -181,17 +108,6 @@ class TestRetentionModes:
         t.generation(1.0, deme=0, generation=1, best=2.0)
         assert [e["mid"] for e in t.of_kind("msg")] == [0]
 
-    def test_listeners_see_all_events_under_digest_only(self):
-        from repro.cluster import trace_retention
-
-        with trace_retention("digest-only"):
-            t = Trace()
-        seen = []
-        t.attach(lambda e: seen.append(e.kind))
-        t.record(1.0, "a")
-        t.record(2.0, "b")
-        assert seen == ["a", "b"]
-
     def test_summary_is_mode_invariant(self):
         base = self._populated("full").summary()
         for mode in ("compact", "digest-only"):
@@ -234,10 +150,3 @@ class TestTracePickling:
         assert [e["deme"] for e in clone.of_kind("generation")] == [0]
         with pytest.raises(TraceRetentionError, match="unpickled"):
             clone.record(3.0, "more")
-
-    def test_listeners_do_not_transport(self):
-        t = Trace()
-        t.attach(lambda e: None)
-        clone = self._roundtrip(t)
-        clone.record(1.0, "a")  # would explode if the dead listener survived
-        assert clone.count("a") == 1

@@ -10,43 +10,6 @@ from repro.problems import OneMax
 from repro.topology import RandomRewiringTopology, ScheduleTopology, RingTopology, CompleteTopology
 
 
-class TestNonCopyingMigration:
-    def test_emigrants_leave_home_deme(self):
-        """policy.copy=False: the emigrant is replaced at home by a fresh
-        random individual (deme size stays constant, diversity re-injected)."""
-        model = IslandModel(
-            OneMax(16),
-            2,
-            GAConfig(population_size=6),
-            policy=MigrationPolicy(rate=1, selection="best", replacement="worst",
-                                   copy=False),
-            schedule=PeriodicSchedule(1),
-            seed=1,
-        )
-        model.initialize()
-        best_before = model.demes[0].population.best().require_fitness()
-        model.step_epoch()
-        # sizes unchanged, refill individuals present somewhere over time
-        assert all(len(d.population) == 6 for d in model.demes)
-        origins = {
-            i.origin for d in model.demes for i in d.population
-        }
-        assert any(o.startswith("migrant") for o in origins)
-        assert "refill" in origins
-
-    def test_refill_individuals_are_evaluated(self):
-        model = IslandModel(
-            OneMax(16), 2, GAConfig(population_size=6),
-            policy=MigrationPolicy(rate=2, selection="best", copy=False,
-                                   replacement="worst"),
-            schedule=PeriodicSchedule(1),
-            seed=2,
-        )
-        model.run(MaxGenerations(4))
-        for deme in model.demes:
-            assert deme.population.all_evaluated
-
-
 class TestDynamicTopologyIntegration:
     def test_rewiring_topology_advances_per_epoch(self):
         topo = RandomRewiringTopology(4, k=1, seed=3)

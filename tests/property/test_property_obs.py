@@ -179,9 +179,9 @@ class TestGenerationCoverage:
             self.kind = kind
             self.time = time
 
-    def _span(self, sid, t0, t1, clock="sim"):
+    def _span(self, sid, t0, t1):
         return SpanRecord(
-            span_id=sid, parent_id=None, name="x", track="main", t0=t0, t1=t1, clock=clock
+            span_id=sid, parent_id=None, name="x", track="main", t0=t0, t1=t1
         )
 
     def test_covered_events_pass(self):
@@ -211,9 +211,7 @@ class TestGenerationCoverage:
     def test_vacuous_without_sim_spans(self):
         from repro.obs import check_generation_coverage
 
-        wall_only = [self._span(1, 0.0, 1.0, clock="wall")]
         events = [self._Event("generation", 99.0)]
-        assert check_generation_coverage(wall_only, events) == []
         assert check_generation_coverage([], events) == []
 
     def test_non_generation_events_ignored(self):
@@ -272,20 +270,20 @@ class TestMetricsAndTimelineSchemas:
         assert check_timeline(None) != []
         assert check_timeline({"schema": "nope", "spans": []}) != []
         assert any(
-            "spans" in p for p in check_timeline({"schema": "repro-obs-timeline/v1"})
+            "spans" in p for p in check_timeline({"schema": "repro-obs-timeline/v2"})
         )
 
     def test_timeline_rejects_incomplete_spans(self):
         from repro.obs import check_timeline
 
-        doc = {"schema": "repro-obs-timeline/v1", "spans": [{"span_id": 1}]}
+        doc = {"schema": "repro-obs-timeline/v2", "spans": [{"span_id": 1}]}
         assert any("missing fields" in p for p in check_timeline(doc))
 
     def test_timeline_surfaces_bad_run_metrics(self):
         from repro.obs import check_timeline
 
         doc = {
-            "schema": "repro-obs-timeline/v1",
+            "schema": "repro-obs-timeline/v2",
             "spans": [],
             "runs": [{"engine": "x", "metrics": {"schema": "wrong"}}],
         }

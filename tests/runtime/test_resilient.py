@@ -181,7 +181,7 @@ class TestTerminalFailures:
                 pool.run_batch([1])
 
     def test_pool_usable_after_batch_error(self):
-        with SupervisedPool(_raise_value_error, 2, label="t") as pool:
+        with SupervisedPool(_raise_value_error, 2) as pool:
             with pytest.raises(ValueError):
                 pool.run_batch([1])
             pool.worker_fn = _square  # workers respawn lazily with the new fn

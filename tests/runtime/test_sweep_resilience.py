@@ -147,10 +147,8 @@ class TestChaosMatrix:
         assert counters.counter("executor.worker_deaths").value == 2  # kill + exit
         assert counters.counter("executor.timeouts").value == 1  # the hang
         assert counters.counter("sweep.trials").value == 6
-        # every retry waits out a recorded backoff span on the supervisor track
-        backoffs = [s for s in session.spans.spans if s.name == "retry-backoff"]
-        assert len(backoffs) == 4
-        assert all(s.track == "sweep/EOBS/supervisor" for s in backoffs)
+        # host-time backoff is not a span: spans run on simulated time only
+        assert not [s for s in session.spans.spans if s.name == "retry-backoff"]
 
 
 class TestQuarantine:

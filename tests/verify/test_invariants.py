@@ -5,8 +5,6 @@ import pytest
 from repro.cluster.trace import Trace
 from repro.verify.invariants import (
     CheckContext,
-    InvariantViolation,
-    TraceChecker,
     check_trace,
     default_rules,
 )
@@ -229,33 +227,6 @@ class TestBestMonotone:
 
 
 class TestChecker:
-    def test_inline_raises_at_offending_event(self):
-        trace = Trace()
-        checker = TraceChecker().attach(trace)
-        trace.record(1.0, "tick")
-        with pytest.raises(InvariantViolation) as err:
-            trace.record(0.5, "tick")
-        assert "time-monotone" in str(err.value)
-        checker.close()
-
-    def test_inline_close_flushes_conservation(self):
-        trace = Trace()
-        checker = TraceChecker().attach(trace)
-        trace.record(0.0, "migration", mid=0, src=0, dst=1)
-        violations = checker.close()
-        assert _rules_hit(violations) == {"message-conservation"}
-        # detached: further records no longer reach the checker
-        trace.record(-1.0, "tick")
-        assert len(checker.violations) == 1
-
-    def test_inline_collect_mode(self):
-        trace = Trace()
-        checker = TraceChecker(raise_inline=False).attach(trace)
-        trace.record(1.0, "tick")
-        trace.record(0.5, "tick")
-        trace.record(0.2, "tick")
-        assert len(checker.close()) == 2
-
     def test_unknown_rule_name_rejected(self):
         with pytest.raises(KeyError):
             default_rules(["not-a-rule"])
