@@ -26,14 +26,14 @@ copy-pasted per engine, and this check keeps them centralised:
    belong in module-level trial functions, where the sweep can fan them
    out and cache them).
 
-4. **The metrics registry.**  Counter-like run statistics belong in the
-   namespaced ``RunReport.metrics`` snapshot
-   (:func:`repro.obs.metrics.metrics_snapshot`), not in new bare
-   ``extras`` dict keys.  ``extras`` stays for engine-specific payloads
+4. **One owner per count.**  A new counter-like run statistic becomes a
+   ``RunReport`` field listed in
+   :data:`repro.parallel.base.REPORT_COUNTERS` (which ``validate_report``
+   checks and an observability run note copies by name), not a bare
+   ``extras`` dict key.  ``extras`` stays for engine-specific payloads
    (curves, archives, per-worker vectors); any *new* key in an
    ``extras={...}`` literal must either join the allowlist below (with a
-   non-scalar payload justification) or become a first-class
-   ``RunReport`` counter wired into the snapshot.
+   non-scalar payload justification) or become a ``RunReport`` field.
 
 5. **The vectorized fast path.**  ``repro/core/vectorized`` exists to
    replace per-individual Python loops with whole-block NumPy kernels,
@@ -79,9 +79,11 @@ copy-pasted per engine, and this check keeps them centralised:
    ``run_replay``, ``fuzz_specs`` and ``EngineAudit``, the sweep resume
    journal ``SweepJournal`` and ``run_all``, the fitness memo-cache
    ``FitnessCache`` / ``MemoizingEvaluator``, the in-line trace checker
-   ``TraceChecker`` / ``InvariantViolation``, or the wall-clock backoff
-   span ``_record_backoff_span``; no module under
-   ``repro/parallel/`` may bring back ``register_engine`` or
+   ``TraceChecker`` / ``InvariantViolation``, the wall-clock backoff
+   span ``_record_backoff_span``, or the second counter copies
+   ``MetricRegistry``, ``metrics_snapshot``, ``check_metrics``,
+   ``METRICS_SCHEMA`` and the session host clock ``wall_now``; no module
+   under ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
    evaluation is always on, the digest walker is a test oracle,
@@ -92,8 +94,9 @@ copy-pasted per engine, and this check keeps them centralised:
    ``repro.verify.specs.check_spec`` are the one replayable run format,
    the ``TrialCache`` entry (result + measured ``TrialCost``) is the
    one per-trial sweep record, configured by one ``SweepConfig``,
-   ``check_trace`` checks trace invariants post-hoc only, and spans run
-   on simulated time only.
+   ``check_trace`` checks trace invariants post-hoc only, spans run
+   on simulated time only, and every count has one owner (a process
+   counter, ``PoolStats``, the sweep telemetry or a ``RunReport`` field).
 
 Run from the repository root::
 
@@ -149,7 +152,7 @@ SCHEMA_OWNER = "base.py"
 #: every extras key an engine may put in its report.  These are
 #: engine-specific *payloads* (curves, archives, per-worker vectors,
 #: nested results) — scalar counters do NOT belong here: they become
-#: RunReport fields surfaced through the repro.obs metrics snapshot.
+#: RunReport fields listed in repro.parallel.base.REPORT_COUNTERS.
 EXTRAS_KEY_ALLOWLIST = {
     # master-slave
     "result", "generation_makespans", "workers",
@@ -211,7 +214,7 @@ def lint_file(path: Path) -> list[str]:
             )
 
         # rule 4: extras dict literals may only carry allowlisted payload
-        # keys — new counters go through the RunReport metrics snapshot
+        # keys — new counters become RunReport fields
         if isinstance(node, ast.Call):
             for kw in node.keywords:
                 if kw.arg != "extras" or not isinstance(kw.value, ast.Dict):
@@ -225,8 +228,8 @@ def lint_file(path: Path) -> list[str]:
                         problems.append(
                             f"{path.relative_to(REPO)}:{key.lineno}: extras key "
                             f"{key.value!r} is not allowlisted — scalar counters "
-                            "belong on RunReport and in the repro.obs metrics "
-                            "snapshot, not in bare extras dicts"
+                            "become RunReport fields listed in "
+                            "REPORT_COUNTERS, not bare extras keys"
                         )
 
     return problems
@@ -428,6 +431,11 @@ _MEMO = (
     "retired fitness memo-cache — it changed evaluation counts and no "
     "caller used it"
 )
+_COUNTERS = (
+    "retired second counter copy — every count has one owner (a process "
+    "counter, PoolStats, BENCH_sweep.json or a RunReport field) and "
+    "timelines hold simulated quantities only"
+)
 _INLINE = (
     "retired in-line trace checker — repro.verify.invariants.check_trace "
     "checks invariants post-hoc only"
@@ -460,6 +468,11 @@ _RETIRED_NAMES = {
         "retired wall-clock span — spans run on simulated time only; a "
         "retry's backoff is backoff_delay(config, key, attempt)"
     ),
+    "MetricRegistry": _COUNTERS,
+    "metrics_snapshot": _COUNTERS,
+    "check_metrics": _COUNTERS,
+    "METRICS_SCHEMA": _COUNTERS,
+    "wall_now": _COUNTERS,
 }
 
 #: names rule 9 additionally forbids under repro/parallel/

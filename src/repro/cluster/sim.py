@@ -17,7 +17,6 @@ import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Protocol
 
-from ..obs.session import current_obs
 
 __all__ = ["Simulator", "Timeout", "Inbox", "Process", "SimulationError", "events_dispatched"]
 
@@ -247,11 +246,6 @@ class Simulator:
                         )
         finally:
             _EVENTS_DISPATCHED += events
-            # one check per run() call, not per event: the disabled-mode
-            # dispatch loop stays untouched (see benchmarks' throughput floor)
-            session = current_obs()
-            if session is not None:
-                session.metrics.counter("sim.events_dispatched").inc(events)
         return self.now
 
     def run_until_complete(self, procs: Iterable[Process], **kwargs: Any) -> float:

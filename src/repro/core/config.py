@@ -46,9 +46,8 @@ class GAConfig:
         of per-individual operator calls.  Distributionally equivalent to
         the scalar cycle but consumes the rng stream differently, so
         same-seed runs differ bit-for-bit; with the default ``False``
-        nothing changes.  Engines fall back to the scalar cycle (and count
-        ``variation.scalar_fallback``) when an operator has no batch
-        kernel.
+        nothing changes.  Engines fall back to the scalar cycle when an
+        operator has no batch kernel.
     """
 
     population_size: int = 100

@@ -17,7 +17,6 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..obs.session import current_obs
 from .callbacks import Callback, CallbackList, History
 from .config import GAConfig
 from .individual import Individual
@@ -222,16 +221,12 @@ class EvolutionEngine:
 
         Resolved once per engine: both variation operators must have batch
         kernels.  When the toggle is on but an operator is unsupported the
-        engine stays scalar and counts ``variation.scalar_fallback``.
+        engine stays scalar.
         """
         if not self.config.vectorized_variation:
             return False
         if self._vectorized_supported is None:
             self._vectorized_supported = supports_vectorized_variation(self.config)
-            if not self._vectorized_supported:
-                obs = current_obs()
-                if obs is not None:
-                    obs.metrics.counter("variation.scalar_fallback").inc()
         return self._vectorized_supported
 
     def _select_indices(self, fitnesses: np.ndarray, n: int) -> np.ndarray:
@@ -295,9 +290,6 @@ class GenerationalEngine(EvolutionEngine):
         # fingerprint-protected (tests pin the stream), so it must not change.
         # The vectorized path produces exactly `needed` children instead.
         offspring = offspring[:needed]
-        obs = current_obs()
-        if obs is not None:
-            obs.metrics.counter("variation.offspring_scalar").inc(needed)
         self._evaluate(offspring)
         elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
         self.population.individuals = elite + offspring
@@ -310,9 +302,6 @@ class GenerationalEngine(EvolutionEngine):
         fits = self.population.fitness_array()
         parent_idx = self._select_indices(fits, needed + needed % 2)
         offspring = self._vector_offspring(parent_idx, needed)
-        obs = current_obs()
-        if obs is not None:
-            obs.metrics.counter("variation.offspring_vectorized").inc(needed)
         self._evaluate(offspring)
         elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
         self.population.individuals = elite + offspring
@@ -349,9 +338,6 @@ class SteadyStateEngine(EvolutionEngine):
             for child in batch:
                 cfg.replacement(self.rng, self.population, child)
             born += len(batch)
-        obs = current_obs()
-        if obs is not None:
-            obs.metrics.counter("variation.offspring_scalar").inc(born)
 
     def _advance_vectorized(self) -> None:
         assert self.population is not None
@@ -367,6 +353,3 @@ class SteadyStateEngine(EvolutionEngine):
             for child in batch:
                 cfg.replacement(self.rng, self.population, child)
             born += k
-        obs = current_obs()
-        if obs is not None:
-            obs.metrics.counter("variation.offspring_vectorized").inc(born)

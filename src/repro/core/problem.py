@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..obs.session import current_obs
 from .genome import GenomeSpec
 
 __all__ = [
@@ -97,9 +96,6 @@ class Problem(abc.ABC):
         genomes stack into one homogeneous 2-D array (the fast path)."""
         global _EVALS_OBSERVED
         _EVALS_OBSERVED += len(genomes)
-        session = current_obs()
-        if session is not None:
-            session.metrics.counter("eval.evaluations_observed").inc(len(genomes))
         batch = stack_genomes(genomes)
         if batch is not None:
             return [float(f) for f in self.evaluate_batch(batch)]

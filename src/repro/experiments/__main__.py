@@ -14,8 +14,8 @@ invalidates every entry.  ``--no-cache`` disables the cache entirely;
 ``--bench-out FILE`` writes per-trial telemetry as JSON.
 
 ``--obs-out FILE`` enables the observability subsystem for the whole
-invocation and writes the merged span timeline + metrics as JSON
-(schema ``repro-obs-timeline/v2``); ``--obs-trace FILE`` writes the
+invocation and writes the merged span timeline and run notes as JSON
+(schema ``repro-obs-timeline/v3``); ``--obs-trace FILE`` writes the
 same spans in Chrome trace-event format for ``chrome://tracing`` /
 Perfetto.  Both leave stdout — and the experiment results themselves —
 byte-identical to an unobserved run.
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         "--obs-out",
         metavar="FILE",
         help="enable observability and write the merged span timeline "
-        "(repro-obs-timeline/v2 JSON) to FILE",
+        "(repro-obs-timeline/v3 JSON) to FILE",
     )
     parser.add_argument(
         "--obs-trace",

@@ -1,9 +1,9 @@
 """``repro.obs`` — zero-overhead-when-disabled observability.
 
-Phase-resolved timelines (spans), namespaced metrics, exporters and
-span-derived paper metrics for every parallel engine.  Disabled by
-default: :func:`current_obs` returns ``None`` and instrumented code does
-one attribute check.  Enable with::
+Phase-resolved timelines (spans), run notes, exporters and span-derived
+paper metrics for every parallel engine.  Disabled by default:
+:func:`current_obs` returns ``None`` and instrumented code does one
+attribute check.  Enable with::
 
     from repro.obs import obs_session, write_timeline
 
@@ -17,9 +17,11 @@ Design rules the rest of the repo relies on:
   runtime layers import *it* without cycles;
 * spans live beside the cluster trace, never in it — trace digests and
   result fingerprints are byte-identical with observability on or off;
-* ``RunReport.metrics`` is a pure function of the report
-  (:func:`~repro.obs.metrics.metrics_snapshot`), so same-seed audit runs
-  stay deterministic regardless of session state.
+* the package keeps no second copy of any count: a run note copies the
+  report's own counter fields, and process, pool and sweep counts stay
+  with their owners (``events_dispatched()``, ``evaluations_observed()``,
+  ``PoolStats``, ``BENCH_sweep.json``) — so a timeline holds simulated
+  quantities only and same-seed runs export byte-identical documents.
 """
 
 from .derive import (
@@ -41,38 +43,23 @@ from .export import (
     write_chrome_trace,
     write_timeline,
 )
-from .metrics import (
-    METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    metrics_snapshot,
-)
 from .session import ObsSession, current_obs, obs_enabled, obs_session
 from .spans import SpanHandle, SpanRecord, SpanRecorder
 from .validate import (
     check_generation_coverage,
-    check_metrics,
     check_spans,
     check_timeline,
 )
 
 __all__ = [
-    "METRICS_SCHEMA",
     "SPAN_PHASES",
     "TIMELINE_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
     "ObsSession",
     "SpanHandle",
     "SpanRecord",
     "SpanRecorder",
     "busy_time_by_track",
     "check_generation_coverage",
-    "check_metrics",
     "check_spans",
     "check_timeline",
     "chrome_trace",
@@ -81,7 +68,6 @@ __all__ = [
     "current_obs",
     "derived_summary",
     "idle_time_by_track",
-    "metrics_snapshot",
     "obs_enabled",
     "obs_session",
     "phase_times",

@@ -3,9 +3,11 @@
 Three consumers, three formats:
 
 * :func:`timeline_doc` / :func:`write_timeline` — the canonical per-run
-  JSON document (``--obs-out``): spans, session metrics, per-run report
-  metrics and the derived paper metrics, under the versioned schema
-  ``repro-obs-timeline/v2`` (v1 spans also carried a ``clock`` key).
+  JSON document (``--obs-out``): spans, one note per finished run (its
+  report's counter fields) and the derived paper metrics, under the
+  versioned schema ``repro-obs-timeline/v3``.  It holds simulated
+  quantities only, so same-seed runs write byte-identical documents
+  however their trials were executed.
   :func:`repro.obs.validate.check_timeline` validates this shape.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome trace
   event format (``--obs-trace``): load the file in ``chrome://tracing``
@@ -33,7 +35,7 @@ __all__ = [
     "write_timeline",
 ]
 
-TIMELINE_SCHEMA = "repro-obs-timeline/v2"
+TIMELINE_SCHEMA = "repro-obs-timeline/v3"
 
 
 def timeline_doc(session: ObsSession) -> dict[str, Any]:
@@ -42,9 +44,7 @@ def timeline_doc(session: ObsSession) -> dict[str, Any]:
     return {
         "schema": TIMELINE_SCHEMA,
         "label": session.label,
-        "wall_seconds": session.wall_now(),
         "spans": [s.to_dict() for s in session.spans],
-        "metrics": session.metrics.snapshot(),
         "runs": list(session.runs),
         "derived": derived_summary(session.spans),
     }
@@ -99,14 +99,13 @@ def write_chrome_trace(session: ObsSession, path: str) -> dict[str, Any]:
 
 
 def sweep_obs_summary(session: ObsSession) -> dict[str, Any]:
-    """Compact block for ``BENCH_sweep.json``: session counters plus the
-    derived paper metrics, no raw span list (sweeps can carry millions)."""
+    """Compact block for ``BENCH_sweep.json``: span count plus the derived
+    paper metrics, no raw span list (sweeps can carry millions)."""
     session.spans.close_all()
     return {
         "schema": TIMELINE_SCHEMA,
         "label": session.label,
         "span_count": len(session.spans),
-        "metrics": session.metrics.snapshot(),
         "derived": derived_summary(session.spans),
         "children": list(session.children),
     }

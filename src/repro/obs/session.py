@@ -16,19 +16,19 @@ driver wants — each forked trial opens its own child session, exports
 it, and the parent merges the children under per-trial track prefixes
 (:meth:`ObsSession.merge_child`).
 
-Instrumented code records spans via ``session.spans`` and process-level
-counters via ``session.metrics``; engines additionally push one line per
-finished run (:meth:`ObsSession.note_run`) so a timeline knows which
-reports it covers.
+Instrumented code records spans via ``session.spans``; engines
+additionally push one line per finished run (:meth:`ObsSession.note_run`)
+so a timeline knows which reports it covers.  A session keeps no
+counters of its own: every count has one owner (a process counter,
+``PoolStats``, the sweep telemetry or a ``RunReport`` field) and a run
+note copies the report's counter fields by name.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
-from .metrics import MetricRegistry
 from .spans import SpanRecord, SpanRecorder
 
 __all__ = ["ObsSession", "current_obs", "obs_enabled", "obs_session"]
@@ -37,28 +37,24 @@ _ACTIVE: "ObsSession | None" = None
 
 
 class ObsSession:
-    """One enabled observability window: spans + metrics + run notes."""
+    """One enabled observability window: spans + run notes."""
 
     def __init__(self, label: str = "obs") -> None:
         self.label = label
         self.spans = SpanRecorder()
-        self.metrics = MetricRegistry()
         self.runs: list[dict[str, Any]] = []
         self.children: list[str] = []
-        self.wall_start = time.perf_counter()
 
-    def wall_now(self) -> float:
-        """Wall seconds since the session opened."""
-        return time.perf_counter() - self.wall_start
-
-    def note_run(self, report: Any) -> None:
-        """Register a finished engine run (called from ``_report``)."""
+    def note_run(self, report: Any, counters: Iterable[str]) -> None:
+        """Register a finished engine run (called from ``_report``): its
+        engine, simulated time, stop reason and the report fields named
+        in ``counters``."""
         self.runs.append(
             {
-                "engine": getattr(report, "engine", "?"),
-                "sim_time": getattr(report, "sim_time", None),
-                "stop_reason": getattr(report, "stop_reason", None),
-                "metrics": getattr(report, "metrics", {}),
+                "engine": report.engine,
+                "sim_time": report.sim_time,
+                "stop_reason": report.stop_reason,
+                "counters": {name: getattr(report, name) for name in counters},
             }
         )
 
@@ -66,16 +62,15 @@ class ObsSession:
         """Fold a child session's exported timeline doc into this session.
 
         Child tracks are namespaced as ``{prefix}/{track}`` so trials
-        never collide; child metric counters accumulate; child run notes
-        append in merge order (the sweep driver merges in trial-index
-        order, keeping the result deterministic).
+        never collide; child run notes append in merge order (the sweep
+        driver merges in trial-index order, keeping the result
+        deterministic).
         """
         id_base = self.spans._next_id
         for span in doc.get("spans", []):
             record = _span_from_dict(span, id_base, prefix)
             self.spans.spans.append(record)
             self.spans._next_id = max(self.spans._next_id, record.span_id)
-        self.metrics.merge(doc.get("metrics", {}))
         for run in doc.get("runs", []):
             self.runs.append({**run, "trial": prefix})
         self.children.append(prefix)

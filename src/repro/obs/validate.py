@@ -1,4 +1,4 @@
-"""Structural invariants over spans, metrics snapshots and timelines.
+"""Structural invariants over spans and timelines.
 
 The observability layer earns its keep only if its output is trustworthy,
 so it gets the same treatment as the engines: machine-checked invariants.
@@ -11,8 +11,8 @@ so it gets the same treatment as the engines: machine-checked invariants.
   engine emitted into the cluster trace must fall inside some span: the
   timeline accounts for all recorded progress.  Vacuous when the run
   produced no spans (untimed engines).
-* :func:`check_metrics` / :func:`check_timeline` — schema checks for
-  the ``RunReport.metrics`` snapshot and exported timeline documents.
+* :func:`check_timeline` — schema checks for exported timeline
+  documents, including each run note's counters.
 
 All checkers return a list of problem strings (empty = pass), matching
 the ``validate_report`` idiom used across the repo.
@@ -24,12 +24,10 @@ import bisect
 import math
 from typing import Any, Iterable
 
-from .metrics import METRICS_SCHEMA
 from .spans import SpanRecord
 
 __all__ = [
     "check_generation_coverage",
-    "check_metrics",
     "check_spans",
     "check_timeline",
 ]
@@ -148,31 +146,6 @@ def _covered(union: list[tuple[float, float]], t: float) -> bool:
     return idx >= 0 and union[idx][0] <= t <= union[idx][1]
 
 
-def check_metrics(metrics: Any) -> list[str]:
-    """Schema problems with a ``RunReport.metrics`` snapshot."""
-    problems: list[str] = []
-    if not isinstance(metrics, dict):
-        return [f"metrics must be a dict, got {type(metrics).__name__}"]
-    if metrics.get("schema") != METRICS_SCHEMA:
-        problems.append(
-            f"metrics schema is {metrics.get('schema')!r}, want {METRICS_SCHEMA!r}"
-        )
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(metrics.get(section), dict):
-            problems.append(f"metrics[{section!r}] missing or not a dict")
-    for name, value in (metrics.get("counters") or {}).items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            problems.append(f"counter {name} must be a non-negative int, got {value!r}")
-        if "." not in str(name):
-            problems.append(f"counter {name!r} is not namespaced")
-    for name, value in (metrics.get("gauges") or {}).items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            problems.append(f"gauge {name} must be a finite number, got {value!r}")
-        if "." not in str(name):
-            problems.append(f"gauge {name!r} is not namespaced")
-    return problems
-
-
 def check_timeline(doc: Any) -> list[str]:
     """Schema + structural problems with an exported timeline document."""
     from .export import TIMELINE_SCHEMA  # local import: export imports derive
@@ -205,14 +178,15 @@ def check_timeline(doc: Any) -> list[str]:
             )
         )
     problems.extend(check_spans(spans))
-    if "metrics" in doc:
-        session_metrics = doc["metrics"]
-        if not isinstance(session_metrics, dict):
-            problems.append("timeline['metrics'] must be a dict")
     for i, run in enumerate(doc.get("runs", [])):
-        run_metrics = run.get("metrics")
-        if run_metrics:
-            problems.extend(
-                f"runs[{i}]: {p}" for p in check_metrics(run_metrics)
-            )
+        counters = run.get("counters", {}) if isinstance(run, dict) else None
+        if not isinstance(counters, dict):
+            problems.append(f"runs[{i}]: run note or its counters is not a dict")
+            continue
+        for name, value in counters.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                problems.append(
+                    f"runs[{i}]: counter {name} must be a non-negative int,"
+                    f" got {value!r}"
+                )
     return problems

@@ -25,15 +25,14 @@ from typing import Any, TYPE_CHECKING
 import numpy as np
 
 from ..core.individual import Individual
-from ..obs.metrics import metrics_snapshot
 from ..obs.session import current_obs
-from ..obs.validate import check_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..cluster.trace import Trace
 
 __all__ = [
     "EpochRecord",
+    "REPORT_COUNTERS",
     "RunReport",
     "ParallelEngine",
     "validate_report",
@@ -91,10 +90,6 @@ class RunReport:
     trace_digest: str | None = None
     #: model-specific measurements, attribute-accessible
     extras: dict[str, Any] = field(default_factory=dict)
-    #: namespaced counter/gauge snapshot under the stable
-    #: ``repro-obs-metrics/v1`` schema (see :mod:`repro.obs.metrics`);
-    #: a pure function of the other fields, filled in by ``_report``
-    metrics: dict[str, Any] = field(default_factory=dict)
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
@@ -136,6 +131,23 @@ class RunReport:
         return 0 if objs is None else int(np.asarray(objs).shape[0])
 
 
+#: the report's counter fields: each is the one owner of its count, so
+#: ``validate_report`` checks them and an observability session's run
+#: note copies them by name — a new counter becomes a field listed here
+REPORT_COUNTERS = (
+    "evaluations",
+    "epochs",
+    "migrants_sent",
+    "migrants_accepted",
+    "retransmits",
+    "dup_discards",
+    "recoveries",
+    "abandoned_demes",
+    "redispatches",
+    "lost_chunks",
+)
+
+
 class ParallelEngine:
     """Contract every parallel model implements.
 
@@ -171,11 +183,9 @@ class ParallelEngine:
 
             fields["trace_digest"] = trace_digest(trace)
         report = RunReport(engine=self.engine_name, **fields)
-        if not report.metrics:
-            report.metrics = metrics_snapshot(report)
         session = current_obs()
         if session is not None:
-            session.note_run(report)
+            session.note_run(report, REPORT_COUNTERS)
         return report
 
     def _report_trace(self) -> "Trace | None":
@@ -205,16 +215,9 @@ def validate_report(report: RunReport, *, engine: str | None = None) -> list[str
         problems.append(
             "report has neither best, extras['best_fitness'] nor an archive"
         )
-    if report.evaluations < 0:
-        problems.append(f"negative evaluations {report.evaluations}")
-    if report.epochs < 0:
-        problems.append(f"negative epochs {report.epochs}")
     if not report.stop_reason:
         problems.append("report.stop_reason is empty")
-    for counter in (
-        "migrants_sent", "migrants_accepted", "retransmits", "dup_discards",
-        "recoveries", "abandoned_demes", "redispatches", "lost_chunks",
-    ):
+    for counter in REPORT_COUNTERS:
         if getattr(report, counter) < 0:
             problems.append(f"negative counter {counter}")
     if report.migrants_accepted > report.migrants_sent:
@@ -232,14 +235,4 @@ def validate_report(report: RunReport, *, engine: str | None = None) -> list[str
         if not isinstance(rec, EpochRecord):
             problems.append(f"records contain non-EpochRecord {type(rec).__name__}")
             break
-    if not report.metrics:
-        problems.append("report.metrics snapshot is missing")
-    else:
-        problems.extend(f"metrics: {p}" for p in check_metrics(report.metrics))
-        expected = metrics_snapshot(report)
-        if report.metrics != expected:
-            problems.append(
-                "report.metrics disagrees with metrics_snapshot(report) — "
-                "the snapshot must stay a pure function of the report"
-            )
     return problems

@@ -51,7 +51,6 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Sequence
 
-from ..obs.session import current_obs
 from .chaos import ChaosPlan
 
 __all__ = [
@@ -175,7 +174,8 @@ class QuarantineError(RuntimeError):
 
 @dataclass
 class PoolStats:
-    """Supervision counters for one pool lifetime (mirrored to repro.obs)."""
+    """Supervision counters for one pool lifetime — their one owner; a
+    sweep copies them into its ``BENCH_sweep.json`` ``sweeps[]`` entry."""
 
     retries: int = 0
     timeouts: int = 0
@@ -250,12 +250,6 @@ class _Worker:
         self.conn = conn
         self.task: _TaskState | None = None
         self.started_at = 0.0
-
-
-def _obs_inc(name: str, amount: int = 1) -> None:
-    session = current_obs()
-    if session is not None and amount:
-        session.metrics.counter(name).inc(amount)
 
 
 class SupervisedPool:
@@ -392,7 +386,6 @@ class SupervisedPool:
             task.attempt += 1
             if task.attempt >= cfg.max_attempts:
                 self.stats.quarantined += 1
-                _obs_inc("executor.quarantined")
                 if cfg.quarantine:
                     _finish(
                         task,
@@ -410,7 +403,6 @@ class SupervisedPool:
                     task.failures,
                 )
             self.stats.retries += 1
-            _obs_inc("executor.retries")
             delay = backoff_delay(cfg, task.key, task.attempt - 1)
             task.ready_at = time.monotonic() + delay
             pending.append(task)
@@ -495,7 +487,6 @@ class SupervisedPool:
                         if task is None or now - w.started_at <= cfg.deadline_s:
                             continue
                         self.stats.timeouts += 1
-                        _obs_inc("executor.timeouts")
                         self._kill_and_replace(w)
                         _failed(
                             task,
@@ -523,7 +514,6 @@ class SupervisedPool:
 
     def _note_death(self, worker: _Worker) -> None:
         self.stats.worker_deaths += 1
-        _obs_inc("executor.worker_deaths")
         self._kill_and_replace(worker)
 
     def _kill_and_replace(self, worker: _Worker) -> None:

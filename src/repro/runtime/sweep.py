@@ -53,6 +53,7 @@ from ..cluster.trace import RETENTION_MODES, trace_retention
 from ..obs.export import timeline_doc
 from ..obs.session import current_obs, obs_session
 from .resilient import (
+    PoolStats,
     QuarantinedTask,
     QuarantineError,
     ResilienceConfig,
@@ -401,8 +402,10 @@ class SweepTelemetry:
 
     The artifact (``BENCH_sweep.json`` by convention) is the repo's bench
     trajectory for the experiment suite: wall time per trial, simulated
-    events dispatched and bulk fitness evaluations observed, plus cache
-    hit/corruption counts per sweep.
+    events dispatched and bulk fitness evaluations observed, plus per
+    sweep the cache hit/corruption counts and the supervised pool's
+    :class:`~repro.runtime.resilient.PoolStats` (retries, timeouts,
+    worker deaths, respawns, degradation; zeros on the serial path).
     """
 
     trials: list[TrialRecord] = field(default_factory=list)
@@ -424,6 +427,7 @@ class SweepTelemetry:
         cache_corrupt: int,
         jobs: int,
         wall_s: float,
+        pool: PoolStats,
         quarantined: int = 0,
         interrupted: bool = False,
     ) -> None:
@@ -437,6 +441,11 @@ class SweepTelemetry:
                 "wall_s": round(wall_s, 6),
                 "quarantined": quarantined,
                 "interrupted": interrupted,
+                "retries": pool.retries,
+                "timeouts": pool.timeouts,
+                "worker_deaths": pool.worker_deaths,
+                "respawns": pool.respawns,
+                "degraded": pool.degraded,
             }
         )
 
@@ -669,6 +678,7 @@ def run_sweep(
         _record(index, cost, obs_spans=len(obs_doc["spans"]) if obs_doc else 0)
 
     quarantined: list[QuarantinedTask] = []
+    pool_stats = PoolStats()
     finished = False
     try:
         jobs = min(cfg.jobs, len(pending))
@@ -679,6 +689,7 @@ def run_sweep(
             # quarantine mode: one poison trial must not abort the grid
             resilience = dataclasses.replace(resilience, quarantine=True)
             with SupervisedPool(_execute_indexed, jobs, config=resilience) as pool:
+                pool_stats = pool.stats
                 payloads = [(i, trials[i]) for i in pending]
                 batch = pool.run_batch(
                     payloads,
@@ -709,6 +720,7 @@ def run_sweep(
                 wall_s=time.perf_counter() - sweep_start,
                 quarantined=len(quarantined),
                 interrupted=not finished,
+                pool=pool_stats,
             )
             telemetry.flush()
 
@@ -719,10 +731,6 @@ def run_sweep(
         # is reproducible; cached trials ran nothing, so they add no doc
         for i in sorted(obs_docs):
             session.merge_child(obs_docs[i], prefix=f"{experiment_id}/t{i}")
-        session.metrics.counter("sweep.trials").inc(len(trials))
-        session.metrics.counter("sweep.cache_hits").inc(cache_hits)
-        if cache is not None:
-            session.metrics.counter("sweep.cache_corrupt").inc(cache.corrupt)
 
     if quarantined:
         # every healthy trial completed and is cached, so a re-run after

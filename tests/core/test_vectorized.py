@@ -439,6 +439,29 @@ class TestVectorOffspring:
         assert supports_vectorized_variation(GAConfig().resolved_for(real))
 
 
+def _spy_variation(monkeypatch) -> dict[str, int]:
+    """Count what each variation path of ``repro.core.engine`` breeds:
+    children from ``vector_offspring``, sibling pairs from
+    ``offspring_pair``."""
+    import repro.core.engine as engine_mod
+
+    calls = {"vector_offspring": 0, "offspring_pair": 0}
+    real_vector, real_pair = engine_mod.vector_offspring, engine_mod.offspring_pair
+
+    def vector(*args, **kwargs):
+        genomes, origins = real_vector(*args, **kwargs)
+        calls["vector_offspring"] += len(genomes)
+        return genomes, origins
+
+    def pair(*args, **kwargs):
+        calls["offspring_pair"] += 1
+        return real_pair(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "vector_offspring", vector)
+    monkeypatch.setattr(engine_mod, "offspring_pair", pair)
+    return calls
+
+
 class TestVectorizedEngines:
     def test_default_off_scalar_path_untouched(self):
         """The toggle defaults off and same-seed scalar runs are unchanged
@@ -531,9 +554,10 @@ class TestVectorizedEngines:
         assert e._use_vectorized() is False
         assert e.state.generation == 3
 
-    def test_vectorized_emits_obs_counters_and_spans(self):
+    def test_vectorized_path_breeds_via_block_kernel(self, monkeypatch):
         from repro.obs import obs_session
 
+        calls = _spy_variation(monkeypatch)
         with obs_session(label="vec-test") as session:
             e = GenerationalEngine(
                 OneMax(16),
@@ -541,16 +565,13 @@ class TestVectorizedEngines:
                 seed=9,
             )
             e.run(4)
-        counters = {c.name: c.value for c in session.metrics.counters.values()}
-        assert counters["variation.offspring_vectorized"] == 4 * 8
+        assert calls == {"vector_offspring": 4 * 8, "offspring_pair": 0}
         # spans run on simulated time only: an untimed engine records none
         assert session.spans.spans == []
 
-    def test_scalar_emits_offspring_counter(self):
-        from repro.obs import obs_session
-
-        with obs_session(label="scalar-test") as session:
-            e = SteadyStateEngine(OneMax(16), GAConfig(population_size=6), seed=10)
-            e.run(2)
-        counters = {c.name: c.value for c in session.metrics.counters.values()}
-        assert counters["variation.offspring_scalar"] == 2 * 6
+    def test_scalar_path_breeds_through_offspring_pair(self, monkeypatch):
+        calls = _spy_variation(monkeypatch)
+        e = SteadyStateEngine(OneMax(16), GAConfig(population_size=6), seed=10)
+        e.run(2)
+        # one pair per birth at the default offspring_per_step=1
+        assert calls == {"vector_offspring": 0, "offspring_pair": 2 * 6}

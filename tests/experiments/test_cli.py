@@ -73,7 +73,7 @@ class TestRunVerbAndObsFlags:
         # the timeline validates against its schema and carries spans
         doc = json.loads(out_file.read_text())
         assert check_timeline(doc) == []
-        assert doc["schema"] == "repro-obs-timeline/v2"
+        assert doc["schema"] == "repro-obs-timeline/v3"
         assert doc["label"] == "E5"
         assert doc["spans"]
         assert doc["runs"]
@@ -105,7 +105,7 @@ class TestRunVerbAndObsFlags:
         )
         assert code == 0
         bench = json.loads(bench_file.read_text())
-        assert bench["obs"]["schema"] == "repro-obs-timeline/v2"
+        assert bench["obs"]["schema"] == "repro-obs-timeline/v3"
         assert bench["obs"]["span_count"] > 0
         assert any(t["obs_spans"] > 0 for t in bench["trials"])
 

@@ -1,6 +1,5 @@
-"""Tests for the EXPERIMENTS.md generation/refresh tooling."""
+"""Tests for the EXPERIMENTS.md writer and the suite layer script."""
 
-import re
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ class TestPaperClaims:
 
 
 class TestSectionRegex:
-    """The refresh script's section-splicing regex must be exact."""
+    """The writer's section splice and header recount must be exact."""
 
     DOC = (
         "# header\n\nSummary: **11/12 experiments reproduce their claimed shape**\n"
@@ -32,11 +31,9 @@ class TestSectionRegex:
     )
 
     def _splice(self, key: str, replacement: str) -> str:
-        pattern = re.compile(
-            rf"^## {key} — .*?(?=^## E\d+ — |\Z)", re.DOTALL | re.MULTILINE
-        )
-        assert pattern.search(self.DOC)
-        return pattern.sub(replacement + "\n", self.DOC, count=1)
+        from generate_experiments_md import splice_section
+
+        return splice_section(self.DOC, key, replacement)
 
     def test_middle_section_replaced_cleanly(self):
         out = self._splice("E7", "## E7 — seventh\n\nNEW BODY\n")
@@ -54,15 +51,33 @@ class TestSectionRegex:
         assert "body twelve" in out  # E12 untouched
         assert out.count("ONLY ONE") == 1
 
+    def test_missing_section_appended(self):
+        out = self._splice("E13", "## E13 — thirteenth\n\nNEW\n")
+        assert out.startswith(self.DOC.rstrip("\n") + "\n\n## E13 — thirteenth")
+        assert out.endswith("NEW\n")
+
+    def test_section_text_is_spliced_verbatim(self):
+        out = self._splice("E7", "## E7 — seventh\n\npath C:\\d\\1 and \\g<0>\n")
+        assert "path C:\\d\\1 and \\g<0>" in out
+
     def test_recount_header_regex(self):
+        from generate_experiments_md import recount_header
+
         doc = self.DOC + (
             "\n**Measured (3s):** REPRODUCED\n"
             "- ✓ `a` — d\n- ✗ `b` — d\n"
+            "\n**Measured (12s):** PARTIAL\n- ✓ `c` — d\n"
         )
-        reproduced = len(re.findall(r"^\*\*Measured \(\d+s\):\*\* REPRODUCED", doc, re.M))
-        checks_pass = len(re.findall(r"^- ✓ `", doc, re.M))
-        checks_fail = len(re.findall(r"^- ✗ `", doc, re.M))
-        assert (reproduced, checks_pass, checks_fail) == (1, 1, 1)
+        out = recount_header(doc)
+        assert "Summary: **1/2 experiments reproduce their claimed shape**\n" in out
+        assert "(2/3 individual shape checks pass)." in out
+        assert out.replace("1/2", "11/12").replace("2/3", "40/42") == doc
+
+    def test_recount_without_summary_line_fails(self):
+        from generate_experiments_md import recount_header
+
+        with pytest.raises(ValueError, match="summary line"):
+            recount_header("## E1 — first\n")
 
 
 class TestSuiteLayers:

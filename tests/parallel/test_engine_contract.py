@@ -36,7 +36,7 @@ from repro.parallel import (
     SimulatedSpecializedIslandModel,
     validate_report,
 )
-from repro.parallel.base import EpochRecord
+from repro.parallel.base import REPORT_COUNTERS, EpochRecord
 from repro.parallel.specialized import standard_scenarios
 from repro.problems import OneMax
 from repro.problems.multiobjective import SchafferF2
@@ -138,24 +138,30 @@ def test_registry_exposes_engine_classes():
 
 
 # ---------------------------------------------------------------------------
-# observability contract: metrics snapshots and span-derived paper metrics
+# observability contract: run notes and span-derived paper metrics
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ENGINES)
-def test_report_metrics_snapshot_matches_schema(name, audits):
-    from repro.obs import check_metrics, metrics_snapshot
+def test_report_metrics_snapshot_matches_schema(name):
+    """Each engine's observed run notes its report's counter fields, the
+    counters' one owner, by name, in a timeline that passes its schema
+    check; the note is a pure copy of the report, not of any session."""
+    from repro.obs import check_timeline, obs_session, timeline_doc
 
-    report = audits[name].report
-    assert report.metrics, "every engine must snapshot its metrics"
-    assert check_metrics(report.metrics) == []
-    # the snapshot is a pure function of the report, not of any session
-    assert report.metrics == metrics_snapshot(report)
-    counters = report.metrics["counters"]
-    assert counters["comm.migrants_sent"] == report.migrants_sent
-    assert counters["comm.retransmits"] == report.retransmits
-    assert counters["comm.dup_discards"] == report.dup_discards
-    assert counters["progress.evaluations"] == report.evaluations
+    with obs_session(label="notes") as session:
+        _, report = contract_run(name, 2)
+    assert validate_report(report, engine=name) == []
+    assert [run["engine"] for run in session.runs] == [name]
+    counters = session.runs[0]["counters"]
+    assert counters == {
+        counter: getattr(report, counter) for counter in REPORT_COUNTERS
+    }
+    assert counters["migrants_sent"] == report.migrants_sent
+    assert counters["retransmits"] == report.retransmits
+    assert counters["dup_discards"] == report.dup_discards
+    assert counters["evaluations"] == report.evaluations
+    assert check_timeline(timeline_doc(session)) == []
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -211,7 +217,9 @@ def test_session_notes_every_run():
         _, report = contract_run("sim-island", 1)
     assert len(session.runs) == 1
     assert session.runs[0]["engine"] == "sim-island"
-    assert session.runs[0]["metrics"] == report.metrics
+    assert session.runs[0]["counters"] == {
+        counter: getattr(report, counter) for counter in REPORT_COUNTERS
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ Three families of properties:
    breaks either invariant.  The checker itself is exercised the other
    way too: hand-built violations (partial overlap, escaping child,
    duplicate ids, inverted or non-finite times) must be *detected*.
-2. **Metrics** — counters are monotone and reject decrements; registry
-   snapshots round-trip through ``merge`` additively; histogram
-   summaries stay consistent with the observations they absorbed.
+2. **Timeline schema** — :func:`repro.obs.validate.check_timeline`
+   rejects malformed documents, stale schema versions and run notes
+   whose counters are not non-negative integers.
 3. **Transparency** — running an engine contract scenario inside an
    :func:`repro.obs.session.obs_session` leaves its result fingerprint
    and trace digest byte-identical to the unobserved run (the
@@ -25,12 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import (
-    MetricRegistry,
+    TIMELINE_SCHEMA,
     SpanRecord,
     SpanRecorder,
-    check_metrics,
     check_spans,
-    metrics_snapshot,
+    check_timeline,
     obs_session,
 )
 
@@ -238,132 +237,40 @@ class TestGenerationCoverage:
 
 
 class TestMetricsAndTimelineSchemas:
+    @staticmethod
+    def _doc(*runs):
+        return {"schema": TIMELINE_SCHEMA, "spans": [], "runs": list(runs)}
+
     def test_non_dict_metrics_rejected(self):
-        assert check_metrics(None) != []
-        assert check_metrics([1, 2]) != []
+        assert check_timeline(self._doc({"engine": "x", "counters": [1, 2]})) != []
+        assert check_timeline(self._doc("not a note")) != []
 
     def test_wrong_schema_string_rejected(self):
-        bad = {"schema": "nope/v0", "counters": {}, "gauges": {}, "histograms": {}}
-        assert any("schema" in p for p in check_metrics(bad))
-
-    def test_missing_sections_rejected(self):
-        bad = {"schema": "repro-obs-metrics/v1"}
-        problems = check_metrics(bad)
-        assert len(problems) == 3  # counters, gauges, histograms all missing
+        # a v2 document (session metrics registry, host wall clock) is stale
+        stale = {**self._doc(), "schema": "repro-obs-timeline/v2"}
+        assert any("schema" in p for p in check_timeline(stale))
 
     def test_bad_counter_values_rejected(self):
-        base = {"schema": "repro-obs-metrics/v1", "gauges": {}, "histograms": {}}
-        assert check_metrics({**base, "counters": {"a.b": -1}}) != []
-        assert check_metrics({**base, "counters": {"a.b": True}}) != []
-        assert check_metrics({**base, "counters": {"a.b": 1.5}}) != []
-        assert check_metrics({**base, "counters": {"flat": 1}}) != []
-
-    def test_bad_gauge_values_rejected(self):
-        base = {"schema": "repro-obs-metrics/v1", "counters": {}, "histograms": {}}
-        assert check_metrics({**base, "gauges": {"a.b": math.inf}}) != []
-        assert check_metrics({**base, "gauges": {"a.b": "x"}}) != []
-        assert check_metrics({**base, "gauges": {"flat": 1.0}}) != []
+        for bad in (-1, True, 1.5, "3"):
+            run = {"engine": "x", "counters": {"migrants_sent": bad}}
+            assert check_timeline(self._doc(run)) != []
+        good = {"engine": "x", "counters": {"migrants_sent": 0, "evaluations": 7}}
+        assert check_timeline(self._doc(good)) == []
 
     def test_timeline_rejects_non_dict_and_bad_schema(self):
-        from repro.obs import check_timeline
-
         assert check_timeline(None) != []
         assert check_timeline({"schema": "nope", "spans": []}) != []
-        assert any(
-            "spans" in p for p in check_timeline({"schema": "repro-obs-timeline/v2"})
-        )
+        assert any("spans" in p for p in check_timeline({"schema": TIMELINE_SCHEMA}))
 
     def test_timeline_rejects_incomplete_spans(self):
-        from repro.obs import check_timeline
-
-        doc = {"schema": "repro-obs-timeline/v2", "spans": [{"span_id": 1}]}
+        doc = {"schema": TIMELINE_SCHEMA, "spans": [{"span_id": 1}]}
         assert any("missing fields" in p for p in check_timeline(doc))
 
     def test_timeline_surfaces_bad_run_metrics(self):
-        from repro.obs import check_timeline
-
-        doc = {
-            "schema": "repro-obs-timeline/v2",
-            "spans": [],
-            "runs": [{"engine": "x", "metrics": {"schema": "wrong"}}],
-        }
-        assert any(p.startswith("runs[0]") for p in check_timeline(doc))
-
-
-class TestMetricRegistryProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_counter_accumulates_monotonically(self, increments):
-        reg = MetricRegistry()
-        total = 0
-        for inc in increments:
-            reg.counter("test.counter").inc(inc)
-            total += inc
-            assert reg.counter("test.counter").value == total
-
-    def test_counter_rejects_decrement(self):
-        reg = MetricRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("test.counter").inc(-1)
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["a.x", "a.y", "b.z"]),
-            st.integers(min_value=0, max_value=100),
-            max_size=3,
-        ),
-        st.dictionaries(
-            st.sampled_from(["a.x", "a.y", "b.z"]),
-            st.integers(min_value=0, max_value=100),
-            max_size=3,
-        ),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_is_additive_on_counters(self, first, second):
-        reg_a = MetricRegistry()
-        reg_b = MetricRegistry()
-        for name, v in first.items():
-            reg_a.counter(name).inc(v)
-        for name, v in second.items():
-            reg_b.counter(name).inc(v)
-        merged = MetricRegistry()
-        merged.merge(reg_a.snapshot())
-        merged.merge(reg_b.snapshot())
-        for name in set(first) | set(second):
-            assert merged.counter(name).value == first.get(name, 0) + second.get(name, 0)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_histogram_summary_consistent(self, values):
-        reg = MetricRegistry()
-        hist = reg.histogram("test.latency")
-        for v in values:
-            hist.observe(v)
-        summary = hist.summary()
-        assert summary["count"] == len(values)
-        assert summary["min"] == min(values)
-        assert summary["max"] == max(values)
-        assert summary["sum"] == pytest.approx(sum(values))
-        assert summary["mean"] == pytest.approx(sum(values) / len(values))
-
-    def test_names_must_be_namespaced(self):
-        reg = MetricRegistry()
-        for bad in ("flat", "Upper.case", "trailing.", ".leading", "a b.c"):
-            with pytest.raises(ValueError):
-                reg.counter(bad)
-
-    def test_snapshot_passes_schema_check(self):
-        reg = MetricRegistry()
-        reg.counter("a.hits").inc(3)
-        reg.gauge("b.level").set(0.5)
-        reg.histogram("c.latency").observe(1.0)
-        assert check_metrics(reg.snapshot()) == []
+        ok = {"engine": "x", "counters": {"epochs": 1}}
+        bad = {"engine": "y", "counters": {"epochs": -1}}
+        problems = check_timeline(self._doc(ok, bad))
+        assert problems and all(p.startswith("runs[1]") for p in problems)
 
 
 class TestObservabilityTransparency:
@@ -386,14 +293,3 @@ class TestObservabilityTransparency:
             assert trace_digest(trace_on) == trace_digest(trace_off)
         # and the observed run actually produced a valid timeline
         assert check_spans(session.spans) == []
-
-    def test_metrics_snapshot_is_pure(self):
-        """Same report → same snapshot, session active or not."""
-        from repro.verify.engines import contract_run
-
-        _, report = contract_run("island", seed=3)
-        plain = metrics_snapshot(report)
-        with obs_session(label="purity"):
-            inside = metrics_snapshot(report)
-        assert plain == inside
-        assert plain == report.metrics

@@ -183,5 +183,5 @@ class TestSupervisedAbandonmentEndToEnd:
 
     def test_abandonment_metrics_reach_the_report_snapshot(self):
         _, result = self._run_with_early_crash()
-        assert result.metrics["counters"]["recovery.abandoned_demes"] == 1
-        assert result.metrics["counters"]["recovery.recoveries"] == 0
+        assert result.abandoned_demes == 1
+        assert result.recoveries == 0
