@@ -98,6 +98,17 @@ copy-pasted per engine, and this check keeps them centralised:
    on simulated time only, and every count has one owner (a process
    counter, ``PoolStats``, the sweep telemetry or a ``RunReport`` field).
 
+10. **Knob reachability.**  Every keyword of the engine classes rule 7
+    names, of ``CellularGA``, ``MasterSlaveGA`` and of ``GAConfig`` (a
+    keyword forwarded through ``**kwargs`` belongs to the base-most class
+    that declares it) must be set by name — a call keyword or a string
+    key of a dict literal — somewhere under ``src/repro/{spec,verify,
+    experiments}``, ``examples/``, ``perfbench/`` or ``scripts/``, or sit
+    in the reasoned allowlist below.  An option that no experiment,
+    exemplar or example sets is a default: inline it and delete the
+    parameter.  An allowlist entry that names no checked keyword, or a
+    keyword some caller now sets, is stale and flagged too.
+
 Run from the repository root::
 
     python scripts/check_engine_contract.py
@@ -526,6 +537,186 @@ def lint_retired_file(path: Path) -> list[str]:
     return problems
 
 
+#: rule 10: the classes whose keywords must be reached
+KNOB_CLASS_NAMES = ENGINE_CLASS_NAMES | {"CellularGA", "MasterSlaveGA", "GAConfig"}
+
+#: rule 10: where setting a keyword by name counts as reaching it
+KNOB_CALLER_DIRS = (
+    SRC / "spec",
+    SRC / "verify",
+    SRC / "experiments",
+    REPO / "examples",
+    REPO / "perfbench",
+    REPO / "scripts",
+)
+
+#: (declaring class, keyword) pairs rule 10 accepts although no caller
+#: sets them, with the reason each stays
+KNOB_ALLOWLIST = {
+    ("GAConfig", "mutation_prob"): (
+        "gates an rng.random() draw even at 1.0 (core/variation.py, "
+        "core/vectorized/variation.py); deleting it re-pins every stream, "
+        "so it goes with the one-variation-path re-pin"
+    ),
+    ("GAConfig", "vectorized_variation"): (
+        "the opt-in block-kernel path; the one-variation-path change "
+        "deletes it together with the scalar branch"
+    ),
+    ("SimulatedIslandModel", "heartbeat_grace"): (
+        "the supervision tests need a grace shorter than the default ten "
+        "generation times, or the crash lands after the run ends"
+    ),
+    ("SimulatedSpecializedIslandModel", "heartbeat_grace"): (
+        "the same supervision capability as on the timed island model"
+    ),
+    ("EvolutionEngine", "evaluator"): (
+        "the real-executor data path (docs/paper_map.md) and the seam the "
+        "tests use to substitute an evaluator"
+    ),
+    ("MasterSlaveGA", "executor"): (
+        "the real-executor data path of the global model (docs/paper_map.md)"
+    ),
+    ("MasterSlaveIslandModel", "executor"): (
+        "the real-executor data path of the master-slave/island hybrid"
+    ),
+    ("EvolutionEngine", "callbacks"): (
+        "the user hook, kept as an object boundary"
+    ),
+    ("CellularGA", "neighborhood"): (
+        "the fine-grained neighbourhood shape, survey vocabulary "
+        "(docs/paper_map.md)"
+    ),
+    ("_IslandBase", "synchrony"): (
+        "synchronous vs asynchronous migration, survey vocabulary "
+        "(docs/paper_map.md) and a registered spec component"
+    ),
+}
+
+
+def _where(path: Path) -> Path:
+    return path.relative_to(REPO) if REPO in path.parents else path
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+        for d in node.decorator_list
+    )
+
+
+def _declared_keywords(node: ast.ClassDef) -> tuple[dict[str, int], bool]:
+    """The keywords ``node`` itself declares (name -> line) and whether
+    its constructor forwards further keywords to its bases."""
+    init = next(
+        (
+            b for b in node.body
+            if isinstance(b, ast.FunctionDef) and b.name == "__init__"
+        ),
+        None,
+    )
+    if init is not None:
+        args = init.args
+        params = [*args.posonlyargs, *args.args][1:] + args.kwonlyargs
+        forwards = args.vararg is not None or args.kwarg is not None
+        return {a.arg: a.lineno for a in params}, forwards
+    if _is_dataclass(node):
+        return {
+            b.target.id: b.lineno
+            for b in node.body
+            if isinstance(b, ast.AnnAssign)
+            and isinstance(b.target, ast.Name)
+            and "ClassVar" not in ast.unparse(b.annotation)
+        }, False
+    return {}, True
+
+
+def _set_names(roots) -> set[str]:
+    """Every name a caller sets: call keywords and dict-literal string keys."""
+    names: set[str] = set()
+    for root in roots:
+        for path in sorted(Path(root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(
+                        k.value
+                        for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    )
+    return names
+
+
+def lint_knob_reachability(
+    src: Path = SRC,
+    callers=KNOB_CALLER_DIRS,
+    classes=KNOB_CLASS_NAMES,
+    allowlist=KNOB_ALLOWLIST,
+) -> list[str]:
+    """Every checked keyword is set by some caller or allowlisted (rule 10)."""
+    index: dict[str, tuple[ast.ClassDef, Path]] = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                index[node.name] = (node, path)
+    declared = {name: _declared_keywords(node) for name, (node, _) in index.items()}
+
+    def bases(name: str) -> list[str]:
+        return [
+            b.id for b in index[name][0].bases
+            if isinstance(b, ast.Name) and b.id in index
+        ]
+
+    def ancestry(name: str) -> list[str]:
+        seen: list[str] = []
+        stack = [name]
+        while stack:
+            cls = stack.pop()
+            if cls not in seen:
+                seen.append(cls)
+                stack.extend(reversed(bases(cls)))
+        return seen
+
+    checked: dict[tuple[str, str], tuple[Path, int]] = {}
+    for name in sorted(classes):
+        keywords: set[str] = set()
+        pending = [name]
+        while pending:
+            cls = pending.pop()
+            own, forwards = declared[cls]
+            keywords.update(own)
+            if forwards:
+                pending.extend(bases(cls))
+        base_first = ancestry(name)[::-1]
+        for kw in keywords:
+            owner = next(c for c in base_first if kw in declared[c][0])
+            checked[(owner, kw)] = (index[owner][1], declared[owner][0][kw])
+
+    set_by_caller = _set_names(callers)
+    problems: list[str] = []
+    for (cls, kw), (path, line) in sorted(checked.items()):
+        if kw not in set_by_caller and (cls, kw) not in allowlist:
+            problems.append(
+                f"{_where(path)}:{line}: {cls}.{kw}: no experiment, spec, "
+                "example, perfbench or script sets this keyword — inline its "
+                "default and delete it, or allowlist it in KNOB_ALLOWLIST "
+                "with a reason"
+            )
+    for cls, kw in sorted(allowlist):
+        if (cls, kw) not in checked:
+            problems.append(
+                f"{_where(Path(__file__))}: KNOB_ALLOWLIST entry {cls}.{kw} "
+                "names no checked keyword — delete the stale entry"
+            )
+        elif kw in set_by_caller:
+            problems.append(
+                f"{_where(Path(__file__))}: KNOB_ALLOWLIST entry {cls}.{kw} "
+                "is set by a caller now — delete the stale entry"
+            )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in sorted(PARALLEL.glob("*.py")):
@@ -549,6 +740,7 @@ def main() -> int:
     retired_files = sorted(SRC.rglob("*.py"))
     for path in retired_files:
         problems.extend(lint_retired_file(path))
+    problems.extend(lint_knob_reachability())
     for line in problems:
         print(line)
     if problems:
@@ -561,7 +753,8 @@ def main() -> int:
         f"{len(vectorized_files)} vectorized kernel modules + "
         f"{len(pool_files)} bare-pool-free modules + "
         f"{len(trace_files)} trace-mutation-free modules + "
-        f"{len(retired_files)} retired-surface-free modules clean"
+        f"{len(retired_files)} retired-surface-free modules + "
+        f"{len(KNOB_CLASS_NAMES)} knob-reachable classes clean"
     )
     return 0
 

@@ -38,8 +38,6 @@ class GAConfig:
         (generational engines only).
     replacement:
         Steady-state victim policy (steady-state engines only).
-    offspring_per_step:
-        Offspring created per steady-state step.
     vectorized_variation:
         Opt-in fast path: run the selection-crossover-mutation cycle on
         ``(n, L)`` genome blocks via :mod:`repro.core.vectorized` instead
@@ -58,7 +56,6 @@ class GAConfig:
     mutation_prob: float = 1.0
     elitism: int = 1
     replacement: Replacement = field(default_factory=ReplaceWorstIfBetter)
-    offspring_per_step: int = 1
     vectorized_variation: bool = False
 
     def __post_init__(self) -> None:
@@ -76,10 +73,6 @@ class GAConfig:
             raise ValueError(
                 f"elitism ({self.elitism}) must be below population_size "
                 f"({self.population_size})"
-            )
-        if self.offspring_per_step < 1:
-            raise ValueError(
-                f"offspring_per_step must be >= 1, got {self.offspring_per_step}"
             )
 
     def resolved_for(self, spec) -> "GAConfig":

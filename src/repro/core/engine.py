@@ -310,9 +310,9 @@ class GenerationalEngine(EvolutionEngine):
 class SteadyStateEngine(EvolutionEngine):
     """Insert offspring one at a time, evicting via the replacement policy.
 
-    One *generation* is defined as ``population_size`` insertions scaled by
-    ``offspring_per_step`` — i.e. one full population's worth of births —
-    so convergence curves are comparable with the generational engine.
+    One *generation* is defined as ``population_size`` insertions — i.e.
+    one full population's worth of births — so convergence curves are
+    comparable with the generational engine.
     """
 
     def _advance(self) -> None:
@@ -321,35 +321,24 @@ class SteadyStateEngine(EvolutionEngine):
             return
         assert self.population is not None
         cfg = self.config
-        births_per_generation = len(self.population)
-        born = 0
-        while born < births_per_generation:
+        for _ in range(len(self.population)):
             parents = cfg.selection(
                 self.rng, self.population.individuals, 2, self.problem.maximize
             )
-            a, b = self._make_offspring_pair(parents[0], parents[1])
-            # A full sibling pair is always built; with offspring_per_step=1
-            # the second child (and its consumed mutation/repair draws) is
-            # discarded.  Deliberate: this rng draw order is
-            # fingerprint-protected (tests pin the stream).  The vectorized
-            # path below produces exactly the batch size instead.
-            batch = [a, b][: min(cfg.offspring_per_step, births_per_generation - born)]
-            self._evaluate(batch)
-            for child in batch:
-                cfg.replacement(self.rng, self.population, child)
-            born += len(batch)
+            # A full sibling pair is always built and the second child (and
+            # its consumed mutation/repair draws) is discarded.  Deliberate:
+            # this rng draw order is fingerprint-protected (tests pin the
+            # stream).  The vectorized path below makes one child per step.
+            child, _ = self._make_offspring_pair(parents[0], parents[1])
+            self._evaluate([child])
+            cfg.replacement(self.rng, self.population, child)
 
     def _advance_vectorized(self) -> None:
         assert self.population is not None
         cfg = self.config
-        births_per_generation = len(self.population)
-        born = 0
-        while born < births_per_generation:
-            k = min(cfg.offspring_per_step, births_per_generation - born)
+        for _ in range(len(self.population)):
             fits = self.population.fitness_array()
             parent_idx = self._select_indices(fits, 2)
-            batch = self._vector_offspring(parent_idx, k)
-            self._evaluate(batch)
-            for child in batch:
-                cfg.replacement(self.rng, self.population, child)
-            born += k
+            (child,) = self._vector_offspring(parent_idx, 1)
+            self._evaluate([child])
+            cfg.replacement(self.rng, self.population, child)

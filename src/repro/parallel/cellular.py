@@ -92,9 +92,9 @@ class CellularGA:
         Mating neighbourhood (von Neumann by default, à la Giacobini).
     update:
         One of :data:`UPDATE_POLICIES`.
-    replace_if_better:
-        If True a cell only adopts an offspring that improves on it (the
-        usual elitist cGA rule); if False the offspring always replaces.
+
+    A cell only adopts an offspring that improves on it (the usual
+    elitist cGA rule).
     """
 
     classification = ModelClassification(
@@ -113,7 +113,6 @@ class CellularGA:
         cols: int = 16,
         neighborhood: Neighborhood | None = None,
         update: str = "synchronous",
-        replace_if_better: bool = True,
         seed: int | np.random.Generator | None = None,
         trace: Trace | None = None,
     ) -> None:
@@ -129,7 +128,6 @@ class CellularGA:
         self.n_cells = rows * cols
         self.neighborhood = neighborhood or VonNeumannNeighborhood()
         self.update = update
-        self.replace_if_better = replace_if_better
         self.rng = ensure_rng(seed)
         self.trace = trace
         self.grid: list[Individual] = []
@@ -206,9 +204,6 @@ class CellularGA:
         return child
 
     def _maybe_replace(self, idx: int, child: Individual, target: list[Individual]) -> None:
-        if not self.replace_if_better:
-            target[idx] = child
-            return
         incumbent = target[idx]
         cf, pf = child.require_fitness(), incumbent.require_fitness()
         improves = cf > pf if self.problem.maximize else cf < pf

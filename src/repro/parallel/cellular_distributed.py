@@ -37,6 +37,9 @@ from .classification import (
 
 __all__ = ["DistributedCellularGA"]
 
+#: simulated wire size of one halo row
+HALO_PAYLOAD = 256.0
+
 
 class DistributedCellularGA(ParallelEngine):
     """Strip-partitioned cellular GA timed on a simulated cluster.
@@ -56,8 +59,8 @@ class DistributedCellularGA(ParallelEngine):
         One strip per node.
     eval_cost:
         Simulated seconds per cell update (fitness evaluation) at speed 1.
-    halo_payload:
-        Simulated message size per halo row.
+
+    Each halo row costs ``HALO_PAYLOAD`` on the wire.
     """
 
     engine_name = "distributed-cellular"
@@ -78,7 +81,6 @@ class DistributedCellularGA(ParallelEngine):
         cols: int = 32,
         cluster: SimulatedCluster,
         eval_cost: float = 1e-3,
-        halo_payload: float = 256.0,
         update: str = "synchronous",
         seed: int | None = None,
     ) -> None:
@@ -95,7 +97,6 @@ class DistributedCellularGA(ParallelEngine):
         )
         self.cluster = cluster
         self.eval_cost = eval_cost
-        self.halo_payload = halo_payload
         base = rows // cluster.n_nodes
         extra = rows - base * cluster.n_nodes
         self.strip_rows = [
@@ -145,8 +146,8 @@ class DistributedCellularGA(ParallelEngine):
         if n > 1:
             for i in range(n):
                 up, down = (i - 1) % n, (i + 1) % n
-                comm += self.cluster.network.transit_time(i, up, self.halo_payload)
-                comm += self.cluster.network.transit_time(i, down, self.halo_payload)
+                comm += self.cluster.network.transit_time(i, up, HALO_PAYLOAD)
+                comm += self.cluster.network.transit_time(i, down, HALO_PAYLOAD)
         self.compute_time += sum(per_node_compute)
         self.comm_time += comm
         if obs is not None and comm > 0.0:
@@ -159,7 +160,7 @@ class DistributedCellularGA(ParallelEngine):
         # the slowest single exchange, not the sum
         worst_exchange = (
             max(
-                self.cluster.network.transit_time(i, (i + 1) % n, self.halo_payload)
+                self.cluster.network.transit_time(i, (i + 1) % n, HALO_PAYLOAD)
                 for i in range(n)
             )
             if n > 1

@@ -52,9 +52,9 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
     branching:
         Children per node; layer ``l`` holds ``branching**l`` demes.
     migration_interval:
-        Epochs between up/down exchanges.
-    up_count / down_count:
-        Migrants promoted per child per exchange / demoted per child.
+        Epochs between exchanges, in which each child promotes its two
+        best members to its parent and receives one random member of the
+        parent in return.
     """
 
     engine_name = "hierarchical"
@@ -74,8 +74,6 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
         layers: int = 3,
         branching: int = 2,
         migration_interval: int = 5,
-        up_count: int = 2,
-        down_count: int = 1,
         seed: int | None = None,
         trace: Trace | None = None,
     ) -> None:
@@ -89,8 +87,6 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
         self.layers = layers
         self.branching = branching
         self.migration_interval = migration_interval
-        self.up_count = up_count
-        self.down_count = down_count
         cfg = (config or GAConfig()).resolved_for(problem.spec)
 
         # layer l gets fidelity max(0, highest - l)
@@ -165,25 +161,22 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
                 for c_idx in self._children_of(parent_layer, p_idx):
                     child = self.demes[l][c_idx]
                     assert child.population is not None and parent.population is not None
-                    # up: child's best, re-evaluated under parent's model
-                    ups = child.population.sorted()[: self.up_count]
-                    for ind in ups:
+                    # up: child's two best, re-evaluated under parent's model
+                    for ind in child.population.sorted()[:2]:
                         promoted = ind.copy(origin=f"promoted:L{l}")
                         promoted.fitness = parent.problem.evaluate(promoted.genome)
                         parent.state.evaluations += 1
                         self._accept(parent, promoted)
-                    # down: random members of the parent, re-evaluated cheaply
-                    if self.down_count > 0 and len(parent.population) > 0:
-                        idx = self.rng.choice(
-                            len(parent.population), size=self.down_count, replace=False
-                        )
-                        for i in idx:
-                            demoted = parent.population[int(i)].copy(
-                                origin=f"demoted:L{parent_layer}"
-                            )
-                            demoted.fitness = child.problem.evaluate(demoted.genome)
-                            child.state.evaluations += 1
-                            self._accept(child, demoted)
+                    # down: one random member of the parent, re-evaluated cheaply
+                    (i,) = self.rng.choice(
+                        len(parent.population), size=1, replace=False
+                    )
+                    demoted = parent.population[int(i)].copy(
+                        origin=f"demoted:L{parent_layer}"
+                    )
+                    demoted.fitness = child.problem.evaluate(demoted.genome)
+                    child.state.evaluations += 1
+                    self._accept(child, demoted)
 
     @staticmethod
     def _accept(deme: GenerationalEngine, newcomer: Individual) -> None:

@@ -25,9 +25,7 @@ Two drivers are provided:
 
 from __future__ import annotations
 
-from typing import Sequence, Type
-
-import numpy as np
+from typing import Type
 
 from ..cluster.machine import SimulatedCluster
 from ..cluster.trace import Trace
@@ -231,20 +229,10 @@ class IslandModel(EpochLoop, _IslandBase):
 
     In synchronous mode every deme completes generation *g* before any
     migrant from generation *g* is delivered (barrier semantics).  In
-    asynchronous mode parcels carry ``synchrony.delay`` epochs of staleness
-    and demes may skip steps (heterogeneous progress) via ``step_prob``.
+    asynchronous mode parcels carry ``synchrony.delay`` epochs of staleness.
     """
 
     engine_name = "island"
-
-    def __init__(self, *args, step_prob: float | Sequence[float] = 1.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        probs = np.broadcast_to(np.asarray(step_prob, dtype=float), (self.n_islands,))
-        if np.any(probs <= 0) or np.any(probs > 1):
-            raise ValueError("step_prob values must be in (0, 1]")
-        if self.synchrony.synchronous and not np.all(probs == 1.0):
-            raise ValueError("synchronous islands cannot have step_prob < 1")
-        self.step_prob = probs.copy()
 
     def initialize(self) -> None:
         for deme in self.demes:
@@ -259,17 +247,12 @@ class IslandModel(EpochLoop, _IslandBase):
         self._accepted_before = self.migrants_accepted
 
     def _lifecycle_step(self) -> None:
-        self._stepped = [
-            self.step_prob[i] >= 1.0 or self.rng.random() < self.step_prob[i]
-            for i in range(self.n_islands)
-        ]
-        for i, deme in enumerate(self.demes):
-            if self._stepped[i]:
-                deme.step()
+        for deme in self.demes:
+            deme.step()
 
     def _lifecycle_exchange(self) -> None:
         for i, deme in enumerate(self.demes):
-            if self._stepped[i] and self.schedule.should_migrate(
+            if self.schedule.should_migrate(
                 i,
                 self.epoch,
                 self.rng,
@@ -367,8 +350,6 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
         max_epochs: int = 100,
         stop_when_any_solves: bool = True,
         reliable_migration: bool = False,
-        rto_factor: float = 3.0,
-        max_retransmits: int = 8,
         supervised: bool = False,
         checkpoint_every: int = 5,
         heartbeat_grace: float | None = None,
@@ -383,8 +364,6 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
             stop_when_any_solves=stop_when_any_solves,
             capabilities=RuntimeCapabilities(
                 reliable=reliable_migration,
-                rto_factor=rto_factor,
-                max_retransmits=max_retransmits,
                 supervised=supervised,
                 checkpoint_every=checkpoint_every,
                 heartbeat_grace=heartbeat_grace,

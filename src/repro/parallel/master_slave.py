@@ -46,6 +46,11 @@ from .classification import (
 
 __all__ = ["MasterSlaveGA", "SimulatedMasterSlave"]
 
+#: simulated wire size of one genome sent to a slave
+GENOME_PAYLOAD = 100.0
+#: a chunk is declared lost after this multiple of its expected completion time
+REPLY_TIMEOUT_FACTOR = 3.0
+
 
 class MasterSlaveGA(GenerationalEngine):
     """Generational GA with executor-farmed fitness evaluation.
@@ -104,9 +109,10 @@ class SimulatedMasterSlave(ParallelEngine):
         genetic results themselves are computed out-of-band; the simulation
         prices the farm, and the counter is the degradation signal E9
         reports).
-    reply_timeout_factor:
-        Watchdog: a chunk is declared lost after
-        ``factor x`` its expected completion time.
+
+    Each genome costs ``GENOME_PAYLOAD`` on the wire to its slave, and a
+    chunk's watchdog declares it lost after ``REPLY_TIMEOUT_FACTOR x`` its
+    expected completion time.
     """
 
     engine_name = "sim-master-slave"
@@ -125,10 +131,8 @@ class SimulatedMasterSlave(ParallelEngine):
         *,
         cluster: SimulatedCluster,
         eval_cost: float = 1e-2,
-        genome_payload: float = 100.0,
         chunks_per_worker: int = 1,
         fault_tolerant: bool = True,
-        reply_timeout_factor: float = 3.0,
         seed: int | None = None,
     ) -> None:
         if cluster.n_nodes < 2:
@@ -140,10 +144,8 @@ class SimulatedMasterSlave(ParallelEngine):
         self.problem = problem
         self.cluster = cluster
         self.eval_cost = eval_cost
-        self.genome_payload = genome_payload
         self.chunks_per_worker = chunks_per_worker
         self.fault_tolerant = fault_tolerant
-        self.reply_timeout_factor = reply_timeout_factor
         self.engine = GenerationalEngine(
             problem, config, seed=seed, evaluator=self  # we intercept evaluate()
         )
@@ -197,7 +199,7 @@ class SimulatedMasterSlave(ParallelEngine):
             node = self.cluster.node(node_id)
             work = chunk_sizes[chunk] * self.eval_cost
             send_t = self.cluster.transit_time(
-                0, node_id, self.genome_payload * chunk_sizes[chunk]
+                0, node_id, GENOME_PAYLOAD * chunk_sizes[chunk]
             )
             compute = node.compute_time(work)
             reply_t = self.cluster.transit_time(node_id, 0, 8.0 * chunk_sizes[chunk])
@@ -222,7 +224,7 @@ class SimulatedMasterSlave(ParallelEngine):
                     )
             # watchdog fires regardless; ignored if reply arrived first
             expected = finish - sim.now
-            deadline = sim.now + max(expected * self.reply_timeout_factor, 1e-9)
+            deadline = sim.now + max(expected * REPLY_TIMEOUT_FACTOR, 1e-9)
             outstanding[chunk] = (node_id, deadline)
             sim.put_later(deadline - sim.now, master_inbox, ("watchdog", chunk, node_id))
             self.cluster.record(

@@ -38,6 +38,9 @@ from .classification import (
 
 __all__ = ["PooledEvolution"]
 
+#: simulated wire size of one individual pulled from or pushed to the pool
+PAYLOAD_PER_INDIVIDUAL = 100.0
+
 
 class PooledEvolution(ParallelEngine):
     """Asynchronous agents breeding against a shared individual pool.
@@ -55,6 +58,9 @@ class PooledEvolution(ParallelEngine):
         Individuals pulled (and offspring pushed) per agent transaction.
     max_transactions:
         Total pull-breed-push cycles across all agents before stopping.
+
+    Each individual pulled or pushed costs ``PAYLOAD_PER_INDIVIDUAL`` on
+    the wire.
     """
 
     engine_name = "pool"
@@ -75,7 +81,6 @@ class PooledEvolution(ParallelEngine):
         eval_cost: float = 1e-3,
         batch: int = 4,
         max_transactions: int = 500,
-        payload_per_individual: float = 100.0,
         seed: int | None = None,
     ) -> None:
         if cluster.n_nodes < 2:
@@ -90,7 +95,6 @@ class PooledEvolution(ParallelEngine):
         self.eval_cost = eval_cost
         self.batch = batch
         self.max_transactions = max_transactions
-        self.payload = payload_per_individual
         n_agents = cluster.n_nodes - 1
         rngs = spawn_rngs(seed, n_agents + 1)
         self._pool_rng = rngs[-1]
@@ -158,7 +162,7 @@ class PooledEvolution(ParallelEngine):
             parents = self._pool_pull()
             self.pulls += 1
             back = self.cluster.network.transit_time(
-                0, node_id, self.payload * len(parents)
+                0, node_id, PAYLOAD_PER_INDIVIDUAL * len(parents)
             )
             yield Timeout(back)
             if frame is not None:
@@ -196,7 +200,7 @@ class PooledEvolution(ParallelEngine):
                 )
             # push back
             push = self.cluster.network.transit_time(
-                node_id, 0, self.payload * len(offspring)
+                node_id, 0, PAYLOAD_PER_INDIVIDUAL * len(offspring)
             )
             t0 = self.cluster.sim.now
             yield Timeout(push)

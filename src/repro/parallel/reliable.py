@@ -30,6 +30,19 @@ from ..cluster.sim import Inbox
 
 __all__ = ["CallbackSink", "ChannelStats", "ReliableChannel"]
 
+#: message kind of a parcel on the wire (its ack is ``"migration-ack"``)
+KIND = "migration"
+ACK_KIND = f"{KIND}-ack"
+#: simulated size of an ack message
+ACK_PAYLOAD = 8.0
+#: retransmit timeout = ``RTO_FACTOR x`` the expected round trip at
+#: transmission time (floored at ``min_rto``), times ``BACKOFF**attempt``
+RTO_FACTOR = 3.0
+BACKOFF = 2.0
+#: retry budget per parcel before the sender gives up (the receiver may
+#: be permanently dead; at-least-once cannot beat that)
+MAX_RETRANSMITS = 8
+
 
 class CallbackSink:
     """Inbox-compatible delivery target that invokes a callback instead of
@@ -77,20 +90,15 @@ class ReliableChannel:
         A finished deme never drains its inbox again, so parcels to it
         are dropped instead of retried (they would only churn the event
         queue until the retry budget ran out).
-    ack_payload:
-        Simulated size of an ack message.
-    rto_factor:
-        Retransmit timeout = ``rto_factor x`` the expected round trip at
-        transmission time, doubled (``backoff``) per retry.
     min_rto:
         Floor on the retransmit timeout.  The wire round trip ignores
         *application* delay — a deme only drains its inbox between
         generations — so callers should set this to a couple of
         generation times or every parcel in a busy deme's inbox gets
         spuriously retransmitted.
-    max_retransmits:
-        Retry budget per parcel before the sender gives up (the receiver
-        may be permanently dead; at-least-once cannot beat that).
+
+    The timeout's factor and backoff and the retry budget are the module
+    constants ``RTO_FACTOR``, ``BACKOFF`` and ``MAX_RETRANSMITS``.
     """
 
     def __init__(
@@ -101,27 +109,10 @@ class ReliableChannel:
         inbox_of: Callable[[int], Inbox],
         is_stopped: Callable[[], bool] = lambda: False,
         is_done: Callable[[int], bool] = lambda d: False,
-        kind: str = "migration",
-        ack_payload: float = 8.0,
-        rto_factor: float = 3.0,
         min_rto: float = 0.0,
-        backoff: float = 2.0,
-        max_retransmits: int = 8,
     ) -> None:
-        if rto_factor <= 0 or backoff < 1.0:
-            raise ValueError(
-                f"need rto_factor > 0 and backoff >= 1, got ({rto_factor}, {backoff})"
-            )
-        if max_retransmits < 0:
-            raise ValueError(f"max_retransmits must be >= 0, got {max_retransmits}")
         self.cluster = cluster
-        self.kind = kind
-        self.ack_kind = f"{kind}-ack"
-        self.ack_payload = ack_payload
-        self.rto_factor = rto_factor
         self.min_rto = min_rto
-        self.backoff = backoff
-        self.max_retransmits = max_retransmits
         self._node_of = node_of
         self._inbox_of = inbox_of
         self._stopped = is_stopped
@@ -151,16 +142,14 @@ class ReliableChannel:
             src_node,
             dst_node,
             self._inbox_of(dst),
-            (self.kind, src, seq, payload),
+            (KIND, src, seq, payload),
             size=size,
-            kind=self.kind,
+            kind=KIND,
         )
         round_trip = self.cluster.transit_time(
             src_node, dst_node, size
-        ) + self.cluster.transit_time(dst_node, src_node, self.ack_payload)
-        rto = max(round_trip * self.rto_factor, self.min_rto, 1e-9) * (
-            self.backoff**attempt
-        )
+        ) + self.cluster.transit_time(dst_node, src_node, ACK_PAYLOAD)
+        rto = max(round_trip * RTO_FACTOR, self.min_rto, 1e-9) * BACKOFF**attempt
         self.cluster.sim.call_later(rto, self._check, src, dst, seq, attempt)
 
     def _check(self, src: int, dst: int, seq: int, attempt: int) -> None:
@@ -173,11 +162,11 @@ class ReliableChannel:
             # parcel, so retrying cannot converge — drop it quietly
             del self._unacked[key]
             return
-        if attempt >= self.max_retransmits:
+        if attempt >= MAX_RETRANSMITS:
             del self._unacked[key]
             self.stats.abandoned += 1
             self.cluster.record(
-                f"{self.kind}-abandoned", src=src, dst=dst, seq=seq
+                f"{KIND}-abandoned", src=src, dst=dst, seq=seq
             )
             return
         node = self.cluster.node(self._node_of(src))
@@ -191,7 +180,7 @@ class ReliableChannel:
                 del self._unacked[key]
                 self.stats.abandoned += 1
                 self.cluster.record(
-                    f"{self.kind}-abandoned", src=src, dst=dst, seq=seq
+                    f"{KIND}-abandoned", src=src, dst=dst, seq=seq
                 )
                 return
             self.cluster.sim.call_later(wake - now, self._check, src, dst, seq, attempt)
@@ -218,15 +207,15 @@ class ReliableChannel:
             dst_node,
             src_node,
             self._ack_sink,
-            (self.ack_kind, src, dst, seq),
-            size=self.ack_payload,
-            kind=self.ack_kind,
+            (ACK_KIND, src, dst, seq),
+            size=ACK_PAYLOAD,
+            kind=ACK_KIND,
         )
         key = (src, dst, seq)
         if key in self._applied:
             self.stats.dup_discards += 1
             self.cluster.record(
-                f"{self.kind}-dedup", src=src, dst=dst, seq=seq
+                f"{KIND}-dedup", src=src, dst=dst, seq=seq
             )
             return None
         self._applied.add(key)

@@ -60,6 +60,10 @@ __all__ = [
     "standard_scenarios",
 ]
 
+#: the Pareto archive is thinned to this many points along the first
+#: objective whenever it grows past it
+ARCHIVE_CAPACITY = 200
+
 
 @dataclass(frozen=True)
 class SIMScenario:
@@ -143,7 +147,6 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         *,
         policy: MigrationPolicy | None = None,
         hv_reference: Sequence[float] | None = None,
-        archive_capacity: int = 200,
         seed: int | None = None,
         trace: Trace | None = None,
     ) -> None:
@@ -151,7 +154,6 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         self.scenario = scenario
         self.policy = policy or MigrationPolicy(rate=2, selection="best", replacement="worst")
         self.hv_reference = None if hv_reference is None else np.asarray(hv_reference, float)
-        self.archive_capacity = archive_capacity
         n = scenario.n_subeas
         self.topology: Topology = (
             CompleteTopology(n) if scenario.topology == "complete" else RingTopology(n)
@@ -181,10 +183,10 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         objs = np.stack([o for _, o in self._archive])
         keep = pareto_front(objs)
         self._archive = [self._archive[i] for i in keep]
-        if len(self._archive) > self.archive_capacity:
+        if len(self._archive) > ARCHIVE_CAPACITY:
             # thin uniformly along the first objective to cap memory
             order = np.argsort([o[0] for _, o in self._archive])
-            idx = np.linspace(0, len(order) - 1, self.archive_capacity).astype(int)
+            idx = np.linspace(0, len(order) - 1, ARCHIVE_CAPACITY).astype(int)
             self._archive = [self._archive[order[i]] for i in idx]
 
     # -- evolution --------------------------------------------------------------------
@@ -309,8 +311,6 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
         migration_payload: float = 100.0,
         max_epochs: int = 50,
         reliable_migration: bool = False,
-        rto_factor: float = 3.0,
-        max_retransmits: int = 8,
         supervised: bool = False,
         checkpoint_every: int = 5,
         heartbeat_grace: float | None = None,
@@ -332,8 +332,6 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
             stop_when_any_solves=False,
             capabilities=RuntimeCapabilities(
                 reliable=reliable_migration,
-                rto_factor=rto_factor,
-                max_retransmits=max_retransmits,
                 supervised=supervised,
                 checkpoint_every=checkpoint_every,
                 heartbeat_grace=heartbeat_grace,

@@ -40,6 +40,9 @@ from .reliable import CallbackSink
 
 __all__ = ["IslandSupervisor"]
 
+#: simulated size of one heartbeat message
+HEARTBEAT_PAYLOAD = 4.0
+
 
 class IslandSupervisor:
     """Failure detector + recovery manager for a ``SimulatedIslandModel``.
@@ -56,11 +59,11 @@ class IslandSupervisor:
     grace:
         Silence threshold in simulated seconds; must exceed the slowest
         deme's per-generation time or healthy demes get "recovered"
-        (safe thanks to fencing, but wasteful).
-    check_interval:
-        Sweep period of the detector timer.
-    heartbeat_payload / snapshot_payload:
-        Simulated message sizes (a checkpoint is a whole population).
+        (safe thanks to fencing, but wasteful).  The detector timer
+        sweeps every ``grace / 4``.
+    snapshot_payload:
+        Simulated checkpoint size (a whole population); a heartbeat costs
+        ``HEARTBEAT_PAYLOAD``.
     """
 
     def __init__(
@@ -70,20 +73,14 @@ class IslandSupervisor:
         node_id: int,
         spares: list[int],
         grace: float,
-        check_interval: float,
-        heartbeat_payload: float = 4.0,
         snapshot_payload: float = 1.0,
     ) -> None:
-        if grace <= 0 or check_interval <= 0:
-            raise ValueError(
-                f"grace and check_interval must be positive, got ({grace}, {check_interval})"
-            )
+        if grace <= 0:
+            raise ValueError(f"grace must be positive, got {grace}")
         self.model = model
         self.node_id = node_id
         self.spares = list(spares)
         self.grace = grace
-        self.check_interval = check_interval
-        self.heartbeat_payload = heartbeat_payload
         self.snapshot_payload = snapshot_payload
         self.sink = CallbackSink(self._on_message)
         self._last_seen: dict[int, float] = {}
@@ -103,7 +100,7 @@ class IslandSupervisor:
             self.node_id,
             self.sink,
             ("hb", deme, incarnation, model.demes[deme].state.generation),
-            size=self.heartbeat_payload,
+            size=HEARTBEAT_PAYLOAD,
             kind="heartbeat",
         )
 
@@ -127,7 +124,7 @@ class IslandSupervisor:
         for i in range(model.n_islands):
             self._last_seen[i] = sim.now  # full grace from the start
         while not model._stop and not self._settled():
-            yield Timeout(self.check_interval)
+            yield Timeout(self.grace / 4.0)
             if model._stop:
                 break
             now = sim.now

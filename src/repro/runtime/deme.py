@@ -81,8 +81,6 @@ class RuntimeCapabilities:
     """
 
     reliable: bool = False
-    rto_factor: float = 3.0
-    max_retransmits: int = 8
     supervised: bool = False
     checkpoint_every: int = 5
     heartbeat_grace: float | None = None
@@ -184,8 +182,6 @@ class TimedDemeRuntime:
         self.max_epochs = max_epochs
         self.stop_when_any_solves = stop_when_any_solves
         self.reliable_migration = caps.reliable
-        self.rto_factor = caps.rto_factor
-        self.max_retransmits = caps.max_retransmits
         self.supervised = caps.supervised
         self.checkpoint_every = caps.checkpoint_every
         grace = caps.heartbeat_grace
@@ -470,9 +466,7 @@ class TimedDemeRuntime:
                 inbox_of=lambda d: self._inboxes[d],
                 is_stopped=lambda: self._stop,
                 is_done=lambda d: self._deme_done[d],
-                rto_factor=self.rto_factor,
                 min_rto=self._channel_min_rto(),
-                max_retransmits=self.max_retransmits,
             )
         if self.supervised:
             self._supervisor = IslandSupervisor(
@@ -480,7 +474,6 @@ class TimedDemeRuntime:
                 node_id=n,
                 spares=list(range(n + 1, self.cluster.n_nodes)),
                 grace=self.heartbeat_grace,
-                check_interval=self.heartbeat_grace / 4.0,
                 snapshot_payload=self._supervisor_snapshot_payload(),
             )
             self.cluster.sim.process(self._supervisor.process(), name="supervisor")

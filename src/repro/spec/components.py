@@ -167,13 +167,11 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"cluster needs >= 1 node, got {self.n_nodes}")
-        jitter = self.tiebreak_jitter
-        if jitter is not None:
-            if isinstance(jitter, bool) or not isinstance(jitter, (int, np.integer)):
-                raise ValueError(
-                    f"tiebreak_jitter must be an integer seed or None, got {jitter!r}"
-                )
-            object.__setattr__(self, "tiebreak_jitter", int(jitter))
+        object.__setattr__(
+            self,
+            "tiebreak_jitter",
+            _integral_seed(self.tiebreak_jitter, "tiebreak_jitter", nullable=True),
+        )
 
     def build(self) -> SimulatedCluster:
         network = None
@@ -257,9 +255,7 @@ class RunSpec:
         engine = decode_value(_field(doc, "engine", "run spec"))
         if not isinstance(engine, EngineSpec):
             raise ValueError("'engine' must be a tagged engine spec")
-        seed = doc.get("seed")
-        if seed is not None:
-            seed = int(seed)
+        seed = _integral_seed(doc.get("seed"), "seed", nullable=True)
         run = {k: decode_value(v) for k, v in dict(doc.get("run", {})).items()}
         return cls(engine=engine, seed=seed, run=run)
 
@@ -366,6 +362,17 @@ def _field(doc: Mapping[str, Any], key: str, what: str) -> Any:
         raise ValueError(f"{what} is missing required field {key!r}") from None
 
 
+def _integral_seed(value: Any, name: str, *, nullable: bool = False) -> int | None:
+    """A seed field's value: a non-bool integer (or ``None`` when
+    ``nullable``), else a :class:`ValueError` naming the field."""
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        expected = "an integer or null" if nullable else "an integer"
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    return int(value)
+
+
 def decode_value(value: Any) -> Any:
     """Raise plain JSON data back to spec-level values."""
     if isinstance(value, list):
@@ -418,7 +425,7 @@ def decode_value(value: Any) -> Any:
                 (float(a), float(b), tuple(int(n) for n in group))
                 for a, b, group in value.get("partitions", [])
             ),
-            link_seed=int(value.get("link_seed", 0)),
+            link_seed=_integral_seed(value.get("link_seed", 0), "link_seed"),
         )
     raise ValueError(f"unknown spec tag {tag!r}")
 

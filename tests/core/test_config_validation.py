@@ -43,11 +43,6 @@ class TestGAConfigValidation:
             GAConfig(population_size=4, elitism=4)
         GAConfig(population_size=4, elitism=3)  # strictly below is fine
 
-    @pytest.mark.parametrize("k", [0, -2])
-    def test_offspring_per_step_floor(self, k):
-        with pytest.raises(ValueError, match="offspring_per_step"):
-            GAConfig(offspring_per_step=k)
-
     def test_with_population_size_clamps_elitism(self):
         cfg = GAConfig(population_size=10, elitism=4)
         shrunk = cfg.with_population_size(3)

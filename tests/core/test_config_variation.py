@@ -20,7 +20,7 @@ class TestGAConfigValidation:
             {"mutation_prob": -0.1},
             {"elitism": -1},
             {"population_size": 5, "elitism": 5},
-            {"offspring_per_step": 0},
+            {"mutation_prob": 1.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

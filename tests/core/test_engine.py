@@ -211,7 +211,7 @@ class TestRepairIntegration:
 class TestScalarStreamPins:
     """Pin the scalar rng draw order, including the deliberate
     discarded-sibling draws (odd `needed` in the generational engine,
-    offspring_per_step=1 in the steady-state engine).  These values were
+    every step of the steady-state engine).  These values were
     recorded before the vectorized path existed; if they move, every
     experiment fingerprint moves with them."""
 
@@ -230,11 +230,9 @@ class TestScalarStreamPins:
         assert eng.rng.random() == 0.6815664837107825
 
     def test_steady_state_single_offspring_stream_pin(self):
-        # offspring_per_step=1: every step builds a pair and discards the
-        # second child after consuming its mutation/repair draws
-        eng = SteadyStateEngine(
-            OneMax(32), GAConfig(population_size=10, offspring_per_step=1), seed=321
-        )
+        # every step builds a pair and discards the second child after
+        # consuming its mutation/repair draws
+        eng = SteadyStateEngine(OneMax(32), GAConfig(population_size=10), seed=321)
         result = eng.run(3)
         assert result.best_fitness == 24.0
         assert [i.fitness for i in eng.population] == [
@@ -269,9 +267,7 @@ class TestScalarStreamPins:
             def evaluate(self, g):
                 return float(g.sum())
 
-        eng = SteadyStateEngine(
-            IntSum(), GAConfig(population_size=10, offspring_per_step=1), seed=55
-        )
+        eng = SteadyStateEngine(IntSum(), GAConfig(population_size=10), seed=55)
         assert eng.run(3).best_fitness == 35.0
         assert [i.fitness for i in eng.population] == [
             33.0, 33.0, 33.0, 34.0, 31.0, 31.0, 32.0, 33.0, 35.0, 34.0,

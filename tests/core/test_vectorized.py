@@ -573,5 +573,5 @@ class TestVectorizedEngines:
         calls = _spy_variation(monkeypatch)
         e = SteadyStateEngine(OneMax(16), GAConfig(population_size=6), seed=10)
         e.run(2)
-        # one pair per birth at the default offspring_per_step=1
+        # one pair per birth
         assert calls == {"vector_offspring": 0, "offspring_pair": 2 * 6}

@@ -10,6 +10,7 @@ from repro.parallel import (
     MasterSlaveIslandModel,
     SIMScenario,
     SpecializedIslandModel,
+    specialized,
     standard_scenarios,
 )
 from repro.problems import ZDT1, OneMax, SchafferF2
@@ -116,10 +117,11 @@ class TestSpecializedIslandModel:
         spent = model.total_evaluations() - evals_before
         assert spent > 2 * 10  # generation work + immigrant re-evaluations
 
-    def test_archive_capacity_respected(self):
+    def test_archive_capacity_respected(self, monkeypatch):
+        monkeypatch.setattr(specialized, "ARCHIVE_CAPACITY", 10)
         model = SpecializedIslandModel(
             ZDT1(dims=6), standard_scenarios()[1],
-            GAConfig(population_size=16), archive_capacity=10, seed=6,
+            GAConfig(population_size=16), seed=6,
         )
         res = model.run(epochs=6)
         assert res.archive_size <= 10

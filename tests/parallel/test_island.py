@@ -146,34 +146,6 @@ class TestAsynchrony:
         m.step_epoch()
         assert m.migrants_accepted > 0
 
-    def test_step_prob_requires_async(self):
-        with pytest.raises(ValueError):
-            IslandModel(
-                OneMax(8), 2, GAConfig(population_size=6),
-                synchrony=Synchrony(synchronous=True),
-                step_prob=0.5,
-            )
-
-    def test_heterogeneous_step_rates(self):
-        m = IslandModel(
-            OneMax(16), 2, GAConfig(population_size=6),
-            synchrony=Synchrony(synchronous=False, delay=0),
-            step_prob=[1.0, 0.2],
-            seed=7,
-        )
-        m.run(MaxGenerations(20))
-        g0 = m.demes[0].state.generation
-        g1 = m.demes[1].state.generation
-        assert g0 > g1  # the slow deme genuinely lags
-
-    def test_invalid_step_prob(self):
-        with pytest.raises(ValueError):
-            IslandModel(
-                OneMax(8), 2,
-                synchrony=Synchrony(synchronous=False),
-                step_prob=[1.0, 0.0],
-            )
-
 
 class TestTerminationAndResult:
     def test_solves_and_stops_early(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, MaxGenerations, SteadyStateEngine
+from repro.core import GAConfig, MaxGenerations
 from repro.migration import MigrationPolicy, PeriodicSchedule
 from repro.parallel import IslandModel
 from repro.problems import OneMax
@@ -50,22 +50,10 @@ class TestDynamicTopologyIntegration:
 
 
 class TestSteadyStateVariants:
-    def test_offspring_per_step_two_keeps_both_children(self):
-        eng = SteadyStateEngine(
-            OneMax(16),
-            GAConfig(population_size=9, offspring_per_step=2),
-            seed=6,
-        )
-        eng.initialize()
-        before = eng.state.evaluations
-        eng.step()
-        # one generation = pop_size births regardless of batching
-        assert eng.state.evaluations - before == 9
-
     def test_island_of_steady_state_demes_with_batching(self):
         model = IslandModel(
             OneMax(20), 3,
-            GAConfig(population_size=8, offspring_per_step=2),
+            GAConfig(population_size=8),
             engine="steady-state",
             seed=7,
         )

@@ -163,6 +163,25 @@ class TestRunSpecDocument:
         with pytest.raises(ValueError, match=f"missing required field {field!r}"):
             RunSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("value", ["Infinity", "1.5", "true", '"3"', "1e3"])
+    @pytest.mark.parametrize("field", ["seed", "link_seed"])
+    def test_from_json_rejects_a_non_integral_seed(self, field, value):
+        from repro.cluster.faults import FaultPlan
+
+        cluster = ClusterSpec(2, fault_plan=FaultPlan(intervals=((), ()), link_seed=7))
+        doc = RunSpec(
+            engine=EngineSpec("sim-island", {"cluster": cluster}), seed=7
+        ).to_json()
+        key = f'"{field}":7'
+        assert doc.count(key) == 1
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+            RunSpec.from_json(doc.replace(key, f'"{field}":{value}'))
+
+    def test_null_seed_is_an_unseeded_run(self):
+        doc = RunSpec(engine=EngineSpec("generational")).to_dict()
+        assert doc["seed"] is None
+        assert RunSpec.from_dict(doc).seed is None
+
     def test_decode_value_names_a_missing_component_name(self):
         with pytest.raises(ValueError, match="operator spec is missing required field 'name'"):
             decode_value({"$spec": "operator", "params": {}})

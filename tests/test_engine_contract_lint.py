@@ -1,0 +1,69 @@
+"""Tests for the engine-contract lint (``scripts/check_engine_contract.py``)."""
+
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+import check_engine_contract as lint  # noqa: E402
+
+
+def test_repository_passes_every_rule(capsys):
+    assert lint.main() == 0
+    assert "knob-reachable classes clean" in capsys.readouterr().out
+
+
+def _fixture(tmp_path: Path, caller_source: str) -> tuple[Path, Path]:
+    """A source tree whose engine forwards one keyword to its base, and a
+    caller tree holding ``caller_source``."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "engine.py").write_text(
+        "class Base:\n"
+        "    def __init__(self, problem, *, seed=None):\n"
+        "        pass\n"
+        "\n"
+        "\n"
+        "class Planted(Base):\n"
+        "    def __init__(self, *args, knob_nobody_sets=1, **kwargs):\n"
+        "        super().__init__(*args, **kwargs)\n"
+    )
+    callers = tmp_path / "callers"
+    callers.mkdir()
+    (callers / "caller.py").write_text(caller_source)
+    return src, callers
+
+
+def _lint(src, callers, allowlist=None):
+    return lint.lint_knob_reachability(
+        src, [callers], {"Planted"}, allowlist if allowlist is not None else {}
+    )
+
+
+def test_rule_10_flags_a_keyword_nothing_sets(tmp_path):
+    # `seed` is forwarded through **kwargs and set as a spec dict key;
+    # `problem` as a call keyword; the planted knob by nobody
+    src, callers = _fixture(tmp_path, 'Planted(problem=1, **{"seed": 3})\n')
+    problems = _lint(src, callers)
+    assert len(problems) == 1
+    assert "engine.py:7: Planted.knob_nobody_sets:" in problems[0]
+
+
+def test_rule_10_attributes_a_forwarded_keyword_to_its_declaring_base(tmp_path):
+    src, callers = _fixture(tmp_path, "Planted(knob_nobody_sets=2, problem=1)\n")
+    (problem,) = _lint(src, callers)
+    assert "engine.py:2: Base.seed:" in problem
+
+
+def test_rule_10_accepts_an_allowlisted_keyword_and_flags_a_stale_entry(tmp_path):
+    src, callers = _fixture(tmp_path, 'Planted(problem=1, seed=3)\n')
+    assert _lint(src, callers, {("Planted", "knob_nobody_sets"): "why"}) == []
+    stale = _lint(
+        src,
+        callers,
+        {("Planted", "knob_nobody_sets"): "why", ("Planted", "gone"): "why"},
+    )
+    assert len(stale) == 1 and "Planted.gone names no checked keyword" in stale[0]
+    set_now = _lint(src, callers, {("Base", "seed"): "why"})
+    assert any("Base.seed is set by a caller now" in p for p in set_now)
