@@ -587,8 +587,9 @@ KNOB_ALLOWLIST = {
         "(docs/paper_map.md)"
     ),
     ("_IslandBase", "synchrony"): (
-        "synchronous vs asynchronous migration, survey vocabulary "
-        "(docs/paper_map.md) and a registered spec component"
+        "synchronous vs asynchronous migration on the untimed island "
+        "models, survey vocabulary (docs/paper_map.md) and a registered "
+        "spec component; the timed models refuse it"
     ),
 }
 

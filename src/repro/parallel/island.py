@@ -355,6 +355,11 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
         heartbeat_grace: float | None = None,
         **kwargs,
     ) -> None:
+        if "synchrony" in kwargs:
+            raise ValueError(
+                "synchrony: timed island models migrate over the cluster; "
+                "a migrant's delay is its network transit, not an epoch buffer"
+            )
         super().__init__(problem, n_islands, config, **kwargs)
         self._init_timed_runtime(
             cluster or SimulatedCluster(n_islands),

@@ -26,6 +26,8 @@ Two drivers again:
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..cluster.machine import SimulatedCluster
 from ..cluster.sim import Timeout
 from ..obs.session import current_obs
@@ -189,7 +191,7 @@ class SimulatedMasterSlave(ParallelEngine):
         master_inbox = self.cluster.inbox("master")
         spans = chunk_indices(n_evals, self.workers * self.chunks_per_worker)
         # round-robin initial assignment; work-stealing on completion
-        unassigned = list(range(len(spans)))
+        unassigned = deque(range(len(spans)))
         chunk_sizes = {c: spans[c][1] - spans[c][0] for c in unassigned}
         outstanding: dict[int, tuple[int, float]] = {}  # chunk -> (node, deadline)
         done: set[int] = set()
@@ -233,21 +235,25 @@ class SimulatedMasterSlave(ParallelEngine):
             )
 
         def assign_pending() -> None:
-            """Pair unassigned chunks with currently-live idle slaves."""
+            """Hand each unassigned chunk to the first idle slave that is up
+            now.  Dead idle slaves are skipped but stay idle; a dispatch
+            does not advance the clock, so the walk resumes where the last
+            match left off."""
+            node = self.cluster.node
+            i = 0
             while unassigned:
-                live = [n for n in idle_slaves if self.cluster.node(n).is_up(sim.now)]
-                if not live:
+                while i < len(idle_slaves) and not node(idle_slaves[i]).is_up(sim.now):
+                    i += 1
+                if i == len(idle_slaves):
                     return
-                target = live[0]
-                idle_slaves.remove(target)
-                dispatch(unassigned.pop(0), target)
+                dispatch(unassigned.popleft(), idle_slaves.pop(i))
 
         assign_pending()
         while len(done) < len(spans):
             if unassigned and not outstanding:
                 # nothing in flight and no live slave took the work: the
                 # (reliable) master grinds through a chunk itself
-                chunk = unassigned.pop(0)
+                chunk = unassigned.popleft()
                 work = chunk_sizes[chunk] * self.eval_cost
                 self.cluster.record("master-compute", chunk=chunk, size=chunk_sizes[chunk])
                 t0 = sim.now

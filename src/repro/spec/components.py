@@ -201,6 +201,15 @@ class ClusterSpec:
 # -- engine ------------------------------------------------------------------------
 
 
+#: the component slots engines share: the spec each must hold (``None``
+#: leaves an optional slot at the engine's default) and its name in errors
+_SLOT_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
+    "problem": ((ProblemSpec,), "a problem spec"),
+    "config": ((GAConfigSpec, type(None)), "a config spec"),
+    "cluster": ((ClusterSpec, type(None)), "a cluster spec"),
+}
+
+
 @dataclass(frozen=True)
 class EngineSpec:
     """A named engine builder plus its (possibly spec-valued) params."""
@@ -217,6 +226,12 @@ class EngineSpec:
 
     def build(self, seed: int | None = None) -> Any:
         entry = ENGINE_BUILDERS.get(self.name)
+        for slot, (kinds, what) in _SLOT_KINDS.items():
+            value = self.params.get(slot)
+            if slot in self.params and not isinstance(value, kinds):
+                raise ValueError(
+                    f"engine.params.{slot}: expected {what}, got {type(value).__name__}"
+                )
         built = {k: build_value(v) for k, v in self.params.items()}
         return entry.factory(seed=seed, **built)
 

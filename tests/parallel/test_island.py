@@ -11,9 +11,16 @@ from repro.migration import (
     PeriodicSchedule,
     Synchrony,
 )
-from repro.parallel import IslandModel, SimulatedIslandModel, engine_class_by_name
+from repro.parallel import (
+    IslandModel,
+    SimulatedIslandModel,
+    SimulatedMasterSlaveIslandModel,
+    SimulatedSpecializedIslandModel,
+    engine_class_by_name,
+    standard_scenarios,
+)
 from repro.parallel.island import _IslandBase
-from repro.problems import DeceptiveTrap, OneMax
+from repro.problems import DeceptiveTrap, OneMax, SchafferF2
 from repro.topology import CompleteTopology, IsolatedTopology, RingTopology
 
 
@@ -145,6 +152,27 @@ class TestAsynchrony:
         m.step_epoch()
         m.step_epoch()
         assert m.migrants_accepted > 0
+
+
+class TestTimedModelsRejectSynchrony:
+    # timed migrants ride the cluster and never pass through the epoch
+    # buffers the synchrony option configures, so the option is refused
+    @pytest.mark.parametrize(
+        "cls", [SimulatedIslandModel, SimulatedMasterSlaveIslandModel]
+    )
+    def test_timed_island_models_reject_synchrony(self, cls):
+        with pytest.raises(ValueError, match="synchrony: timed island models"):
+            cls(
+                OneMax(8), 2, GAConfig(population_size=4),
+                synchrony=Synchrony(synchronous=False, delay=2),
+            )
+
+    def test_timed_specialized_model_has_no_synchrony(self):
+        with pytest.raises(TypeError, match="synchrony"):
+            SimulatedSpecializedIslandModel(
+                SchafferF2(), standard_scenarios()[3],
+                synchrony=Synchrony(synchronous=False, delay=2),
+            )
 
 
 class TestTerminationAndResult:

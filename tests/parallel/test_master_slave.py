@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import FaultPlan, Network, SimulatedCluster
+from repro.cluster import FaultPlan, Network, Node, SimulatedCluster
 from repro.core import GAConfig, GenerationalEngine, MaxGenerations
 from repro.parallel import MasterSlaveGA, SimulatedMasterSlave
 from repro.problems import OneMax
@@ -130,3 +130,27 @@ class TestSimulatedMasterSlave:
             SimulatedMasterSlave(OneMax(8), cluster=_cluster(), eval_cost=0)
         with pytest.raises(ValueError):
             SimulatedMasterSlave(OneMax(8), cluster=_cluster(), chunks_per_worker=0)
+
+
+class TestDispatchScaling:
+    def test_liveness_checks_scale_with_dispatches(self, monkeypatch):
+        # the master looks for the first live idle slave; it must not
+        # re-check every idle slave for every chunk it hands out.  In one
+        # fault-free generation the dispatch loop is the only caller.
+        calls = 0
+        is_up = Node.is_up
+
+        def counting_is_up(node, t):
+            nonlocal calls
+            calls += 1
+            return is_up(node, t)
+
+        monkeypatch.setattr(Node, "is_up", counting_is_up)
+        ms = SimulatedMasterSlave(
+            OneMax(16), GAConfig(population_size=256), cluster=_cluster(257),
+            eval_cost=1e-3, seed=7,
+        )
+        ms.run(MaxGenerations(0))
+        dispatches = ms.cluster.trace.count("dispatch")
+        assert dispatches == 256
+        assert calls <= 2 * dispatches

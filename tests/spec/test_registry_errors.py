@@ -54,3 +54,32 @@ def test_experiment_specs_unknown_key():
 
     with pytest.raises(KeyError, match="E99"):
         experiment_specs("E99")
+
+
+_SLOTS = ("problem", "config", "cluster")
+_WRONG_KIND_CASES = [
+    (name, slot, value)
+    for name in ENGINE_BUILDERS
+    for slot in _SLOTS
+    if slot in ENGINE_BUILDERS.get(name).exemplar["params"]
+    for value in (5, "x", [])
+]
+
+
+@pytest.mark.parametrize(
+    "name,slot,value",
+    _WRONG_KIND_CASES,
+    ids=[f"{n}-{s}-{type(v).__name__}" for n, s, v in _WRONG_KIND_CASES],
+)
+def test_wrong_kind_component_slot_is_a_typed_error(name, slot, value):
+    from repro.spec import build_run
+    from repro.verify.specs import exemplar_spec
+
+    spec = exemplar_spec(name)
+    spec.engine.params[slot] = value
+    with pytest.raises(
+        ValueError,
+        match=rf"^engine\.params\.{slot}: expected a {slot} spec, "
+        rf"got {type(value).__name__}$",
+    ):
+        build_run(spec)

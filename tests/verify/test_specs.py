@@ -70,6 +70,18 @@ def test_spec_replay_cli_on_a_batch(tmp_path, capsys):
     assert "replay: 1/1 ok" in capsys.readouterr().out
 
 
+def test_spec_replay_cli_rejects_a_wrong_kind_problem(tmp_path, capsys):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("sim-master-slave").to_dict()
+    doc["engine"]["params"]["problem"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "engine.params.problem: expected a problem spec, got int" in err
+
+
 def test_replay_cli_reads_stdin(monkeypatch, capsys):
     from repro.verify.__main__ import main
 
