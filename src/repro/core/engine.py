@@ -24,7 +24,7 @@ from .population import Population
 from .problem import Problem, stack_genomes
 from .rng import ensure_rng
 from .termination import EvolutionState, MaxGenerations, Termination
-from .variation import offspring_pair
+from .variation import breed, offspring_pair
 from .vectorized import selection_kernel, supports_vectorized_variation, vector_offspring
 
 __all__ = [
@@ -182,10 +182,16 @@ class EvolutionEngine:
             self.state.best_fitness
         )
 
-    def _evaluate(self, individuals: list[Individual]) -> None:
+    def _evaluate(
+        self, individuals: list[Individual], batch: np.ndarray | None = None
+    ) -> None:
+        """Evaluate ``individuals``; ``batch``, when given, is their genomes
+        already stacked (as the generational breeder returns them)."""
         if not individuals:
             return
-        genomes: Sequence[np.ndarray] | np.ndarray = [ind.genome for ind in individuals]
+        genomes: Sequence[np.ndarray] | np.ndarray = (
+            [ind.genome for ind in individuals] if batch is None else batch
+        )
         # ship the generation as one contiguous (n, L) array so evaluators
         # (and the executors behind them) get the vectorized fast path and
         # zero-copy chunk transport for free
@@ -280,17 +286,20 @@ class GenerationalEngine(EvolutionEngine):
         parents = cfg.selection(
             self.rng, self.population.individuals, needed + needed % 2, self.problem.maximize
         )
-        offspring: list[Individual] = []
-        for i in range(0, len(parents) - 1, 2):
-            a, b = self._make_offspring_pair(parents[i], parents[i + 1])
-            offspring.extend((a, b))
-        # With odd `needed` the loop above builds one full extra pair and the
-        # slice discards a sibling whose crossover/mutation draws were already
-        # consumed.  That waste is deliberate: the rng draw order here is
+        # With odd `needed` the breeder builds one full extra pair and drops
+        # a sibling whose crossover/mutation draws were already consumed.
+        # That waste is deliberate: the rng draw order here is
         # fingerprint-protected (tests pin the stream), so it must not change.
         # The vectorized path produces exactly `needed` children instead.
-        offspring = offspring[:needed]
-        self._evaluate(offspring)
+        offspring, genomes = breed(
+            self.rng,
+            cfg,
+            self.problem.spec,
+            parents,
+            needed,
+            generation=self.state.generation + 1,
+        )
+        self._evaluate(offspring, genomes)
         elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
         self.population.individuals = elite + offspring
 

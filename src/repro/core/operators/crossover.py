@@ -5,7 +5,11 @@ executes an exchange of the substring within the pair with some
 probability.  There are many types of crossovers defined …" — this module
 is that catalogue.  Every operator is a callable
 ``(rng, parent_a, parent_b) -> (child_a, child_b)`` over raw genome arrays;
-parents are never modified.
+parents are never modified.  Operators whose randomness depends on the
+genome length alone also expose ``draw(rng, n)``, the random values of one
+call in the order the call consumes them; ``__call__`` draws through it, and
+the stream-exact block breeder (:func:`repro.core.variation.make_offspring`)
+draws through it too, then applies the matching block arithmetic.
 
 Discrete-string operators (one-point, two-point, k-point, uniform) apply to
 binary and integer genomes; SBX / BLX / arithmetic apply to real vectors;
@@ -55,6 +59,10 @@ def _check_parents(a: np.ndarray, b: np.ndarray) -> None:
 class OnePointCrossover:
     """Classic single cut point exchange (Holland 1975)."""
 
+    def draw(self, rng: np.random.Generator, n: int) -> int:
+        """The cut: genes from it on are exchanged (``n``, no draw, if n < 2)."""
+        return n if n < 2 else int(rng.integers(1, n))
+
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +70,7 @@ class OnePointCrossover:
         n = a.shape[0]
         if n < 2:
             return a.copy(), b.copy()
-        cut = int(rng.integers(1, n))
+        cut = self.draw(rng, n)
         ca = np.concatenate([a[:cut], b[cut:]])
         cb = np.concatenate([b[:cut], a[cut:]])
         return ca, cb
@@ -72,6 +80,28 @@ class OnePointCrossover:
 class TwoPointCrossover:
     """Exchange the segment between two cut points."""
 
+    def draw(self, rng: np.random.Generator, n: int) -> tuple[int, int]:
+        """The exchanged segment ``[i, j)``: two distinct cuts in ``1..n-1``.
+
+        Below three genes this is one-point crossover's cut, to the end.
+        Otherwise it consumes exactly the draws of
+        ``rng.choice(n - 1, 2, replace=False)`` without that call's
+        overhead.  That call is Floyd's algorithm: two bounded draws, then
+        a shuffle of the pair that takes one 32-bit draw, as a bounded
+        draw below 2 does.  Sorting the cuts makes the shuffle moot, but
+        its draw is still taken.
+        """
+        if n < 3:
+            return OnePointCrossover().draw(rng, n), n
+        m = n - 1
+        integers = rng.integers
+        v1 = integers(0, m - 1)
+        v2 = integers(0, m)
+        integers(0, 2)
+        if v2 == v1:
+            v2 = m - 1
+        return (v1 + 1, v2 + 1) if v1 < v2 else (v2 + 1, v1 + 1)
+
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +109,7 @@ class TwoPointCrossover:
         n = a.shape[0]
         if n < 3:
             return OnePointCrossover()(rng, a, b)
-        # choice(n - 1) + 1 draws exactly what choice(np.arange(1, n)) does
-        i, j = sorted((rng.choice(n - 1, size=2, replace=False) + 1).tolist())
+        i, j = self.draw(rng, n)
         ca, cb = a.copy(), b.copy()
         ca[i:j], cb[i:j] = b[i:j], a[i:j]
         return ca, cb
@@ -127,11 +156,15 @@ class UniformCrossover:
         if not 0.0 <= self.swap_prob <= 1.0:
             raise ValueError(f"swap_prob must be in [0,1], got {self.swap_prob}")
 
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Per-gene uniforms; genes under ``swap_prob`` are exchanged."""
+        return rng.random(n)
+
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         _check_parents(a, b)
-        mask = rng.random(a.shape[0]) < self.swap_prob
+        mask = self.draw(rng, a.shape[0]) < self.swap_prob
         ca = np.where(mask, b, a).astype(a.dtype)
         cb = np.where(mask, a, b).astype(b.dtype)
         return ca, cb
@@ -180,18 +213,21 @@ class SimulatedBinaryCrossover:
     eta: float = 15.0
     per_gene_prob: float = 0.5
 
+    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-gene spread uniforms, then per-gene apply uniforms."""
+        return rng.random(n), rng.random(n)
+
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         _check_parents(a, b)
-        n = a.shape[0]
-        u = rng.random(n)
+        u, v = self.draw(rng, a.shape[0])
         beta = np.where(
             u <= 0.5,
             (2.0 * u) ** (1.0 / (self.eta + 1.0)),
             (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (self.eta + 1.0)),
         )
-        apply = rng.random(n) < self.per_gene_prob
+        apply = v < self.per_gene_prob
         beta = np.where(apply, beta, 1.0)
         ca = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
         cb = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)

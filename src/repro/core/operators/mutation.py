@@ -5,7 +5,9 @@ individual … It is random, so it is against staying in the local minimum.
 Low mutation parameter means low probability of mutation."
 
 Every operator is a callable ``(rng, genome) -> genome`` returning a *new*
-array; inputs are never modified in place.
+array; inputs are never modified in place.  As in
+:mod:`~repro.core.operators.crossover`, an operator whose randomness depends
+on the genome length alone exposes it as ``draw(rng, n)``.
 """
 
 from __future__ import annotations
@@ -57,9 +59,13 @@ class BitFlipMutation:
     def __post_init__(self) -> None:
         _check_rate(self.rate)
 
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Per-bit uniforms; bits under the rate flip."""
+        return rng.random(n)
+
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         rate = _per_gene_rate(self.rate, genome.shape[0])
-        mask = rng.random(genome.shape[0]) < rate
+        mask = self.draw(rng, genome.shape[0]) < rate
         # astype keeps the genome's dtype: bare np.where promotes bool to int64
         return np.where(mask, 1 - genome, genome).astype(genome.dtype, copy=False)
 
@@ -78,11 +84,15 @@ class GaussianMutation:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         _check_rate(self.rate)
 
+    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-gene uniforms (genes under the rate move), then the noise."""
+        return rng.random(n), rng.normal(0.0, self.sigma, size=n)
+
     def __call__(self, rng: np.random.Generator, genome: np.ndarray) -> np.ndarray:
         n = genome.shape[0]
         rate = _per_gene_rate(self.rate, n)
-        mask = rng.random(n) < rate
-        noise = rng.normal(0.0, self.sigma, size=n)
+        u, noise = self.draw(rng, n)
+        mask = u < rate
         out = genome.astype(float) + np.where(mask, noise, 0.0)
         if self.lower is not None or self.upper is not None:
             out = np.clip(

@@ -29,8 +29,10 @@ The fast path is opt-in via ``GAConfig(vectorized_variation=True)`` and
 is distributionally — not bit-for-bit — equivalent to the scalar cycle:
 it draws random numbers in blocks, so rng streams diverge while operator
 semantics (cut distributions, per-gene rates, selection pressure) match.
-With the toggle off, nothing here runs and every fingerprint is
-byte-identical to the scalar implementation.
+With the toggle off only the kernels' block arithmetic runs, fed the
+operators' own per-pair draws by the stream-exact breeder
+(:func:`repro.core.variation.make_offspring`), and every fingerprint is
+byte-identical to the per-pair cycle.
 """
 
 from .kernels import (

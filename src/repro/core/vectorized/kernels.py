@@ -13,6 +13,16 @@ They draw per-row (not per-individual-call) randomness, so they are
 *distributionally* equivalent to their scalar counterparts: identical
 cut-point and mask distributions, different rng stream consumption.
 
+Each operator that has a ``draw(rng, n)`` method splits its kernel in
+two: the block draw, and an arithmetic function (``two_point_exchange``,
+``bit_flip`` …) that takes values already drawn (or the masks they
+give: a kernel compares its large uniform block at once, so the block
+is freed before the arithmetic allocates).  The distributional
+kernel feeds it block-drawn values; the stream-exact breeder
+(:func:`repro.core.variation.make_offspring`) feeds it the operator's own
+per-call draws, stacked over the generation, through
+:func:`crossover_arithmetic` / :func:`mutation_arithmetic`.
+
 This module is loop-free by contract — no ``for``/``while`` statements
 and no comprehensions may appear here (or in
 :mod:`repro.core.vectorized.variation`); the rule is enforced by
@@ -41,6 +51,12 @@ __all__ = [
     "boltzmann_indices",
     "random_indices",
     "best_indices",
+    "one_point_exchange",
+    "two_point_exchange",
+    "uniform_exchange",
+    "sbx_blend",
+    "bit_flip",
+    "gaussian_perturb",
     "one_point_crossover_batch",
     "two_point_crossover_batch",
     "uniform_crossover_batch",
@@ -57,6 +73,8 @@ __all__ = [
     "selection_kernel",
     "crossover_kernel",
     "mutation_kernel",
+    "crossover_arithmetic",
+    "mutation_arithmetic",
     "supports_vectorized_variation",
 ]
 
@@ -213,6 +231,47 @@ def _distinct_pairs(
     return np.minimum(i, j), np.maximum(i, j)
 
 
+def one_point_exchange(
+    A: np.ndarray, B: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r`` exchanges its genes from ``cuts[r]`` on (a cut of ``L``
+    exchanges nothing)."""
+    keep = np.arange(A.shape[1])[None, :] < cuts[:, None]
+    return np.where(keep, A, B), np.where(keep, B, A)
+
+
+def two_point_exchange(
+    A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r`` exchanges the segment ``[lo[r], hi[r])``."""
+    cols = np.arange(A.shape[1])[None, :]
+    swap = (cols >= lo[:, None]) & (cols < hi[:, None])
+    return np.where(swap, B, A), np.where(swap, A, B)
+
+
+def uniform_exchange(
+    A: np.ndarray, B: np.ndarray, swap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Genes where the mask ``swap`` is set are exchanged."""
+    return np.where(swap, B, A), np.where(swap, A, B)
+
+
+def sbx_blend(
+    A: np.ndarray, B: np.ndarray, U: np.ndarray, apply: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """SBX children from spread uniforms ``U``, on the genes where the mask
+    ``apply`` is set."""
+    beta = np.where(
+        U <= 0.5,
+        (2.0 * U) ** (1.0 / (eta + 1.0)),
+        (1.0 / (2.0 * (1.0 - U))) ** (1.0 / (eta + 1.0)),
+    )
+    beta = np.where(apply, beta, 1.0)
+    CA = 0.5 * ((1.0 + beta) * A + (1.0 - beta) * B)
+    CB = 0.5 * ((1.0 - beta) * A + (1.0 + beta) * B)
+    return CA, CB
+
+
 def one_point_crossover_batch(
     rng: np.random.Generator, A: np.ndarray, B: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,9 +280,7 @@ def one_point_crossover_batch(
     p, L = A.shape
     if L < 2 or p == 0:
         return A.copy(), B.copy()
-    cuts = rng.integers(1, L, size=p)
-    keep = np.arange(L)[None, :] < cuts[:, None]
-    return np.where(keep, A, B), np.where(keep, B, A)
+    return one_point_exchange(A, B, rng.integers(1, L, size=p))
 
 
 def two_point_crossover_batch(
@@ -237,9 +294,7 @@ def two_point_crossover_batch(
     if p == 0:
         return A.copy(), B.copy()
     lo, hi = _distinct_pairs(rng, p, 1, L)
-    cols = np.arange(L)[None, :]
-    swap = (cols >= lo[:, None]) & (cols < hi[:, None])
-    return np.where(swap, B, A), np.where(swap, A, B)
+    return two_point_exchange(A, B, lo, hi)
 
 
 def uniform_crossover_batch(
@@ -251,8 +306,7 @@ def uniform_crossover_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-gene coin-flip exchange over the whole block."""
     _check_blocks(A, B)
-    swap = rng.random(A.shape) < swap_prob
-    return np.where(swap, B, A), np.where(swap, A, B)
+    return uniform_exchange(A, B, rng.random(A.shape) < swap_prob)
 
 
 def sbx_crossover_batch(
@@ -265,17 +319,8 @@ def sbx_crossover_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover on a whole block of real-vector pairs."""
     _check_blocks(A, B)
-    u = rng.random(A.shape)
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
-    )
-    apply = rng.random(A.shape) < per_gene_prob
-    beta = np.where(apply, beta, 1.0)
-    CA = 0.5 * ((1.0 + beta) * A + (1.0 - beta) * B)
-    CB = 0.5 * ((1.0 - beta) * A + (1.0 + beta) * B)
-    return CA, CB
+    U = rng.random(A.shape)
+    return sbx_blend(A, B, U, rng.random(A.shape) < per_gene_prob, eta)
 
 
 def arithmetic_crossover_batch(
@@ -316,14 +361,35 @@ def _check_block(G: np.ndarray) -> None:
         raise ValueError(f"genome block must be 2-D (m, L), got ndim={G.ndim}")
 
 
+def bit_flip(G: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Flip the bits where the mask ``flip`` is set; the block keeps its dtype."""
+    return np.where(flip, 1 - G, G).astype(G.dtype, copy=False)
+
+
+def gaussian_perturb(
+    G: np.ndarray,
+    mask: np.ndarray,
+    noise: np.ndarray,
+    lower: float | np.ndarray | None,
+    upper: float | np.ndarray | None,
+) -> np.ndarray:
+    """Add ``noise`` where ``mask`` is set, clipped to the optional bounds."""
+    out = G.astype(float) + np.where(mask, noise, 0.0)
+    if lower is not None or upper is not None:
+        out = np.clip(
+            out,
+            -np.inf if lower is None else lower,
+            np.inf if upper is None else upper,
+        )
+    return out
+
+
 def bit_flip_mutation_batch(
     rng: np.random.Generator, G: np.ndarray, *, rate: float | None = None
 ) -> np.ndarray:
     """Independent per-bit flips at ``rate`` (default 1/L) over the block."""
     _check_block(G)
-    r = _per_gene_rate(rate, G.shape[1])
-    flip = rng.random(G.shape) < r
-    return np.where(flip, 1 - G, G)
+    return bit_flip(G, rng.random(G.shape) < _per_gene_rate(rate, G.shape[1]))
 
 
 def gaussian_mutation_batch(
@@ -337,17 +403,9 @@ def gaussian_mutation_batch(
 ) -> np.ndarray:
     """Per-gene N(0, sigma) noise at ``rate``, clipped to optional bounds."""
     _check_block(G)
-    r = _per_gene_rate(rate, G.shape[1])
-    mask = rng.random(G.shape) < r
+    mask = rng.random(G.shape) < _per_gene_rate(rate, G.shape[1])
     noise = rng.normal(0.0, sigma, size=G.shape)
-    out = G.astype(float) + np.where(mask, noise, 0.0)
-    if lower is not None or upper is not None:
-        out = np.clip(
-            out,
-            -np.inf if lower is None else lower,
-            np.inf if upper is None else upper,
-        )
-    return out
+    return gaussian_perturb(G, mask, noise, lower, upper)
 
 
 def uniform_reset_mutation_batch(
@@ -531,6 +589,52 @@ def mutation_kernel(
         return swap_mutation_batch
     if isinstance(op, mut_ops.InversionMutation):
         return inversion_mutation_batch
+    return None
+
+
+def crossover_arithmetic(
+    op,
+) -> Callable[
+    [np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
+] | None:
+    """Block arithmetic matching ``op.draw``, or ``None``.
+
+    The returned ``f(A, B, D)`` crosses row ``r`` of the ``(p, L)`` parent
+    blocks with the values ``op.draw(rng, L)`` returned for that pair,
+    stacked as ``D = np.array(draws)``.  Keyed on the exact type, so a
+    subclass that overrides ``__call__`` never takes this path.
+    """
+    kind = type(op)
+    if kind is cx_ops.OnePointCrossover:
+        return one_point_exchange
+    if kind is cx_ops.TwoPointCrossover:
+        return lambda A, B, D: two_point_exchange(A, B, D[:, 0], D[:, 1])
+    if kind is cx_ops.UniformCrossover:
+        return lambda A, B, D: uniform_exchange(A, B, D < op.swap_prob)
+    if kind is cx_ops.SimulatedBinaryCrossover:
+        return lambda A, B, D: sbx_blend(
+            A, B, D[:, 0], D[:, 1] < op.per_gene_prob, op.eta
+        )
+    return None
+
+
+def mutation_arithmetic(
+    op,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+    """Block arithmetic matching ``op.draw``, or ``None``.
+
+    The returned ``f(G, D)`` mutates row ``r`` of ``G`` with the values
+    ``op.draw(rng, L)`` returned for that child, stacked as
+    ``D = np.array(draws)``.  Keyed on the exact type, like
+    :func:`crossover_arithmetic`.
+    """
+    kind = type(op)
+    if kind is mut_ops.BitFlipMutation:
+        return lambda G, D: bit_flip(G, D < _per_gene_rate(op.rate, G.shape[1]))
+    if kind is mut_ops.GaussianMutation:
+        return lambda G, D: gaussian_perturb(
+            G, D[:, 0] < _per_gene_rate(op.rate, G.shape[1]), D[:, 1], op.lower, op.upper
+        )
     return None
 
 

@@ -1,14 +1,14 @@
 """The whole crossover–mutation–repair cycle on genome blocks.
 
-:func:`vector_offspring` is the batched counterpart of
+:func:`vector_offspring` is the distributional counterpart of
 :func:`repro.core.variation.make_offspring`: same pairwise parent
 consumption (with wrap-around), same per-pair crossover probability, same
-per-child mutation probability, same origin tags — but applied to whole
-``(p, L)`` blocks through the kernels in :mod:`.kernels`, and producing
-*exactly* ``count`` children.  The scalar path always builds full pairs
-and discards the odd sibling; here the final block is sliced to ``count``
-before mutation, so no discarded-sibling work (or rng draws for it) ever
-happens.
+per-child mutation probability, same origin tags — but with block draws
+through the kernels in :mod:`.kernels`, and producing *exactly* ``count``
+children.  ``make_offspring`` keeps the per-pair draw order, so it always
+builds full pairs and discards the odd sibling; here the final block is
+sliced to ``count`` before mutation, so no discarded-sibling work (or rng
+draws for it) ever happens.
 
 Loop-free by contract — enforced by ``scripts/check_engine_contract.py``.
 """

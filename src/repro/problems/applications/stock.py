@@ -164,9 +164,13 @@ class StockPrediction(Problem):
     def _strategy_return(self, genome: np.ndarray, span: slice) -> float:
         pos = self._positions(genome, span)
         rets = self.next_returns[span]
-        turnover = np.abs(np.diff(pos, prepend=0.0))
+        # np.abs(np.diff(pos, prepend=0.0)) without the concatenation
+        turnover = np.empty_like(pos)
+        np.subtract(pos[:1], 0.0, out=turnover[:1])
+        np.subtract(pos[1:], pos[:-1], out=turnover[1:])
+        np.abs(turnover, out=turnover)
         daily = pos * rets - self.transaction_cost * turnover
-        return float(np.exp(np.log1p(np.clip(daily, -0.99, None)).sum()) - 1.0)
+        return float(np.exp(np.log1p(np.maximum(daily, -0.99)).sum()) - 1.0)
 
     def buy_and_hold(self, span: slice | None = None) -> float:
         span = span if span is not None else self._train

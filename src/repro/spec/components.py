@@ -207,6 +207,7 @@ _SLOT_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
     "problem": ((ProblemSpec,), "a problem spec"),
     "config": ((GAConfigSpec, type(None)), "a config spec"),
     "cluster": ((ClusterSpec, type(None)), "a cluster spec"),
+    "scenario": ((OperatorSpec,), "an operator spec"),
 }
 
 

@@ -123,6 +123,32 @@ class TestStockPrediction:
         assert np.isfinite(out.strategy_return)
         assert out.excess == pytest.approx(out.strategy_return - out.buy_and_hold_return)
 
+    @staticmethod
+    def _strategy_return_reference(p, genome, span):
+        """``_strategy_return`` in its np.diff / np.clip form."""
+        pos = p._positions(genome, span)
+        rets = p.next_returns[span]
+        turnover = np.abs(np.diff(pos, prepend=0.0))
+        daily = pos * rets - p.transaction_cost * turnover
+        return float(np.exp(np.log1p(np.clip(daily, -0.99, None)).sum()) - 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 10.0])
+    def test_strategy_return_matches_the_diff_clip_form(self, scale):
+        p = StockPrediction(seed=13, hidden=3, transaction_cost=0.002)
+        rng = np.random.default_rng(int(scale * 1000))
+        for _ in range(200):
+            g = p.spec.sample(rng) * scale
+            for span in (p._train, p._test, slice(0, 1), slice(0, 0)):
+                got = p._strategy_return(g, span)
+                want = self._strategy_return_reference(p, g, span)
+                assert np.array_equal(got, want, equal_nan=True)
+        g = p.spec.sample(rng)
+        g[0] = np.nan
+        got, want = p._strategy_return(g, p._train), self._strategy_return_reference(
+            p, g, p._train
+        )
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_transaction_costs_reduce_turnover_profit(self):
         base = StockPrediction(seed=12, hidden=3, transaction_cost=0.0)
         costly = StockPrediction(seed=12, hidden=3, transaction_cost=0.01)

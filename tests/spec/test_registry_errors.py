@@ -83,3 +83,22 @@ def test_wrong_kind_component_slot_is_a_typed_error(name, slot, value):
         rf"got {type(value).__name__}$",
     ):
         build_run(spec)
+
+
+@pytest.mark.parametrize("name", ["specialized", "sim-specialized"])
+@pytest.mark.parametrize(
+    "value", [5, "x", [], 1.5, -1, None], ids=["int", "str", "list", "float", "neg", "null"]
+)
+def test_wrong_kind_scenario_is_a_typed_error(name, value):
+    from repro.spec import build_run
+    from repro.verify.specs import exemplar_spec
+
+    spec = exemplar_spec(name)
+    assert "scenario" in spec.engine.params
+    spec.engine.params["scenario"] = value
+    with pytest.raises(
+        ValueError,
+        match=rf"^engine\.params\.scenario: expected an operator spec, "
+        rf"got {type(value).__name__}$",
+    ):
+        build_run(spec)

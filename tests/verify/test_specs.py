@@ -82,6 +82,19 @@ def test_spec_replay_cli_rejects_a_wrong_kind_problem(tmp_path, capsys):
     assert "engine.params.problem: expected a problem spec, got int" in err
 
 
+@pytest.mark.parametrize("name", ["specialized", "sim-specialized"])
+def test_spec_replay_cli_rejects_a_wrong_kind_scenario(tmp_path, capsys, name):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec(name).to_dict()
+    doc["engine"]["params"]["scenario"] = None
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "engine.params.scenario: expected an operator spec, got NoneType" in err
+
+
 def test_replay_cli_reads_stdin(monkeypatch, capsys):
     from repro.verify.__main__ import main
 
