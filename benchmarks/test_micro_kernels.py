@@ -308,7 +308,6 @@ class TestVariationThroughput:
     BREEDER_FLOOR = 1.3
 
     def _offspring_rates(self):
-        from repro.core.vectorized import selection_kernel as _sk
         from repro.core.vectorized import vector_offspring
         from repro.core import Individual
 
@@ -323,14 +322,13 @@ class TestVariationThroughput:
             ind.fitness = float(g.sum())
             inds.append(ind)
         fits = np.asarray([i.fitness for i in inds], dtype=float)
-        kernel = _sk(cfg.selection)
 
         def scalar_generation():
             parents = cfg.selection(rng, inds, self.POP, True)
             _pairwise_offspring(rng, cfg, spec, parents, self.POP)
 
         def vector_generation():
-            idx = kernel(rng, fits, self.POP, True)
+            idx = cfg.selection.indices(rng, fits, self.POP, True)
             vector_offspring(rng, cfg, spec, genomes[idx], self.POP)
 
         # the scalar cycle is slow — small bursts keep the benchmark honest

@@ -82,7 +82,9 @@ copy-pasted per engine, and this check keeps them centralised:
    ``TraceChecker`` / ``InvariantViolation``, the wall-clock backoff
    span ``_record_backoff_span``, or the second counter copies
    ``MetricRegistry``, ``metrics_snapshot``, ``check_metrics``,
-   ``METRICS_SCHEMA`` and the session host clock ``wall_now``; no module
+   ``METRICS_SCHEMA`` and the session host clock ``wall_now``, or the
+   duplicate selection kernels ``selection_kernel`` and
+   ``tournament_indices`` … ``best_indices``; no module
    under ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
@@ -95,16 +97,19 @@ copy-pasted per engine, and this check keeps them centralised:
    the ``TrialCache`` entry (result + measured ``TrialCost``) is the
    one per-trial sweep record, configured by one ``SweepConfig``,
    ``check_trace`` checks trace invariants post-hoc only, spans run
-   on simulated time only, and every count has one owner (a process
-   counter, ``PoolStats``, the sweep telemetry or a ``RunReport`` field).
+   on simulated time only, every count has one owner (a process
+   counter, ``PoolStats``, the sweep telemetry or a ``RunReport`` field),
+   and each selection scheme is written once, as its operator's
+   ``indices`` method.
 
 10. **Knob reachability.**  Every keyword of the engine classes rule 7
-    names, of ``CellularGA``, ``MasterSlaveGA`` and of ``GAConfig`` (a
-    keyword forwarded through ``**kwargs`` belongs to the base-most class
-    that declares it) must be set by name — a call keyword or a string
-    key of a dict literal — somewhere under ``src/repro/{spec,verify,
-    experiments}``, ``examples/``, ``perfbench/`` or ``scripts/``, or sit
-    in the reasoned allowlist below.  An option that no experiment,
+    names, of ``CellularGA``, ``MasterSlaveGA``, ``GAConfig`` and
+    ``ResilienceConfig`` (a keyword forwarded through ``**kwargs``
+    belongs to the base-most class that declares it) must be set by
+    name — a call keyword or a string key of a dict literal — somewhere
+    under ``src/repro/{spec,verify,experiments}``, ``examples/``,
+    ``perfbench/`` or ``scripts/``, or sit in the reasoned allowlist
+    below.  An option that no experiment,
     exemplar or example sets is a default: inline it and delete the
     parameter.  An allowlist entry that names no checked keyword, or a
     keyword some caller now sets, is stale and flagged too.
@@ -447,6 +452,12 @@ _COUNTERS = (
     "counter, PoolStats, BENCH_sweep.json or a RunReport field) and "
     "timelines hold simulated quantities only"
 )
+_SELECTION = (
+    "retired duplicate selection kernel — each built-in selection "
+    "operator's indices(rng, fitnesses, n, maximize) method is the one "
+    "implementation of its scheme, and both the member call and the "
+    "vectorized engine use it"
+)
 _INLINE = (
     "retired in-line trace checker — repro.verify.invariants.check_trace "
     "checks invariants post-hoc only"
@@ -484,6 +495,15 @@ _RETIRED_NAMES = {
     "check_metrics": _COUNTERS,
     "METRICS_SCHEMA": _COUNTERS,
     "wall_now": _COUNTERS,
+    "selection_kernel": _SELECTION,
+    "tournament_indices": _SELECTION,
+    "roulette_indices": _SELECTION,
+    "linear_rank_indices": _SELECTION,
+    "sus_indices": _SELECTION,
+    "truncation_indices": _SELECTION,
+    "boltzmann_indices": _SELECTION,
+    "random_indices": _SELECTION,
+    "best_indices": _SELECTION,
 }
 
 #: names rule 9 additionally forbids under repro/parallel/
@@ -538,7 +558,12 @@ def lint_retired_file(path: Path) -> list[str]:
 
 
 #: rule 10: the classes whose keywords must be reached
-KNOB_CLASS_NAMES = ENGINE_CLASS_NAMES | {"CellularGA", "MasterSlaveGA", "GAConfig"}
+KNOB_CLASS_NAMES = ENGINE_CLASS_NAMES | {
+    "CellularGA",
+    "MasterSlaveGA",
+    "GAConfig",
+    "ResilienceConfig",
+}
 
 #: rule 10: where setting a keyword by name counts as reaching it
 KNOB_CALLER_DIRS = (
@@ -585,6 +610,21 @@ KNOB_ALLOWLIST = {
     ("CellularGA", "neighborhood"): (
         "the fine-grained neighbourhood shape, survey vocabulary "
         "(docs/paper_map.md)"
+    ),
+    ("ResilienceConfig", "quarantine"): (
+        "the sweep sets it (runtime/sweep.py) so one poison trial cannot "
+        "abort a grid; the executor keeps the bare pool's first-failure "
+        "contract"
+    ),
+    ("ResilienceConfig", "backoff_base_s"): (
+        "the resilience tests shorten backoff so retry scenarios run fast"
+    ),
+    ("ResilienceConfig", "backoff_cap_s"): (
+        "the resilience tests shorten backoff so retry scenarios run fast"
+    ),
+    ("ResilienceConfig", "max_pool_respawns"): (
+        "the degradation tests lower the cap to reach the serial fallback "
+        "within a few worker deaths"
     ),
     ("_IslandBase", "synchrony"): (
         "synchronous vs asynchronous migration on the untimed island "

@@ -25,7 +25,7 @@ from .problem import Problem, stack_genomes
 from .rng import ensure_rng
 from .termination import EvolutionState, MaxGenerations, Termination
 from .variation import breed, offspring_pair
-from .vectorized import selection_kernel, supports_vectorized_variation, vector_offspring
+from .vectorized import supports_vectorized_variation, vector_offspring
 
 __all__ = [
     "FitnessEvaluator",
@@ -238,21 +238,25 @@ class EvolutionEngine:
     def _select_indices(self, fitnesses: np.ndarray, n: int) -> np.ndarray:
         """Select ``n`` parent row indices from the current population.
 
-        Uses the operator's index kernel when one exists; custom operators
-        fall back to the scalar call with picks mapped back to rows by
-        identity (selection returns references, never copies).
+        Built-in operators pick rows through their ``indices`` method;
+        custom operators without one fall back to the member call with
+        picks mapped back to rows by identity (selection returns
+        references, never copies).
         """
         assert self.population is not None
-        kernel = selection_kernel(self.config.selection)
-        if kernel is not None:
-            return kernel(self.rng, fitnesses, n, self.problem.maximize)
+        op = self.config.selection
+        if hasattr(op, "indices"):
+            return op.indices(self.rng, fitnesses, n, self.problem.maximize)
         members = self.population.individuals
         picked = self.config.selection(self.rng, members, n, self.problem.maximize)
         index_of = {id(ind): i for i, ind in enumerate(members)}
         return np.asarray([index_of[id(ind)] for ind in picked], dtype=np.int64)
 
-    def _vector_offspring(self, parent_idx: np.ndarray, count: int) -> list[Individual]:
-        """Run the batched variation cycle and wrap the rows as Individuals."""
+    def _vector_offspring(
+        self, parent_idx: np.ndarray, count: int
+    ) -> tuple[list[Individual], np.ndarray]:
+        """Run the batched variation cycle and wrap the rows as Individuals;
+        the child block comes back too, for :meth:`_evaluate`."""
         assert self.population is not None
         members = self.population.individuals
         picked = [members[i].genome for i in parent_idx.tolist()]
@@ -263,10 +267,11 @@ class EvolutionEngine:
             self.rng, self.config, self.problem.spec, parents, count
         )
         gen = self.state.generation + 1
-        return [
+        children = [
             Individual(genome=row.copy(), birth_generation=gen, origin=origin)
             for row, origin in zip(genomes, origins.tolist())
         ]
+        return children, genomes
 
     def _advance(self) -> None:
         raise NotImplementedError
@@ -310,8 +315,8 @@ class GenerationalEngine(EvolutionEngine):
         needed = n - min(cfg.elitism, n)
         fits = self.population.fitness_array()
         parent_idx = self._select_indices(fits, needed + needed % 2)
-        offspring = self._vector_offspring(parent_idx, needed)
-        self._evaluate(offspring)
+        offspring, genomes = self._vector_offspring(parent_idx, needed)
+        self._evaluate(offspring, genomes)
         elite = [ind.copy() for ind in self.population.sorted()[: cfg.elitism]]
         self.population.individuals = elite + offspring
 
@@ -348,6 +353,6 @@ class SteadyStateEngine(EvolutionEngine):
         for _ in range(len(self.population)):
             fits = self.population.fitness_array()
             parent_idx = self._select_indices(fits, 2)
-            (child,) = self._vector_offspring(parent_idx, 1)
-            self._evaluate([child])
+            (child,), genome = self._vector_offspring(parent_idx, 1)
+            self._evaluate([child], genome)
             cfg.replacement(self.rng, self.population, child)

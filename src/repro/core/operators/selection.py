@@ -9,6 +9,12 @@ Every operator is a callable
 ``(rng, population, n, maximize) -> list[Individual]`` drawing ``n``
 parents *with replacement*.  Returned individuals are references (not
 copies); engines copy before modifying.
+
+The built-in schemes subclass :class:`IndexSelection` and are written
+once, on arrays: ``indices(rng, fitnesses, n, maximize)`` picks ``n`` row
+indices from a fitness vector, and the shared ``__call__`` is that pick
+mapped back to members.  Both entry points draw the same random numbers
+in the same order, so they pick the same parents from the same state.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from ..individual import Individual
 
 __all__ = [
     "Selection",
+    "IndexSelection",
     "TournamentSelection",
     "RouletteWheelSelection",
     "LinearRankSelection",
@@ -45,25 +52,45 @@ class Selection(Protocol):
     ) -> list[Individual]: ...
 
 
-def _fitnesses(individuals: Sequence[Individual]) -> np.ndarray:
-    f = np.asarray([ind.require_fitness() for ind in individuals], dtype=float)
-    # Defence in depth behind the Individual.fitness guard: np.argmax over a
-    # score matrix containing NaN returns the NaN's position, so one bad
-    # fitness would silently win every tournament it enters.
-    if not np.all(np.isfinite(f)):
-        bad = np.nonzero(~np.isfinite(f))[0].tolist()
-        raise ValueError(f"non-finite fitness in selection pool at positions {bad}")
-    return f
+class IndexSelection:
+    """A selection scheme written on a fitness vector.
 
+    Subclasses implement ``_pick(rng, f, n, maximize)``, returning ``n``
+    row indices of ``f``; :meth:`indices` checks the pool first, so every
+    scheme and both entry points share one guard.
+    """
 
-def _sample_by_probs(
-    rng: np.random.Generator,
-    individuals: Sequence[Individual],
-    probs: np.ndarray,
-    n: int,
-) -> list[Individual]:
-    idx = rng.choice(len(individuals), size=n, replace=True, p=probs)
-    return [individuals[int(i)] for i in idx]
+    def indices(
+        self, rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
+    ) -> np.ndarray:
+        """``n`` row indices of ``fitnesses`` (int64), drawn with replacement."""
+        f = np.asarray(fitnesses, dtype=float)
+        if f.ndim != 1 or f.shape[0] == 0:
+            raise ValueError(
+                f"selection needs a non-empty 1-D fitness vector, got shape {f.shape}"
+            )
+        # np.argmax over a score matrix containing NaN returns the NaN's
+        # position, so one bad fitness would silently win every tournament
+        # it enters (defence in depth behind the Individual.fitness guard).
+        if not np.all(np.isfinite(f)):
+            bad = np.nonzero(~np.isfinite(f))[0].tolist()
+            raise ValueError(f"non-finite fitness in selection pool at positions {bad}")
+        return np.asarray(self._pick(rng, f, n, maximize), dtype=np.int64)
+
+    def _pick(
+        self, rng: np.random.Generator, f: np.ndarray, n: int, maximize: bool
+    ) -> np.ndarray:
+        raise NotImplementedError
+
+    def __call__(
+        self,
+        rng: np.random.Generator,
+        individuals: Sequence[Individual],
+        n: int,
+        maximize: bool,
+    ) -> list[Individual]:
+        f = [ind.require_fitness() for ind in individuals]
+        return [individuals[i] for i in self.indices(rng, f, n, maximize).tolist()]
 
 
 #: share of probability mass spread uniformly so the worst member never has
@@ -90,7 +117,7 @@ def _minimization_to_weights(f: np.ndarray, maximize: bool) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TournamentSelection:
+class TournamentSelection(IndexSelection):
     """Pick the best of ``size`` uniform random contestants, ``n`` times.
 
     Tournament size controls selection pressure; size 2 is the survey-era
@@ -104,43 +131,25 @@ class TournamentSelection:
         if self.size < 1:
             raise ValueError(f"tournament size must be >= 1, got {self.size}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        m = len(individuals)
-        if m == 0:
-            raise ValueError("cannot select from empty population")
-        k = min(self.size, m)
-        f = _fitnesses(individuals)
-        contestants = rng.integers(0, m, size=(n, k))
+    def _pick(self, rng, f, n, maximize):
+        m = f.shape[0]
+        contestants = rng.integers(0, m, size=(n, min(self.size, m)))
         scores = f[contestants]
         winners = np.argmax(scores, axis=1) if maximize else np.argmin(scores, axis=1)
-        picked = contestants[np.arange(n), winners]
-        return [individuals[int(i)] for i in picked]
+        return contestants[np.arange(n), winners]
 
 
 @dataclass(frozen=True)
-class RouletteWheelSelection:
+class RouletteWheelSelection(IndexSelection):
     """Fitness-proportionate selection (Holland's original scheme)."""
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
+    def _pick(self, rng, f, n, maximize):
         probs = _minimization_to_weights(f, maximize)
-        return _sample_by_probs(rng, individuals, probs, n)
+        return rng.choice(f.shape[0], size=n, replace=True, p=probs)
 
 
 @dataclass(frozen=True)
-class LinearRankSelection:
+class LinearRankSelection(IndexSelection):
     """Rank-based probabilities with selection bias ``sp`` in [1, 2]."""
 
     sp: float = 1.7
@@ -149,15 +158,8 @@ class LinearRankSelection:
         if not 1.0 <= self.sp <= 2.0:
             raise ValueError(f"selection pressure sp must be in [1,2], got {self.sp}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        m = len(individuals)
-        f = _fitnesses(individuals)
+    def _pick(self, rng, f, n, maximize):
+        m = f.shape[0]
         order = np.argsort(f) if maximize else np.argsort(-f)
         # rank 0 = worst … rank m-1 = best
         ranks = np.empty(m, dtype=float)
@@ -167,36 +169,26 @@ class LinearRankSelection:
         else:
             probs = np.ones(1)
         probs = probs / probs.sum()
-        return _sample_by_probs(rng, individuals, probs, n)
+        return rng.choice(m, size=n, replace=True, p=probs)
 
 
 @dataclass(frozen=True)
-class StochasticUniversalSampling:
+class StochasticUniversalSampling(IndexSelection):
     """SUS (Baker 1987): one spin, ``n`` equally spaced pointers — lower
     variance than roulette for the same expected counts."""
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        probs = _minimization_to_weights(f, maximize)
-        cum = np.cumsum(probs)
+    def _pick(self, rng, f, n, maximize):
+        cum = np.cumsum(_minimization_to_weights(f, maximize))
         start = rng.random() / n
         pointers = start + np.arange(n) / n
-        idx = np.searchsorted(cum, pointers, side="right")
-        idx = np.clip(idx, 0, len(individuals) - 1)
-        picked = [individuals[int(i)] for i in idx]
+        idx = np.clip(np.searchsorted(cum, pointers, side="right"), 0, f.shape[0] - 1)
         # SUS traditionally shuffles the mating pool afterwards
-        rng.shuffle(picked)
-        return picked
+        rng.shuffle(idx)
+        return idx
 
 
 @dataclass(frozen=True)
-class TruncationSelection:
+class TruncationSelection(IndexSelection):
     """Select uniformly from the top ``fraction`` of the population."""
 
     fraction: float = 0.5
@@ -205,23 +197,14 @@ class TruncationSelection:
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0,1], got {self.fraction}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
+    def _pick(self, rng, f, n, maximize):
         order = np.argsort(-f) if maximize else np.argsort(f)
-        k = max(1, int(np.ceil(self.fraction * len(individuals))))
-        elite = [individuals[int(i)] for i in order[:k]]
-        idx = rng.integers(0, k, size=n)
-        return [elite[int(i)] for i in idx]
+        k = max(1, int(np.ceil(self.fraction * f.shape[0])))
+        return order[rng.integers(0, k, size=n)]
 
 
 @dataclass(frozen=True)
-class BoltzmannSelection:
+class BoltzmannSelection(IndexSelection):
     """Softmax selection with temperature ``temperature``.
 
     High temperature → near-uniform; low temperature → near-greedy.  The
@@ -235,51 +218,28 @@ class BoltzmannSelection:
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
+    def _pick(self, rng, f, n, maximize):
         z = f if maximize else -f
         z = (z - z.max()) / self.temperature  # stabilised softmax
         w = np.exp(z)
-        probs = w / w.sum()
-        return _sample_by_probs(rng, individuals, probs, n)
+        return rng.choice(f.shape[0], size=n, replace=True, p=w / w.sum())
 
 
 @dataclass(frozen=True)
-class RandomSelection:
+class RandomSelection(IndexSelection):
     """Uniform random parents — the zero-pressure control."""
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        idx = rng.integers(0, len(individuals), size=n)
-        return [individuals[int(i)] for i in idx]
+    def _pick(self, rng, f, n, maximize):
+        return rng.integers(0, f.shape[0], size=n)
 
 
 @dataclass(frozen=True)
-class BestSelection:
+class BestSelection(IndexSelection):
     """Deterministically return the single best individual ``n`` times.
 
     Used for migrant selection ("send your best") and as the maximal
     pressure control in takeover-time studies.
     """
 
-    def __call__(
-        self,
-        rng: np.random.Generator,
-        individuals: Sequence[Individual],
-        n: int,
-        maximize: bool,
-    ) -> list[Individual]:
-        f = _fitnesses(individuals)
-        i = int(np.argmax(f) if maximize else np.argmin(f))
-        return [individuals[i]] * n
+    def _pick(self, rng, f, n, maximize):
+        return np.full(n, np.argmax(f) if maximize else np.argmin(f), dtype=np.int64)

@@ -9,8 +9,6 @@ statistically independent child streams.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = ["ensure_rng", "spawn_rngs", "spawn_seeds", "derive_rng"]
@@ -62,8 +60,3 @@ def derive_rng(rng: np.random.Generator) -> np.random.Generator:
     seed = rng.integers(0, 2**63 - 1, dtype=np.int64)
     return np.random.default_rng(int(seed))
 
-
-def pairwise_indices(rng: np.random.Generator, n: int) -> Sequence[tuple[int, int]]:
-    """Random disjoint index pairs covering ``0..n-1`` (n even) for mating."""
-    perm = rng.permutation(n)
-    return [(int(perm[i]), int(perm[i + 1])) for i in range(0, n - n % 2, 2)]

@@ -17,9 +17,11 @@ Layout
     This is the object boundary, the one module allowed to loop over
     individuals.
 :mod:`~repro.core.vectorized.kernels`
-    Batched NumPy kernels: index-returning selection, block crossover,
-    block mutation, plus the operator → kernel registries.  Loop-free by
-    contract (enforced by ``scripts/check_engine_contract.py``).
+    Batched NumPy kernels: block crossover and block mutation, plus the
+    operator → kernel registries.  Loop-free by contract (enforced by
+    ``scripts/check_engine_contract.py``).  Selection needs no kernel:
+    every built-in selection operator's ``indices`` method already picks
+    row indices from a fitness vector.
 :mod:`~repro.core.vectorized.variation`
     :func:`vector_offspring` — the whole cycle on parent blocks,
     producing *exactly* the requested offspring count.  Loop-free by the
@@ -38,7 +40,6 @@ byte-identical to the per-pair cycle.
 from .kernels import (
     crossover_kernel,
     mutation_kernel,
-    selection_kernel,
     supports_vectorized_variation,
 )
 from .population import ArrayPopulation
@@ -48,7 +49,6 @@ __all__ = [
     "ArrayPopulation",
     "crossover_kernel",
     "mutation_kernel",
-    "selection_kernel",
     "supports_vectorized_variation",
     "vector_offspring",
 ]

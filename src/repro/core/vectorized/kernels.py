@@ -1,11 +1,8 @@
-"""Batched NumPy kernels for selection, crossover and mutation.
+"""Batched NumPy kernels for crossover and mutation.
 
-Each selection kernel mirrors one operator from
-:mod:`repro.core.operators.selection` but takes a fitness *vector* and
-returns an index array instead of a list of individuals; where the
-scalar operator already draws its randomness in one block (tournament,
-roulette, rank) the kernel consumes the rng stream identically, so the
-two paths pick literally the same parents from the same generator state.
+Selection has no kernels here: each selection operator is already
+written once on a fitness vector (``indices`` in
+:mod:`repro.core.operators.selection`), and both paths call it.
 
 Crossover kernels map ``(p, L)`` parent blocks to two ``(p, L)`` child
 blocks; mutation kernels map an ``(m, L)`` block to a mutated copy.
@@ -38,19 +35,9 @@ import numpy as np
 
 from ..operators import crossover as cx_ops
 from ..operators import mutation as mut_ops
-from ..operators import selection as sel_ops
 from ..operators.mutation import _per_gene_rate
-from ..operators.selection import _minimization_to_weights
 
 __all__ = [
-    "tournament_indices",
-    "roulette_indices",
-    "linear_rank_indices",
-    "sus_indices",
-    "truncation_indices",
-    "boltzmann_indices",
-    "random_indices",
-    "best_indices",
     "one_point_exchange",
     "two_point_exchange",
     "uniform_exchange",
@@ -70,141 +57,12 @@ __all__ = [
     "creep_mutation_batch",
     "swap_mutation_batch",
     "inversion_mutation_batch",
-    "selection_kernel",
     "crossover_kernel",
     "mutation_kernel",
     "crossover_arithmetic",
     "mutation_arithmetic",
     "supports_vectorized_variation",
 ]
-
-
-def _check_fitnesses(fitnesses: np.ndarray) -> np.ndarray:
-    f = np.asarray(fitnesses, dtype=float)
-    if f.ndim != 1 or f.shape[0] == 0:
-        raise ValueError(f"fitness vector must be 1-D and non-empty, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("non-finite fitness in selection pool")
-    return f
-
-
-# -- selection: index-returning kernels ---------------------------------------
-
-def tournament_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    size: int = 2,
-) -> np.ndarray:
-    """Winners of ``n`` uniform tournaments of ``size`` contestants.
-
-    Consumes the rng exactly like :class:`TournamentSelection`, so a
-    kernel call and a scalar call from the same generator state pick the
-    same indices.
-    """
-    f = _check_fitnesses(fitnesses)
-    m = f.shape[0]
-    k = min(size, m)
-    contestants = rng.integers(0, m, size=(n, k))
-    scores = f[contestants]
-    winners = np.argmax(scores, axis=1) if maximize else np.argmin(scores, axis=1)
-    return contestants[np.arange(n), winners]
-
-
-def roulette_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Fitness-proportionate draws (min-shift + uniform floor weights)."""
-    f = _check_fitnesses(fitnesses)
-    probs = _minimization_to_weights(f, maximize)
-    return rng.choice(f.shape[0], size=n, replace=True, p=probs)
-
-
-def linear_rank_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    sp: float = 1.7,
-) -> np.ndarray:
-    """Linear-rank probabilities with selection bias ``sp`` in [1, 2]."""
-    f = _check_fitnesses(fitnesses)
-    m = f.shape[0]
-    order = np.argsort(f) if maximize else np.argsort(-f)
-    ranks = np.empty(m, dtype=float)
-    ranks[order] = np.arange(m, dtype=float)
-    if m > 1:
-        probs = (2.0 - sp) / m + 2.0 * ranks * (sp - 1.0) / (m * (m - 1.0))
-    else:
-        probs = np.ones(1)
-    probs = probs / probs.sum()
-    return rng.choice(m, size=n, replace=True, p=probs)
-
-
-def sus_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Stochastic universal sampling: one spin, ``n`` equal-spaced pointers."""
-    f = _check_fitnesses(fitnesses)
-    probs = _minimization_to_weights(f, maximize)
-    cum = np.cumsum(probs)
-    start = rng.random() / n
-    pointers = start + np.arange(n) / n
-    idx = np.searchsorted(cum, pointers, side="right")
-    idx = np.clip(idx, 0, f.shape[0] - 1)
-    rng.shuffle(idx)  # SUS traditionally shuffles the mating pool
-    return idx
-
-
-def truncation_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    fraction: float = 0.5,
-) -> np.ndarray:
-    """Uniform draws from the top ``fraction`` of the pool."""
-    f = _check_fitnesses(fitnesses)
-    order = np.argsort(-f) if maximize else np.argsort(f)
-    k = max(1, int(np.ceil(fraction * f.shape[0])))
-    return order[rng.integers(0, k, size=n)]
-
-
-def boltzmann_indices(
-    rng: np.random.Generator,
-    fitnesses: np.ndarray,
-    n: int,
-    maximize: bool,
-    *,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Softmax selection with the given temperature (stabilised)."""
-    f = _check_fitnesses(fitnesses)
-    z = f if maximize else -f
-    z = (z - z.max()) / temperature
-    w = np.exp(z)
-    return rng.choice(f.shape[0], size=n, replace=True, p=w / w.sum())
-
-
-def random_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """Uniform random parents — the zero-pressure control."""
-    f = _check_fitnesses(fitnesses)
-    return rng.integers(0, f.shape[0], size=n)
-
-
-def best_indices(
-    rng: np.random.Generator, fitnesses: np.ndarray, n: int, maximize: bool
-) -> np.ndarray:
-    """The single best index, ``n`` times (maximal-pressure control)."""
-    f = _check_fitnesses(fitnesses)
-    i = int(np.argmax(f) if maximize else np.argmin(f))
-    return np.full(n, i, dtype=np.int64)
 
 
 # -- crossover: block kernels -------------------------------------------------
@@ -506,38 +364,6 @@ def inversion_mutation_batch(rng: np.random.Generator, G: np.ndarray) -> np.ndar
 # Each resolver closes over the operator's own parameters, so the kernel
 # call sites stay parameter-free: kernel(rng, ...blocks...).
 
-def selection_kernel(
-    op,
-) -> Callable[[np.random.Generator, np.ndarray, int, bool], np.ndarray] | None:
-    """Index-returning kernel for a selection operator, or ``None``.
-
-    Callers with an unsupported (custom) operator fall back to invoking
-    the operator itself and mapping the picked individuals to indices —
-    see :meth:`EvolutionEngine._select_indices`.
-    """
-    if isinstance(op, sel_ops.TournamentSelection):
-        return lambda rng, f, n, mx: tournament_indices(rng, f, n, mx, size=op.size)
-    if isinstance(op, sel_ops.RouletteWheelSelection):
-        return roulette_indices
-    if isinstance(op, sel_ops.LinearRankSelection):
-        return lambda rng, f, n, mx: linear_rank_indices(rng, f, n, mx, sp=op.sp)
-    if isinstance(op, sel_ops.StochasticUniversalSampling):
-        return sus_indices
-    if isinstance(op, sel_ops.TruncationSelection):
-        return lambda rng, f, n, mx: truncation_indices(
-            rng, f, n, mx, fraction=op.fraction
-        )
-    if isinstance(op, sel_ops.BoltzmannSelection):
-        return lambda rng, f, n, mx: boltzmann_indices(
-            rng, f, n, mx, temperature=op.temperature
-        )
-    if isinstance(op, sel_ops.RandomSelection):
-        return random_indices
-    if isinstance(op, sel_ops.BestSelection):
-        return best_indices
-    return None
-
-
 def crossover_kernel(
     op,
 ) -> Callable[
@@ -640,9 +466,9 @@ def mutation_arithmetic(
 
 def supports_vectorized_variation(config) -> bool:
     """Whether a resolved :class:`GAConfig` has block kernels for both
-    variation operators.  Selection never gates the fast path: unsupported
-    selection operators fall back to the scalar operator with an
-    index-mapping shim (identical picks, object-level cost ``O(n)``)."""
+    variation operators.  Selection never gates the fast path: a custom
+    operator without ``indices`` is called on the members and its picks
+    are mapped back to rows (identical picks, object-level cost ``O(n)``)."""
     return (
         crossover_kernel(config.crossover) is not None
         and mutation_kernel(config.mutation) is not None

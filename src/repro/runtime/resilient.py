@@ -22,7 +22,7 @@ concrete for this codebase:
   killed and replaced; the task counts a timeout and retries.
 * **Bounded retry with seeded backoff.**  Failed attempts reschedule
   after exponential backoff with *full jitter*, drawn deterministically
-  from ``(backoff_seed, key, attempt)`` — the whole recovery history
+  from ``(BACKOFF_SEED, key, attempt)`` — the whole recovery history
   replays bit-identically.
 * **Poison-task quarantine.**  A task that fails ``max_retries + 1``
   attempts either aborts the batch (``quarantine=False``, the executor's
@@ -65,6 +65,14 @@ __all__ = [
 ]
 
 
+#: liveness poll cadence while blocked on busy workers
+HEARTBEAT_S = 0.2
+#: how long shutdown waits for a clean worker exit before terminating
+SHUTDOWN_GRACE_S = 5.0
+#: seed of the deterministic full-jitter backoff draws
+BACKOFF_SEED = 0
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Supervision policy for one :class:`SupervisedPool`.
@@ -83,8 +91,6 @@ class ResilienceConfig:
     backoff_base_s: float = 0.05
     #: hard cap on any single backoff delay
     backoff_cap_s: float = 2.0
-    #: seed for the deterministic full-jitter draws
-    backoff_seed: int = 0
     #: replacement workers allowed before degrading to serial in-process
     max_pool_respawns: int = 4
     #: True: box terminal failures as QuarantinedTask results and keep
@@ -92,10 +98,6 @@ class ResilienceConfig:
     quarantine: bool = False
     #: deterministic fault plan applied inside workers (never in-process)
     chaos: ChaosPlan | None = None
-    #: liveness poll cadence while blocked on busy workers
-    heartbeat_s: float = 0.2
-    #: how long shutdown waits for a clean worker exit before terminating
-    shutdown_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -116,12 +118,12 @@ def backoff_delay(config: ResilienceConfig, key: int, failed_attempt: int) -> fl
     """Deterministic exponential backoff with full jitter.
 
     ``uniform(0, min(cap, base * 2**failed_attempt))`` where the uniform
-    draw is a pure hash of ``(backoff_seed, key, failed_attempt)`` — the
+    draw is a pure hash of ``(BACKOFF_SEED, key, failed_attempt)`` — the
     AWS full-jitter schedule, reproducible across processes and runs.
     """
     ceiling = min(config.backoff_cap_s, config.backoff_base_s * (2.0 ** failed_attempt))
     blob = hashlib.sha256(
-        f"backoff|{config.backoff_seed}|{key}|{failed_attempt}".encode()
+        f"backoff|{BACKOFF_SEED}|{key}|{failed_attempt}".encode()
     ).digest()
     return ceiling * (int.from_bytes(blob[:8], "big") / 2**64)
 
@@ -315,7 +317,7 @@ class SupervisedPool:
         if self._closed:
             return
         self._closed = True
-        grace = self.config.shutdown_grace_s if timeout is None else timeout
+        grace = SHUTDOWN_GRACE_S if timeout is None else timeout
         for w in self._workers:
             try:
                 w.conn.send(None)
@@ -443,9 +445,9 @@ class SupervisedPool:
                     if pending:
                         wait = min(t.ready_at for t in pending) - time.monotonic()
                         if wait > 0:
-                            time.sleep(min(wait, cfg.heartbeat_s))
+                            time.sleep(min(wait, HEARTBEAT_S))
                     continue
-                timeout = cfg.heartbeat_s
+                timeout = HEARTBEAT_S
                 if cfg.deadline_s is not None:
                     next_deadline = (
                         min(w.started_at for w in busy) + cfg.deadline_s - now

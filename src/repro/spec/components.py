@@ -201,14 +201,36 @@ class ClusterSpec:
 # -- engine ------------------------------------------------------------------------
 
 
+_OPERATOR = ((OperatorSpec,), "an operator spec")
+_OPTIONAL_OPERATOR = ((OperatorSpec, type(None)), "an operator spec")
+
 #: the component slots engines share: the spec each must hold (``None``
 #: leaves an optional slot at the engine's default) and its name in errors
 _SLOT_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
     "problem": ((ProblemSpec,), "a problem spec"),
     "config": ((GAConfigSpec, type(None)), "a config spec"),
     "cluster": ((ClusterSpec, type(None)), "a cluster spec"),
-    "scenario": ((OperatorSpec,), "an operator spec"),
+    "scenario": _OPERATOR,
+    "policy": _OPTIONAL_OPERATOR,
 }
+
+#: the same for a config's operator fields (``None`` resolves crossover
+#: and mutation per genome spec)
+_CONFIG_SLOT_KINDS: dict[str, tuple[tuple[type, ...], str]] = {
+    "selection": _OPERATOR,
+    "crossover": _OPTIONAL_OPERATOR,
+    "mutation": _OPTIONAL_OPERATOR,
+    "replacement": _OPERATOR,
+}
+
+
+def _check_slots(params: Mapping[str, Any], kinds: Mapping, path: str) -> None:
+    """A one-line :class:`ValueError` naming ``path.slot`` for the first
+    slot of ``params`` that holds the wrong kind of value."""
+    for slot, (types, what) in kinds.items():
+        value = params.get(slot)
+        if slot in params and not isinstance(value, types):
+            raise ValueError(f"{path}.{slot}: expected {what}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -227,12 +249,10 @@ class EngineSpec:
 
     def build(self, seed: int | None = None) -> Any:
         entry = ENGINE_BUILDERS.get(self.name)
-        for slot, (kinds, what) in _SLOT_KINDS.items():
-            value = self.params.get(slot)
-            if slot in self.params and not isinstance(value, kinds):
-                raise ValueError(
-                    f"engine.params.{slot}: expected {what}, got {type(value).__name__}"
-                )
+        _check_slots(self.params, _SLOT_KINDS, "engine.params")
+        config = self.params.get("config")
+        if config is not None:
+            _check_slots(config.params, _CONFIG_SLOT_KINDS, "engine.params.config.params")
         built = {k: build_value(v) for k, v in self.params.items()}
         return entry.factory(seed=seed, **built)
 

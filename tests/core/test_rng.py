@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rng import derive_rng, ensure_rng, pairwise_indices, spawn_rngs, spawn_seeds
+from repro.core.rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
 
 
 class TestEnsureRng:
@@ -54,14 +54,3 @@ class TestDerive:
         child = derive_rng(parent)
         assert not np.allclose(parent.random(100), child.random(100))
 
-
-class TestPairwise:
-    def test_covers_disjoint_pairs(self, rng):
-        pairs = pairwise_indices(rng, 10)
-        flat = [i for p in pairs for i in p]
-        assert len(pairs) == 5
-        assert sorted(flat) == list(range(10))
-
-    def test_odd_population_drops_one(self, rng):
-        pairs = pairwise_indices(rng, 7)
-        assert len(pairs) == 3

@@ -2,9 +2,10 @@
 
 Three tiers of guarantee, each tested here:
 
-* **rng-stream parity** — selection kernels and the single-row forms of
-  most crossover/mutation kernels consume the generator identically to
-  the scalar operators, so same-state calls give bit-identical output;
+* **rng-stream parity** — the selection operators' index path and the
+  single-row forms of most crossover/mutation kernels consume the
+  generator identically to the member-level calls, so same-state calls
+  give bit-identical output;
 * **distributional equivalence** — kernels that sample differently
   (two-point cuts, swap/inversion positions, permutation repair's
   missing-value shuffle) match the scalar operators' distributions and
@@ -54,6 +55,7 @@ from repro.core.operators.mutation import (
 from repro.core.operators.selection import (
     BestSelection,
     BoltzmannSelection,
+    IndexSelection,
     LinearRankSelection,
     RandomSelection,
     RouletteWheelSelection,
@@ -62,7 +64,6 @@ from repro.core.operators.selection import (
     TruncationSelection,
 )
 from repro.core.vectorized import kernels as K
-from repro.core.vectorized import selection_kernel
 from repro.problems import OneMax
 
 
@@ -153,55 +154,82 @@ EXACT_PARITY_SELECTIONS = [
 
 
 class TestSelectionKernelParity:
+    """The index path (``op.indices`` on a fitness vector, which the
+    vectorized engine calls) and the member path (``op(...)`` on
+    individuals, which the scalar engines call) pick the same rows from
+    the same generator state.  ``tests/core/test_selection_pins.py`` pins
+    both against recorded picks."""
+
     @pytest.mark.parametrize("op", EXACT_PARITY_SELECTIONS, ids=lambda o: type(o).__name__)
     @pytest.mark.parametrize("maximize", [True, False])
     def test_kernel_picks_identical_indices(self, op, maximize):
-        """Same generator state -> literally the same parents as the scalar op."""
+        """Same generator state -> literally the same parents as the member call."""
         fits = [5.0, 2.0, 8.0, 8.0, 1.0, 4.0, 4.0, 7.0]
         pop = make_pop(fits, maximize=maximize)
-        kernel = selection_kernel(op)
-        assert kernel is not None
         r1, r2 = np.random.default_rng(42), np.random.default_rng(42)
         picked = op(r1, pop.individuals, 12, maximize)
         index_of = {id(ind): k for k, ind in enumerate(pop.individuals)}
         scalar_idx = [index_of[id(p)] for p in picked]
-        vec_idx = kernel(r2, np.asarray(fits), 12, maximize)
+        vec_idx = op.indices(r2, np.asarray(fits), 12, maximize)
         assert scalar_idx == vec_idx.tolist()
+        assert r1.random() == r2.random()
 
     @pytest.mark.parametrize("maximize", [True, False])
     def test_sus_same_multiset(self, maximize):
-        """SUS shuffles objects vs an index array, so order differs but the
-        selected multiset (the thing SUS guarantees) must be identical."""
+        """SUS shuffles its index array before mapping it to members, so the
+        two paths agree on the order too, not just the multiset."""
         fits = [5.0, 2.0, 8.0, 1.0, 4.0]
         pop = make_pop(fits, maximize=maximize)
         op = StochasticUniversalSampling()
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         picked = op(r1, pop.individuals, 9, maximize)
         index_of = {id(ind): k for k, ind in enumerate(pop.individuals)}
-        scalar_idx = sorted(index_of[id(p)] for p in picked)
-        vec_idx = sorted(K.sus_indices(r2, np.asarray(fits), 9, maximize).tolist())
-        assert scalar_idx == vec_idx
+        scalar_idx = [index_of[id(p)] for p in picked]
+        assert scalar_idx == op.indices(r2, np.asarray(fits), 9, maximize).tolist()
 
     def test_single_member_pool(self):
         fits = np.asarray([3.0])
         for op in EXACT_PARITY_SELECTIONS + [StochasticUniversalSampling()]:
-            kernel = selection_kernel(op)
-            idx = kernel(np.random.default_rng(0), fits, 4, True)
+            idx = op.indices(np.random.default_rng(0), fits, 4, True)
             assert idx.tolist() == [0, 0, 0, 0]
+            assert idx.dtype == np.int64
 
     def test_kernels_reject_nonfinite_fitness(self):
-        fits = np.asarray([1.0, np.nan, 2.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            K.tournament_indices(np.random.default_rng(0), fits, 5, True)
-        with pytest.raises(ValueError, match="non-finite"):
-            K.sus_indices(np.random.default_rng(0), fits, 5, True)
+        for bad in (np.nan, np.inf, -np.inf):
+            fits = np.asarray([1.0, bad, 2.0])
+            for op in EXACT_PARITY_SELECTIONS + [StochasticUniversalSampling()]:
+                with pytest.raises(ValueError, match=r"non-finite.*\[1\]"):
+                    op.indices(np.random.default_rng(0), fits, 5, True)
+
+    def test_empty_pool_is_rejected_before_any_draw(self):
+        for op in EXACT_PARITY_SELECTIONS + [StochasticUniversalSampling()]:
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                op.indices(rng, np.empty(0), 3, True)
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                op(rng, [], 3, True)
+            assert rng.random() == np.random.default_rng(0).random()
 
     def test_unknown_operator_has_no_kernel(self):
+        """Every built-in scheme has an index path; a custom operator that
+        only defines the member call has none, so the engine maps its picks
+        back to rows by identity."""
+
         class Custom:
             def __call__(self, rng, individuals, n, maximize):
                 return [individuals[0]] * n
 
-        assert selection_kernel(Custom()) is None
+        for op in EXACT_PARITY_SELECTIONS + [StochasticUniversalSampling()]:
+            assert isinstance(op, IndexSelection)
+        assert not isinstance(Custom(), IndexSelection)
+        assert not hasattr(Custom(), "indices")
+        e = GenerationalEngine(
+            OneMax(8),
+            GAConfig(population_size=4, selection=Custom(), vectorized_variation=True),
+            seed=0,
+        )
+        e.initialize()
+        assert e._select_indices(e.population.fitness_array(), 3).tolist() == [0, 0, 0]
 
 
 PAIR_EXACT_CROSSOVERS = [
@@ -509,6 +537,7 @@ class TestVectorizedEngines:
             seed=7,
         )
         e.initialize()
+        assert not hasattr(e.config.selection, "indices")  # no index path
         fits = e.population.fitness_array()
         idx = e._select_indices(fits, 6)
         assert idx.tolist() == [0, 1, 0, 1, 0, 1]
@@ -529,8 +558,9 @@ class TestVectorizedEngines:
             OneMax(8), GAConfig(population_size=6, vectorized_variation=True), seed=3
         )
         e.initialize(seeds)
-        children = e._vector_offspring(np.array([0, 2, 1, 3]), 4)
+        children, block = e._vector_offspring(np.array([0, 2, 1, 3]), 4)
         assert len(children) == 4
+        assert np.array_equal(block, np.stack([c.genome for c in children]))
         assert all(c.genome.dtype == np.int8 for c in children)
         assert all(c.genome.shape == (8,) for c in children)
         e.run(3)

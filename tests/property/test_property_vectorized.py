@@ -2,10 +2,10 @@
 
 The core claim of ``repro.core.vectorized`` is *equivalence*: for every
 population size, genome length and fitness landscape — including n=1,
-L=1, all-equal and tie-heavy pools — the batch kernels select the same
-indices (or the same multiset, for SUS), produce offspring satisfying
-the same structural invariants, and repair to the same domain as the
-scalar operators they replace.
+L=1, all-equal and tie-heavy pools — the selection operators' index
+path picks the same rows as their member path, and the batch kernels
+produce offspring satisfying the same structural invariants, and repair
+to the same domain, as the scalar operators they replace.
 """
 
 import numpy as np
@@ -31,7 +31,6 @@ from repro.core.operators.selection import (
     TruncationSelection,
 )
 from repro.core.vectorized import kernels as K
-from repro.core.vectorized import selection_kernel
 
 from ..conftest import make_population
 
@@ -57,30 +56,33 @@ EXACT_SELECTIONS = [
 @given(seed=seeds, fits=fitness_pools, n=st.integers(1, 20), maximize=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_selection_kernels_pick_identical_indices(seed, fits, n, maximize):
+    """``op.indices`` (the vectorized engine's path) and ``op(...)`` (the
+    scalar engines' path) pick the same rows and leave the same state."""
     pop = make_population(fits, maximize=maximize)
     for op in EXACT_SELECTIONS:
-        kernel = selection_kernel(op)
         r1 = np.random.default_rng(seed)
         r2 = np.random.default_rng(seed)
         picked = op(r1, pop.individuals, n, maximize)
         index_of = {id(ind): k for k, ind in enumerate(pop.individuals)}
         scalar_idx = [index_of[id(p)] for p in picked]
-        vec_idx = kernel(r2, np.asarray(fits, dtype=float), n, maximize)
+        vec_idx = op.indices(r2, np.asarray(fits, dtype=float), n, maximize)
         assert scalar_idx == vec_idx.tolist(), type(op).__name__
+        assert r1.random() == r2.random(), type(op).__name__
 
 
 @given(seed=seeds, fits=fitness_pools, n=st.integers(1, 20), maximize=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_sus_kernel_selects_same_multiset(seed, fits, n, maximize):
+    """SUS shuffles its index array before mapping, so the order agrees too."""
     pop = make_population(fits, maximize=maximize)
     op = StochasticUniversalSampling()
     r1 = np.random.default_rng(seed)
     r2 = np.random.default_rng(seed)
     picked = op(r1, pop.individuals, n, maximize)
     index_of = {id(ind): k for k, ind in enumerate(pop.individuals)}
-    scalar_idx = sorted(index_of[id(p)] for p in picked)
-    vec_idx = sorted(K.sus_indices(r2, np.asarray(fits, dtype=float), n, maximize).tolist())
-    assert scalar_idx == vec_idx
+    scalar_idx = [index_of[id(p)] for p in picked]
+    vec_idx = op.indices(r2, np.asarray(fits, dtype=float), n, maximize)
+    assert scalar_idx == vec_idx.tolist()
 
 
 @given(seed=seeds, p=st.integers(1, 16), length=st.integers(1, 32))

@@ -67,11 +67,11 @@ class TestConfig:
 
 class TestBackoff:
     def test_deterministic(self):
-        cfg = ResilienceConfig(backoff_seed=7)
+        cfg = ResilienceConfig()
         assert backoff_delay(cfg, 3, 1) == backoff_delay(cfg, 3, 1)
 
     def test_varies_with_key_and_attempt(self):
-        cfg = ResilienceConfig(backoff_seed=7)
+        cfg = ResilienceConfig()
         draws = {backoff_delay(cfg, k, a) for k in range(4) for a in range(4)}
         assert len(draws) == 16
 

@@ -102,3 +102,63 @@ def test_wrong_kind_scenario_is_a_typed_error(name, value):
         rf"got {type(value).__name__}$",
     ):
         build_run(spec)
+
+
+_POLICY_ENGINES = [
+    name
+    for name in ENGINE_BUILDERS
+    if "policy" in ENGINE_BUILDERS.get(name).exemplar["params"]
+]
+
+
+def test_four_exemplars_carry_a_policy():
+    assert sorted(_POLICY_ENGINES) == [
+        "island",
+        "master-slave-island",
+        "sim-island",
+        "sim-master-slave-island",
+    ]
+
+
+@pytest.mark.parametrize("name", _POLICY_ENGINES)
+@pytest.mark.parametrize("value", [5, "x", []], ids=["int", "str", "list"])
+def test_wrong_kind_policy_is_a_typed_error(name, value):
+    from repro.spec import build_run
+    from repro.verify.specs import exemplar_spec
+
+    spec = exemplar_spec(name)
+    spec.engine.params["policy"] = value
+    with pytest.raises(
+        ValueError,
+        match=rf"^engine\.params\.policy: expected an operator spec, "
+        rf"got {type(value).__name__}$",
+    ):
+        build_run(spec)
+
+
+_CONFIG_OPERATOR_CASES = [
+    (name, field, value)
+    for name in ENGINE_BUILDERS
+    for field in ("selection", "crossover", "mutation", "replacement")
+    for value in (5, "x", [])
+]
+
+
+@pytest.mark.parametrize(
+    "name,field,value",
+    _CONFIG_OPERATOR_CASES,
+    ids=[f"{n}-{f}-{type(v).__name__}" for n, f, v in _CONFIG_OPERATOR_CASES],
+)
+def test_wrong_kind_config_operator_is_a_typed_error(name, field, value):
+    from repro.spec import GAConfigSpec, build_run
+    from repro.verify.specs import exemplar_spec
+
+    spec = exemplar_spec(name)
+    config = spec.engine.params["config"]  # shared with the registry: copy
+    spec.engine.params["config"] = GAConfigSpec({**config.params, field: value})
+    with pytest.raises(
+        ValueError,
+        match=rf"^engine\.params\.config\.params\.{field}: expected an operator "
+        rf"spec, got {type(value).__name__}$",
+    ):
+        build_run(spec)

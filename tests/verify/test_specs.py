@@ -95,6 +95,36 @@ def test_spec_replay_cli_rejects_a_wrong_kind_scenario(tmp_path, capsys, name):
     assert "engine.params.scenario: expected an operator spec, got NoneType" in err
 
 
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("policy",), "x", "engine.params.policy: expected an operator spec, got str"),
+        (
+            ("config", "params", "selection"),
+            5,
+            "engine.params.config.params.selection: expected an operator spec, got int",
+        ),
+    ],
+    ids=["policy", "config-selection"],
+)
+def test_spec_replay_cli_rejects_a_wrong_kind_operator(
+    tmp_path, capsys, path, value, message
+):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("island").to_dict()
+    slot = doc["engine"]["params"]
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_replay_cli_reads_stdin(monkeypatch, capsys):
     from repro.verify.__main__ import main
 
