@@ -84,7 +84,10 @@ copy-pasted per engine, and this check keeps them centralised:
    ``MetricRegistry``, ``metrics_snapshot``, ``check_metrics``,
    ``METRICS_SCHEMA`` and the session host clock ``wall_now``, or the
    duplicate selection kernels ``selection_kernel`` and
-   ``tournament_indices`` … ``best_indices``; no module
+   ``tournament_indices`` … ``best_indices``, the second digest-line
+   encoder ``canonical_line`` / ``_fast_norm``, the trace summary type
+   ``TraceSummary`` or the timed-runtime wrapper
+   ``RuntimeCapabilities``; no module
    under ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
@@ -99,8 +102,12 @@ copy-pasted per engine, and this check keeps them centralised:
    ``check_trace`` checks trace invariants post-hoc only, spans run
    on simulated time only, every count has one owner (a process
    counter, ``PoolStats``, the sweep telemetry or a ``RunReport`` field),
-   and each selection scheme is written once, as its operator's
-   ``indices`` method.
+   each selection scheme is written once, as its operator's
+   ``indices`` method, ``Trace.record`` is the one producer of the
+   pinned digest line, and a timed host passes its resilience keywords
+   to ``TimedDemeRuntime`` directly.  An import counts under either
+   name: ``from m import X as Y`` is flagged when ``X`` or ``Y`` is
+   retired.
 
 10. **Knob reachability.**  Every keyword of the engine classes rule 7
     names, of ``CellularGA``, ``MasterSlaveGA``, ``GAConfig`` and
@@ -458,6 +465,11 @@ _SELECTION = (
     "implementation of its scheme, and both the member call and the "
     "vectorized engine use it"
 )
+_ENCODER = (
+    "retired second digest-line encoder — Trace.record is the one producer "
+    "of the pinned line (an unpickled full trace re-records its events "
+    "through it) and trace_digest_walk the independent oracle"
+)
 _INLINE = (
     "retired in-line trace checker — repro.verify.invariants.check_trace "
     "checks invariants post-hoc only"
@@ -504,6 +516,17 @@ _RETIRED_NAMES = {
     "boltzmann_indices": _SELECTION,
     "random_indices": _SELECTION,
     "best_indices": _SELECTION,
+    "canonical_line": _ENCODER,
+    "_fast_norm": _ENCODER,
+    "TraceSummary": (
+        "retired trace summary type — a trace's digest_hex(), count() and "
+        "kinds() answer the same questions on the trace itself"
+    ),
+    "RuntimeCapabilities": (
+        "retired runtime wrapper — timed hosts pass reliable_migration, "
+        "supervised, checkpoint_every and heartbeat_grace to "
+        "_init_timed_runtime directly"
+    ),
 }
 
 #: names rule 9 additionally forbids under repro/parallel/
@@ -524,7 +547,7 @@ def lint_retired_file(path: Path) -> list[str]:
     """No result aliases, retired toggles or retired registries may
     return (rule 9)."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    where = path.relative_to(REPO)
+    where = _where(path)
     retired = dict(_RETIRED_NAMES)
     if PARALLEL in path.parents:
         retired.update(_RETIRED_PARALLEL_NAMES)
@@ -545,7 +568,9 @@ def lint_retired_file(path: Path) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the imported name and the name it is bound to both count
             names = [alias.name.rpartition(".")[2] for alias in node.names]
+            names += [alias.asname for alias in node.names if alias.asname]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):

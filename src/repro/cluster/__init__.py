@@ -12,7 +12,6 @@ from .trace import (
     Trace,
     TraceEvent,
     TraceRetentionError,
-    TraceSummary,
     default_retention,
     trace_retention,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SimulatedCluster",
     "Trace",
     "TraceEvent",
-    "TraceSummary",
     "TraceRetentionError",
     "RETENTION_MODES",
     "COMPACT_KINDS",

@@ -1,4 +1,4 @@
-"""Canonical event serialisation shared by traces and digests.
+"""Canonical value serialisation shared by traces and digests.
 
 The determinism story of this repo rests on one byte format: every trace
 event canonicalises to the line ``{_norm(time)}|{kind}|{k=_norm(v),...}\\n``
@@ -7,15 +7,17 @@ form), and sha256 over the concatenated lines is the run's digest.  The
 format is pinned by golden tests; changing a single byte here changes
 every pinned digest in the repo.
 
-This module owns that format so :class:`~repro.cluster.trace.Trace` can
-maintain the digest *incrementally* (one :func:`canonical_line` per
-``record()``) while :mod:`repro.verify.digest` keeps the legacy post-hoc
-walker as a cross-check.  It lives under ``repro.cluster`` rather than
+:meth:`repro.cluster.trace.Trace.record` is the only producer of that
+line: it assembles it inline per event with exact-type scalar dispatch
+and the caches below, and falls back to :func:`_norm` for every
+non-scalar value.  :mod:`repro.verify.digest` keeps the post-hoc walker
+(:func:`~repro.verify.digest.trace_digest_walk`) as the independent
+oracle.  This module lives under ``repro.cluster`` rather than
 ``repro.verify`` because the trace layer is imported by everything —
 ``verify`` importing ``cluster`` is fine, the reverse would cycle.
 
-Fast paths (exact-type scalar dispatch, a bounded ``repr`` cache for
-repeated floats) exist because canonicalisation runs once per recorded
+The caches (a bounded ``repr`` cache for repeated floats, a per-shape
+field-order cache) exist because canonicalisation runs once per recorded
 event on the hot path; they are behaviour-preserving shortcuts through
 :func:`_norm`, never a second format.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from ..core.individual import Individual
 
-__all__ = ["canonical_line", "norm"]
+__all__ = ["norm"]
 
 _MAX_DEPTH = 12
 
@@ -147,75 +149,9 @@ def _float_repr(value: float) -> str:
     return r
 
 
-def _fast_norm(value: Any) -> str:
-    """:func:`_norm` with an exact-type shortcut for the scalars that make
-    up nearly every trace field.  ``bool`` is a distinct exact type from
-    ``int`` (``type(True) is int`` is False), so the exact-type tests
-    never misroute it past the bool/None ``repr`` branch."""
-    t = type(value)
-    if t is float:
-        if value:  # never cache zeros: -0.0 == 0.0 but reprs differ
-            r = _FLOAT_REPRS.get(value)
-            return r if r is not None else _float_repr(value)
-        return repr(value)
-    if t is int or t is str or t is bool or value is None:
-        return repr(value)
-    return _norm(value)
-
-
 #: field-name tuple (kwargs order) -> tuple of ("name=", name) in sorted
 #: order — one sort per event *shape* instead of one per event.  Bounded:
 #: shapes are as finite as call sites, but a runaway producer must not
 #: grow this dict without limit.
 _NAME_ORDERS: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = {}
 _NAME_ORDERS_MAX = 4096
-
-
-def canonical_line(time: float, kind: str, fields: dict[str, Any]) -> str:
-    """The canonical digest line for one event.
-
-    Byte-identical to the legacy post-hoc walker's
-    ``f"{_norm(time)}|{kind}|{','.join(f'{k}={_norm(v)}' ...)}\\n"``
-    (fields sorted by name; names are unique kwargs, so sorting the
-    names alone equals sorting the items).  The scalar dispatch is
-    inlined per field — this runs once per recorded event on the hot
-    path, and the golden-digest suite pins it against the walker.
-    """
-    t = type(time)
-    if t is float:
-        if time:
-            tn = _FLOAT_REPRS.get(time)
-            if tn is None:
-                tn = _float_repr(time)
-        else:
-            tn = repr(time)
-    elif t is int or t is str or t is bool or time is None:
-        tn = repr(time)
-    else:
-        tn = _norm(time)
-    if not fields:
-        return tn + "|" + kind + "|\n"
-    names = tuple(fields)
-    order = _NAME_ORDERS.get(names)
-    if order is None:
-        order = tuple((n + "=", n) for n in sorted(names))
-        if len(_NAME_ORDERS) < _NAME_ORDERS_MAX:
-            _NAME_ORDERS[names] = order
-    parts = []
-    append = parts.append
-    for prefix, name in order:
-        v = fields[name]
-        tv = type(v)
-        if tv is int:
-            append(prefix + repr(v))
-        elif tv is float:
-            if v:
-                r = _FLOAT_REPRS.get(v)
-                append(prefix + (r if r is not None else _float_repr(v)))
-            else:
-                append(prefix + repr(v))
-        elif tv is str or tv is bool or v is None:
-            append(prefix + repr(v))
-        else:
-            append(prefix + _norm(v))
-    return tn + "|" + kind + "|" + ",".join(parts) + "\n"

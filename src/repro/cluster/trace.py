@@ -13,9 +13,13 @@ of every engine streams through one), so the storage is columnar:
   code that reads traces sees the exact old shape;
 * a per-kind index list makes :meth:`Trace.of_kind` proportional to the
   matches and :meth:`Trace.count`/:meth:`Trace.kinds` O(1);
-* the canonical sha256 digest (see :mod:`repro.cluster.canon`) is
-  maintained *incrementally*, one canonical line per :meth:`Trace.record`,
-  so ``trace_digest(trace)`` finalizes in O(1) instead of re-walking.
+* the canonical sha256 digest is maintained *incrementally*:
+  :meth:`Trace.record` assembles each event's pinned digest line itself
+  (it is the only producer of that line; :mod:`repro.cluster.canon`
+  supplies the value canonicaliser) and feeds it to the hash, so
+  ``trace_digest(trace)`` finalizes in O(1) instead of re-walking.  The
+  post-hoc walker :func:`repro.verify.digest.trace_digest_walk` is the
+  independent oracle the golden suite checks it against.
 
 Retention modes bound memory and transport cost (``docs/tracing.md``):
 
@@ -25,11 +29,9 @@ Retention modes bound memory and transport cost (``docs/tracing.md``):
     keep only :data:`COMPACT_KINDS` events (the uniform ``generation``
     progress schema) plus the digest and per-kind counts — the default
     inside sweep workers, so pool children ship summaries over the pipe
-    instead of pickling full event lists;
-``digest-only``
-    keep nothing but the digest and counts.
+    instead of pickling full event lists.
 
-In every mode the digest covers *all* events and ``count``/``kinds``/``len``
+In both modes the digest covers *all* events and ``count``/``kinds``/``len``
 stay exact; only post-hoc event queries (``of_kind`` on a discarded kind,
 ``events``, iteration) raise :class:`TraceRetentionError`.
 """
@@ -41,12 +43,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .canon import _FLOAT_REPRS, _NAME_ORDERS, _float_repr, _norm, canonical_line
+from .canon import _FLOAT_REPRS, _NAME_ORDERS, _NAME_ORDERS_MAX, _float_repr, _norm
 
 __all__ = [
     "TraceEvent",
     "Trace",
-    "TraceSummary",
     "TraceRetentionError",
     "RETENTION_MODES",
     "COMPACT_KINDS",
@@ -54,7 +55,7 @@ __all__ = [
     "default_retention",
 ]
 
-RETENTION_MODES = ("full", "compact", "digest-only")
+RETENTION_MODES = ("full", "compact")
 
 #: kinds kept under ``compact`` retention: the uniform per-deme progress
 #: schema every engine emits (via :func:`repro.runtime.deme.emit_generation`)
@@ -118,15 +119,6 @@ class TraceEvent:
         return self.fields[key]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceSummary:
-    """Bounded-size transport form of a trace: digest plus per-kind counts."""
-
-    n_events: int
-    digest: str
-    counts: dict[str, int]
-
-
 class Trace:
     """Append-only event log over interned columnar storage.
 
@@ -134,13 +126,12 @@ class Trace:
     (:func:`repro.verify.invariants.check_trace`).
 
     ``retention`` defaults to the ambient mode (see :func:`trace_retention`;
-    ``full`` unless overridden).  ``retained_kinds`` customises which kinds
-    ``compact`` keeps.
+    ``full`` unless overridden).
     """
 
     __slots__ = (
         "retention",
-        "retained_kinds",
+        "_retained",      # kinds stored; None = every kind (full)
         "_kind_ids",      # kind -> interned id
         "_kind_names",    # id -> kind
         "_counts",        # id -> events observed (all modes, exact)
@@ -153,27 +144,15 @@ class Trace:
         "_name_intern",
         "_sha",
         "_pending",       # canonical lines awaiting one batched sha update
-        "_frozen_digest",  # set on unpickled non-full traces: digest is final
+        "_frozen_digest",  # set on unpickled compact traces: digest is final
         "_events_cache",
         "_last_time",     # identity cache: sims emit event bursts at one
         "_last_tn",       # instant, reusing the same float object for `now`
     )
 
-    def __init__(
-        self,
-        retention: str | None = None,
-        *,
-        retained_kinds: frozenset[str] | None = None,
-    ) -> None:
+    def __init__(self, retention: str | None = None) -> None:
         self.retention = _check_mode(retention if retention is not None else _ambient_retention)
-        if self.retention == "full":
-            self.retained_kinds: frozenset[str] | None = None  # = everything
-        elif self.retention == "compact":
-            self.retained_kinds = (
-                COMPACT_KINDS if retained_kinds is None else frozenset(retained_kinds)
-            )
-        else:
-            self.retained_kinds = frozenset()
+        self._retained = None if self.retention == "full" else COMPACT_KINDS
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
         self._counts: list[int] = []
@@ -209,10 +188,10 @@ class Trace:
         else:
             self._counts[kid] += 1
         self._total += 1
-        # -- canonical digest line, assembled inline.  This duplicates
-        # canon.canonical_line byte-for-byte (the golden suite pins both
-        # against the legacy walker); the call/genexpr overhead of the
-        # shared helper is the difference between ~250k and ~500k ev/s.
+        # -- the pinned digest line, assembled inline: this is its only
+        # producer (the golden suite pins it against the post-hoc walker,
+        # trace_digest_walk).  Inlined because a helper call per event is
+        # the difference between ~250k and ~500k ev/s.
         if time is self._last_time:  # identity: -0.0/0.0/NaN can't confuse it
             tn = self._last_tn
         else:
@@ -235,7 +214,7 @@ class Trace:
             order = _NAME_ORDERS.get(names)
             if order is None:
                 order = tuple((n + "=", n) for n in sorted(names))
-                if len(_NAME_ORDERS) < 4096:
+                if len(_NAME_ORDERS) < _NAME_ORDERS_MAX:
                     _NAME_ORDERS[names] = order
             parts = []
             append = parts.append
@@ -263,8 +242,8 @@ class Trace:
         if len(pending) >= _FLUSH_EVERY:
             self._sha.update("".join(pending).encode())
             pending.clear()
-        retained = self.retained_kinds
-        if retained is None or (retained and kind in retained):
+        retained = self._retained
+        if retained is None or kind in retained:
             self._by_kind[kid].append(len(self._times))
             self._times.append(time)
             self._kind_col.append(kid)
@@ -272,23 +251,6 @@ class Trace:
             self._names_col.append(interned)
             self._values_col.append(tuple(fields.values()))
             self._events_cache = None
-
-    def generation(
-        self,
-        time: float,
-        *,
-        deme: int,
-        generation: int,
-        best: float | None,
-        **extra: Any,
-    ) -> None:
-        """Record a per-deme ``generation`` progress event.
-
-        This is the uniform schema (``deme``, ``generation``, ``best``)
-        every parallel engine emits — via
-        :func:`repro.runtime.deme.emit_generation` — and the streaming
-        invariants of :mod:`repro.verify` consume."""
-        self.record(time, "generation", deme=deme, generation=generation, best=best, **extra)
 
     # -- queries -----------------------------------------------------------------
     def _event_at(self, pos: int) -> TraceEvent:
@@ -303,12 +265,12 @@ class Trace:
         kid = self._kind_ids.get(kind)
         if kid is None:
             return []
-        retained = self.retained_kinds
+        retained = self._retained
         if retained is not None and kind not in retained:
             raise TraceRetentionError(
                 f"retention {self.retention!r} discarded {kind!r} events "
-                f"({self._counts[kid]} recorded); use retention='full' or add "
-                f"the kind to retained_kinds (count()/kinds() stay exact)"
+                f"({self._counts[kid]} recorded); use retention='full' "
+                "(count()/kinds() stay exact)"
             )
         return [self._event_at(pos) for pos in self._by_kind[kid]]
 
@@ -326,7 +288,7 @@ class Trace:
         Treat it as read-only: mutating the returned list never feeds the
         digest or the indexes (lint rule 8 rejects direct
         ``.events`` mutation outside ``repro/cluster/``)."""
-        if self.retained_kinds is not None:
+        if self._retained is not None:
             raise TraceRetentionError(
                 f"retention {self.retention!r} discarded the full event stream; "
                 "request retention='full' to iterate events "
@@ -358,14 +320,6 @@ class Trace:
             pending.clear()
         return self._sha.hexdigest()
 
-    def summary(self) -> TraceSummary:
-        """Digest + per-kind counts — the bounded transport form."""
-        return TraceSummary(
-            n_events=self._total,
-            digest=self.digest_hex(),
-            counts={name: self._counts[kid] for name, kid in self._kind_ids.items()},
-        )
-
     def __getstate__(self) -> dict[str, Any]:
         state = {
             slot: getattr(self, slot)
@@ -378,6 +332,18 @@ class Trace:
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        if state["retention"] == "full":
+            # re-record the stored events: record() rebuilds the columns and
+            # the running hash, so the digest keeps extending after unpickling
+            Trace.__init__(self, "full")
+            kinds = state["_kind_names"]
+            for time, kid, names, values in zip(
+                state["_times"], state["_kind_col"], state["_names_col"], state["_values_col"]
+            ):
+                self.record(time, kinds[kid], **dict(zip(names, values)))
+            return
+        # compact: the events backing the hash are gone — the digest is
+        # final and record() refuses further appends
         digest = state.pop("_digest")
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
@@ -385,20 +351,4 @@ class Trace:
         self._sha = hashlib.sha256()
         self._last_time = _NO_TIME
         self._last_tn = ""
-        if self.retained_kinds is None:
-            # full trace: replay the stored events through the canonical
-            # encoder so the digest can keep extending after unpickling
-            lines = [
-                canonical_line(
-                    self._times[i],
-                    self._kind_names[self._kind_col[i]],
-                    dict(zip(self._names_col[i], self._values_col[i])),
-                )
-                for i in range(len(self._times))
-            ]
-            self._sha.update("".join(lines).encode())
-            self._frozen_digest = None
-        else:
-            # compact/digest-only: the events backing the hash are gone —
-            # the digest is final and record() refuses further appends
-            self._frozen_digest = digest
+        self._frozen_digest = digest

@@ -116,11 +116,6 @@ class RunReport:
         return float(np.mean(spans)) if spans else 0.0
 
     @property
-    def mean_utilisation(self) -> float:
-        util = self.extras.get("utilisation", [])
-        return float(np.mean(util)) if util else 0.0
-
-    @property
     def comm_fraction(self) -> float:
         total = self.extras.get("compute_time", 0.0) + self.extras.get("comm_time", 0.0)
         return self.extras.get("comm_time", 0.0) / total if total > 0 else 0.0

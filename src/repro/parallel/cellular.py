@@ -33,6 +33,7 @@ from ..core.problem import Problem
 from ..core.rng import ensure_rng
 from ..core.termination import EvolutionState, MaxGenerations, Termination
 from ..core.variation import offspring_pair
+from ..runtime.deme import emit_generation
 from ..topology.neighborhood import Neighborhood, VonNeumannNeighborhood
 from .classification import (
     GrainModel,
@@ -243,14 +244,13 @@ class CellularGA:
         f = np.asarray([ind.require_fitness() for ind in self.grid])
         self.best_curve.append(self._best_so_far.require_fitness())
         self.mean_curve.append(float(f.mean()))
-        if self.trace is not None:
-            self.trace.record(
-                float(self.sweeps),
-                "generation",
-                deme=0,
-                generation=self.sweeps,
-                best=float(self._best_so_far.require_fitness()),
-            )
+        emit_generation(
+            self.trace,
+            float(self.sweeps),
+            deme=0,
+            generation=self.sweeps,
+            best=float(self._best_so_far.require_fitness()),
+        )
 
     @property
     def best_so_far(self) -> Individual:

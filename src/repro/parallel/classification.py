@@ -64,11 +64,3 @@ class ModelClassification:
     walk: WalkStrategy
     parallelism: ParallelismKind
     programming: ProgrammingModel
-
-    def as_row(self) -> dict[str, str]:
-        return {
-            "grain": self.grain.value,
-            "walk": self.walk.value,
-            "parallelism": self.parallelism.value,
-            "programming": self.programming.value,
-        }

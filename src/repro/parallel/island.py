@@ -44,7 +44,6 @@ from ..migration.schedule import MigrationSchedule, PeriodicSchedule
 from ..migration.synchrony import MigrationBuffer, Synchrony
 from ..runtime.deme import (
     EpochLoop,
-    RuntimeCapabilities,
     TimedDemeRuntime,
     emit_generation,
 )
@@ -367,12 +366,10 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
             migration_payload=migration_payload,
             max_epochs=max_epochs,
             stop_when_any_solves=stop_when_any_solves,
-            capabilities=RuntimeCapabilities(
-                reliable=reliable_migration,
-                supervised=supervised,
-                checkpoint_every=checkpoint_every,
-                heartbeat_grace=heartbeat_grace,
-            ),
+            reliable_migration=reliable_migration,
+            supervised=supervised,
+            checkpoint_every=checkpoint_every,
+            heartbeat_grace=heartbeat_grace,
         )
 
     def run(self) -> RunReport:

@@ -39,7 +39,6 @@ from ..problems.multiobjective import (
 )
 from ..runtime.deme import (
     EpochLoop,
-    RuntimeCapabilities,
     TimedDemeRuntime,
     emit_generation,
 )
@@ -330,12 +329,10 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
             max_epochs=max_epochs,
             # archive quality is the objective; no deme ever "solves"
             stop_when_any_solves=False,
-            capabilities=RuntimeCapabilities(
-                reliable=reliable_migration,
-                supervised=supervised,
-                checkpoint_every=checkpoint_every,
-                heartbeat_grace=heartbeat_grace,
-            ),
+            reliable_migration=reliable_migration,
+            supervised=supervised,
+            checkpoint_every=checkpoint_every,
+            heartbeat_grace=heartbeat_grace,
         )
 
     def _after_step(self, i: int) -> None:

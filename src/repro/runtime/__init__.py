@@ -7,7 +7,7 @@ finished trial — its result and measured cost — so a killed sweep
 restarts from the cache alone (:mod:`repro.runtime.sweep`)."""
 
 from .chaos import ChaosError, ChaosPlan
-from .deme import EpochLoop, RuntimeCapabilities, TimedDemeRuntime, emit_generation
+from .deme import EpochLoop, TimedDemeRuntime, emit_generation
 from .executor import MultiprocessingExecutor, ThreadExecutor, chunk_indices
 from .resilient import (
     PoolStats,
@@ -43,7 +43,6 @@ __all__ = [
     "trial_digest",
     "EpochLoop",
     "TimedDemeRuntime",
-    "RuntimeCapabilities",
     "emit_generation",
     "ThreadExecutor",
     "MultiprocessingExecutor",

@@ -19,7 +19,7 @@ skeleton so every engine in :mod:`repro.parallel` runs on it:
     capabilities (:class:`~repro.parallel.reliable.ReliableChannel`
     transport, :class:`~repro.parallel.supervisor.IslandSupervisor`
     heartbeat recovery, and :meth:`~repro.cluster.node.Node.finish_time`
-    downtime stalls) via :class:`RuntimeCapabilities`.
+    downtime stalls), switched on by the host's keywords.
 
 :func:`emit_generation`
     The single emission path for per-deme ``generation`` trace events, so
@@ -30,7 +30,6 @@ skeleton so every engine in :mod:`repro.parallel` runs on it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..cluster.sim import Timeout
@@ -43,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EpochLoop",
     "TimedDemeRuntime",
-    "RuntimeCapabilities",
     "emit_generation",
 ]
 
@@ -63,27 +61,7 @@ def emit_generation(
     uniform across the whole taxonomy."""
     if trace is None:
         return
-    trace.generation(time, deme=deme, generation=generation, best=best, **extra)
-
-
-@dataclass(frozen=True)
-class RuntimeCapabilities:
-    """Opt-in resilience features of the timed runtime.
-
-    ``reliable``
-        Transport migrants over a
-        :class:`~repro.parallel.reliable.ReliableChannel` (sequence
-        numbers, acks, backoff retransmission, receiver dedup).
-    ``supervised``
-        Heartbeat supervision with checkpoint recovery onto spare nodes
-        (:class:`~repro.parallel.supervisor.IslandSupervisor`); requires
-        one dedicated supervisor node beyond the demes.
-    """
-
-    reliable: bool = False
-    supervised: bool = False
-    checkpoint_every: int = 5
-    heartbeat_grace: float | None = None
+    trace.record(time, "generation", deme=deme, generation=generation, best=best, **extra)
 
 
 class EpochLoop:
@@ -156,9 +134,18 @@ class TimedDemeRuntime:
         migration_payload: float,
         max_epochs: int,
         stop_when_any_solves: bool,
-        capabilities: RuntimeCapabilities | None = None,
+        reliable_migration: bool,
+        supervised: bool,
+        checkpoint_every: int,
+        heartbeat_grace: float | None,
     ) -> None:
-        caps = capabilities or RuntimeCapabilities()
+        """``reliable_migration`` transports migrants over a
+        :class:`~repro.parallel.reliable.ReliableChannel` (sequence
+        numbers, acks, backoff retransmission, receiver dedup);
+        ``supervised`` adds heartbeat supervision with checkpoint recovery
+        onto spare nodes (:class:`~repro.parallel.supervisor.IslandSupervisor`)
+        and needs one dedicated supervisor node beyond the demes.  A
+        ``heartbeat_grace`` of None means :meth:`_default_heartbeat_grace`."""
         n_islands = self.n_islands
         if cluster.n_nodes < n_islands:
             raise ValueError(
@@ -166,28 +153,24 @@ class TimedDemeRuntime:
             )
         if eval_cost <= 0:
             raise ValueError(f"eval_cost must be positive, got {eval_cost}")
-        if caps.supervised and cluster.n_nodes < n_islands + 1:
+        if supervised and cluster.n_nodes < n_islands + 1:
             raise ValueError(
                 "supervision needs a dedicated supervisor node: cluster has "
                 f"{cluster.n_nodes} nodes for {n_islands} islands + supervisor"
             )
-        if caps.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {caps.checkpoint_every}"
-            )
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.cluster = cluster
-        self.capabilities = caps
         self.eval_cost = eval_cost
         self.migration_payload = migration_payload
         self.max_epochs = max_epochs
         self.stop_when_any_solves = stop_when_any_solves
-        self.reliable_migration = caps.reliable
-        self.supervised = caps.supervised
-        self.checkpoint_every = caps.checkpoint_every
-        grace = caps.heartbeat_grace
-        if grace is None:
-            grace = self._default_heartbeat_grace()
-        self.heartbeat_grace = grace
+        self.reliable_migration = reliable_migration
+        self.supervised = supervised
+        self.checkpoint_every = checkpoint_every
+        if heartbeat_grace is None:
+            heartbeat_grace = self._default_heartbeat_grace()
+        self.heartbeat_grace = heartbeat_grace
         self._stop = False
         self._channel = None
         self._supervisor = None

@@ -13,11 +13,13 @@ migrates) that ``python -m repro.verify engines`` checks as a document
 for round-trip, determinism, schema, trace invariants and observability
 (:mod:`repro.verify.engines`).
 
-Builders receive already-built params (problems, configs, clusters,
+A builder is the engine class itself, except for the island family,
+whose builder picks the :meth:`partitioned` constructor.  Either way it
+receives already-built params by keyword (problems, configs, clusters,
 operators — :func:`~repro.spec.components.build_value` lowers the nested
-specs first) and forward them to the engine constructor, so a spec-built
-engine is *the same object graph* a hand-written construction produces:
-same-seed runs are fingerprint-identical either way.
+specs first), so a spec-built engine is *the same object graph* a
+hand-written construction produces: same-seed runs are
+fingerprint-identical either way.
 
 ``run_spec`` stamps ``extras["spec_digest"]`` on the returned
 :class:`~repro.parallel.base.RunReport` — the provenance companion to
@@ -160,10 +162,9 @@ register_engine(
         "run": {"termination": 6},
     },
 )
-
-
-@register_engine(
+register_engine(
     "sim-master-slave",
+    SimulatedMasterSlave,
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
@@ -173,12 +174,9 @@ register_engine(
         "run": {"termination": 6},
     },
 )
-def _sim_master_slave(*, problem, config=None, seed=None, **kwargs):
-    return SimulatedMasterSlave(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "async-master-slave",
+    SimulatedAsyncMasterSlave,
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
@@ -188,12 +186,9 @@ def _sim_master_slave(*, problem, config=None, seed=None, **kwargs):
         "run": {"max_evaluations": 200},
     },
 )
-def _async_master_slave(*, problem, config=None, seed=None, **kwargs):
-    return SimulatedAsyncMasterSlave(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "pool",
+    PooledEvolution,
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
@@ -204,12 +199,9 @@ def _async_master_slave(*, problem, config=None, seed=None, **kwargs):
         "run": {},
     },
 )
-def _pool(*, problem, config=None, seed=None, **kwargs):
-    return PooledEvolution(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "distributed-cellular",
+    DistributedCellularGA,
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,
@@ -221,12 +213,9 @@ def _pool(*, problem, config=None, seed=None, **kwargs):
         "run": {"max_sweeps": 6},
     },
 )
-def _distributed_cellular(*, problem, config=None, seed=None, **kwargs):
-    return DistributedCellularGA(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "hierarchical",
+    HierarchicalGA,
     exemplar={
         "params": {
             "problem": ProblemSpec("transonic-wing"),
@@ -237,8 +226,6 @@ def _distributed_cellular(*, problem, config=None, seed=None, **kwargs):
         "run": {"max_epochs": 6},
     },
 )
-def _hierarchical(*, problem, config=None, seed=None, **kwargs):
-    return HierarchicalGA(problem, config, seed=seed, **kwargs)
 
 
 _EX_SCENARIO = OperatorSpec(
@@ -246,9 +233,9 @@ _EX_SCENARIO = OperatorSpec(
     {"name": "S3-spec-ring", "weights": [[1.0, 0.0], [0.0, 1.0]], "topology": "ring"},
 )
 
-
-@register_engine(
+register_engine(
     "specialized",
+    SpecializedIslandModel,
     exemplar={
         "params": {
             "problem": ProblemSpec("schaffer-f2"),
@@ -258,12 +245,9 @@ _EX_SCENARIO = OperatorSpec(
         "run": {"epochs": 6},
     },
 )
-def _specialized(*, problem, scenario, config=None, seed=None, **kwargs):
-    return SpecializedIslandModel(problem, scenario, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "sim-specialized",
+    SimulatedSpecializedIslandModel,
     exemplar={
         "params": {
             "problem": ProblemSpec("schaffer-f2"),
@@ -275,30 +259,22 @@ def _specialized(*, problem, scenario, config=None, seed=None, **kwargs):
         "run": {},
     },
 )
-def _sim_specialized(*, problem, scenario, config=None, seed=None, **kwargs):
-    return SimulatedSpecializedIslandModel(problem, scenario, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "generational",
+    GenerationalEngine,
     exemplar={
         "params": {"problem": _EX_PROBLEM, "config": _EX_CONFIG},
         "run": {"termination": 3},
     },
 )
-def _generational(*, problem, config=None, seed=None, **kwargs):
-    return GenerationalEngine(problem, config, seed=seed, **kwargs)
-
-
-@register_engine(
+register_engine(
     "steady-state",
+    SteadyStateEngine,
     exemplar={
         "params": {"problem": _EX_PROBLEM, "config": _EX_CONFIG},
         "run": {"termination": 3},
     },
 )
-def _steady_state(*, problem, config=None, seed=None, **kwargs):
-    return SteadyStateEngine(problem, config, seed=seed, **kwargs)
 
 
 # -- construction + execution ------------------------------------------------------

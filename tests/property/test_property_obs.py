@@ -229,8 +229,8 @@ class TestGenerationCoverage:
 
         t = Trace("compact")
         t.record(0.5, "msg", mid=0)
-        t.generation(1.5, deme=0, generation=1, best=2.0)
-        t.generation(9.0, deme=0, generation=2, best=1.0)
+        t.record(1.5, "generation", deme=0, generation=1, best=2.0)
+        t.record(9.0, "generation", deme=0, generation=2, best=1.0)
         spans = [self._span(1, 0.0, 2.0)]
         problems = check_generation_coverage(spans, t)
         assert len(problems) == 1 and "t=9.0" in problems[0]

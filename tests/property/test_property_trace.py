@@ -9,8 +9,8 @@ identical to the old list-of-events store for *any* program of
    field dicts; ``of_kind`` equals a filtered scan; ``count``/``kinds``
    match recomputation from scratch.
 2. Digest — the incremental sha256 equals the legacy post-hoc walker.
-3. Retention — compact / digest-only modes change only which events are
-   *readable*, never the digest, counts, length or kind set.
+3. Retention — compact mode changes only which events are *readable*,
+   never the digest, counts, length or kind set.
 """
 
 import math
@@ -87,15 +87,12 @@ def test_incremental_digest_equals_walker(program):
 @given(program=events)
 def test_retention_changes_visibility_not_accounting(program):
     full = _replay(program, "full")
-    for mode in ("compact", "digest-only"):
-        slim = _replay(program, mode)
-        assert slim.digest_hex() == full.digest_hex()
-        assert len(slim) == len(full)
-        assert slim.kinds() == full.kinds()
-        for kind in full.kinds():
-            assert slim.count(kind) == full.count(kind)
-        assert slim.summary() == full.summary()
     compact = _replay(program, "compact")
+    assert compact.digest_hex() == full.digest_hex()
+    assert len(compact) == len(full)
+    assert compact.kinds() == full.kinds()
+    for kind in full.kinds():
+        assert compact.count(kind) == full.count(kind)
     for kind in full.kinds() & COMPACT_KINDS:
         assert compact.of_kind(kind) == full.of_kind(kind)
 
@@ -105,7 +102,7 @@ def test_retention_changes_visibility_not_accounting(program):
 def test_digest_prefix_property(program, cut):
     """Finalizing mid-stream then continuing equals one straight run —
     hashlib state must never be corrupted by a digest_hex() call."""
-    t = Trace("digest-only")
+    t = Trace("compact")
     for i, (time, kind, fields) in enumerate(program):
         if i == cut:
             t.digest_hex()

@@ -27,7 +27,7 @@ def _probe(*, seed: int) -> dict:
     """A trial that reports the retention mode its traces were born with."""
     t = Trace()
     t.record(0.5, "msg", mid=0, seed=seed)
-    t.generation(1.0, deme=0, generation=1, best=float(seed))
+    t.record(1.0, "generation", deme=0, generation=1, best=float(seed))
     return {
         "mode": t.retention,
         "digest": t.digest_hex(),
@@ -47,7 +47,7 @@ class TestTrialRetentionField:
     def test_mode_not_in_cache_key(self):
         base = Trial(_probe, seed=0)
         full = Trial(_probe, seed=0, retention="full")
-        slim = Trial(_probe, seed=0, retention="digest-only")
+        slim = Trial(_probe, seed=0, retention="compact")
         digests = {
             trial_digest("EX", t, quick=True, kernel="k") for t in (base, full, slim)
         }
@@ -83,7 +83,7 @@ class TestSweepRetention:
             for i in range(2000):
                 t.record(0.25 * i, "msg", src=i % 4, dst=(i + 1) % 4, mid=i)
                 if i % 50 == 0:
-                    t.generation(0.25 * i, deme=0, generation=i // 50, best=1.0)
+                    t.record(0.25 * i, "generation", deme=0, generation=i // 50, best=1.0)
             return t
 
         [slim] = run_sweep("EX", [Trial(chatty, seed=0)])
@@ -103,6 +103,9 @@ class TestSweepRetention:
         assert default_retention() == "full"
 
     def test_explicit_ambient_context_not_clobbered_outside_trial(self):
-        with trace_retention("digest-only"):
-            run_sweep("EX", [Trial(_probe, seed=0)], config=SweepConfig(jobs=1))
-            assert default_retention() == "digest-only"
+        with trace_retention("compact"):
+            [out] = run_sweep(
+                "EX", [Trial(_probe, seed=0, retention="full")], config=SweepConfig(jobs=1)
+            )
+            assert out["mode"] == "full"
+            assert default_retention() == "compact"

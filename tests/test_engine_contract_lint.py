@@ -14,6 +14,19 @@ def test_repository_passes_every_rule(capsys):
     assert "knob-reachable classes clean" in capsys.readouterr().out
 
 
+def test_rule_9_flags_a_retired_name_under_an_import_alias(tmp_path):
+    module = tmp_path / "aliased.py"
+    module.write_text(
+        "from repro.core.operators.selection import TournamentSelection as selection_kernel\n"
+        "from repro.cluster.canon import canonical_line as encode\n"
+        "import numpy as np\n"
+    )
+    problems = lint.lint_retired_file(module)
+    assert len(problems) == 2
+    assert "aliased.py:1: selection_kernel:" in problems[0]
+    assert "aliased.py:2: canonical_line:" in problems[1]
+
+
 def _fixture(tmp_path: Path, caller_source: str) -> tuple[Path, Path]:
     """A source tree whose engine forwards one keyword to its base, and a
     caller tree holding ``caller_source``."""

@@ -8,10 +8,12 @@ must be regenerated together — there is no compatible single-byte edit.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from repro.cluster.canon import canonical_line, norm
-from repro.cluster.trace import Trace, trace_retention
+from repro.cluster.canon import norm
+from repro.cluster.trace import Trace
 from repro.core.individual import Individual
 from repro.verify.digest import result_fingerprint, trace_digest, trace_digest_walk
 
@@ -29,37 +31,50 @@ def _golden_trace(mode: str = "full") -> Trace:
     return t
 
 
+def _assert_line(time, kind, fields, line: str) -> None:
+    """A one-event trace's digest is the sha256 of exactly ``line``, and
+    the post-hoc walker agrees: ``Trace.record`` produced those bytes."""
+    t = Trace()
+    t.record(time, kind, **fields)
+    expected = hashlib.sha256(line.encode()).hexdigest()
+    assert t.digest_hex() == expected
+    assert trace_digest_walk(t) == expected
+
+
 class TestCanonicalLineGolden:
     """Exact line bytes, including the adversarial cases: negative zero,
     field values containing the ``|`` separator and newlines, ndarray
     leaves, bools, and ints beyond 64 bits."""
 
     def test_fields_sorted_by_name(self):
-        line = canonical_line(0.5, "msg", {"src": 0, "dst": 1, "payload": [1, 2, 3]})
-        assert line == "0.5|msg|dst=1,payload=[1,2,3],src=0\n"
+        _assert_line(
+            0.5, "msg", {"src": 0, "dst": 1, "payload": [1, 2, 3]},
+            "0.5|msg|dst=1,payload=[1,2,3],src=0\n",
+        )
 
     def test_negative_zero_and_embedded_separators(self):
-        line = canonical_line(1.0, "gen", {"best": -0.0, "mean": 1.5, "note": "a|b\nc"})
-        assert line == "1.0|gen|best=-0.0,mean=1.5,note='a|b\\nc'\n"
+        _assert_line(
+            1.0, "gen", {"best": -0.0, "mean": 1.5, "note": "a|b\nc"},
+            "1.0|gen|best=-0.0,mean=1.5,note='a|b\\nc'\n",
+        )
 
     def test_ndarray_bool_bigint(self):
-        line = canonical_line(
-            2.5, "stats", {"arr": np.array([1.0, 2.5]), "flag": True, "n": 10**20}
+        _assert_line(
+            2.5, "stats", {"arr": np.array([1.0, 2.5]), "flag": True, "n": 10**20},
+            "2.5|stats|arr=[1.0,2.5],flag=True,n=100000000000000000000\n",
         )
-        assert line == "2.5|stats|arr=[1.0,2.5],flag=True,n=100000000000000000000\n"
 
     def test_no_fields(self):
-        assert canonical_line(0.0, "boot", {}) == "0.0|boot|\n"
+        _assert_line(0.0, "boot", {}, "0.0|boot|\n")
 
     def test_matches_norm_walker_per_field(self):
         fields = {"z": float("nan"), "a": [1, {"k": (2, 3)}], "m": None}
-        line = canonical_line(7.25, "k", fields)
         expected = (
             f"{norm(7.25)}|k|"
             + ",".join(f"{k}={norm(v)}" for k, v in sorted(fields.items()))
             + "\n"
         )
-        assert line == expected
+        _assert_line(7.25, "k", fields, expected)
 
 
 class TestGoldenDigest:
@@ -69,9 +84,6 @@ class TestGoldenDigest:
     def test_incremental_equals_walker(self):
         t = _golden_trace()
         assert trace_digest(t) == trace_digest_walk(t) == GOLDEN_DIGEST
-
-    def test_digest_only_retention_same_digest(self):
-        assert _golden_trace("digest-only").digest_hex() == GOLDEN_DIGEST
 
     def test_compact_retention_same_digest(self):
         assert _golden_trace("compact").digest_hex() == GOLDEN_DIGEST
@@ -101,8 +113,6 @@ class TestMemoizedFingerprint:
         }
 
     def test_memoized_matches_unmemoized_walk(self):
-        import hashlib
-
         report = self._report()
         unmemoized = hashlib.sha256(norm(report).encode()).hexdigest()
         assert result_fingerprint(report) == unmemoized
@@ -127,8 +137,6 @@ class TestMemoizedFingerprint:
         for _ in range(11):
             nested = [nested]
         report = {"shallow": arr, "deep": nested}
-        import hashlib
-
         assert (
             result_fingerprint(report)
             == hashlib.sha256(norm(report).encode()).hexdigest()
