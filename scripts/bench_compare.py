@@ -10,7 +10,8 @@ Compares the ``totals`` block — wall and CPU time, simulated events,
 fitness evaluations — and prints per-experiment wall and CPU time
 side by side, with a WARNING for any time that regressed by more than
 ``--threshold`` (default 10%).  Snapshots written before per-trial CPU
-time was recorded show ``-`` in the CPU columns.
+time was recorded show ``-`` in the CPU columns.  Sampled snapshots'
+per-layer CPU splits are printed side by side too; they never warn.
 Counter metrics (``sim_events``, ``evaluations``, ``trials``) warn on
 *any* drift in either direction: they are deterministic per code
 version, so a change means the workload itself changed, not the
@@ -70,8 +71,26 @@ def _per_experiment_cpu(data: dict) -> dict[str, float]:
     return out
 
 
-def _cell(values: dict[str, float], name: str, width: int = 12) -> str:
-    return f"{values[name]:>{width}.2f}" if name in values else f"{'-':>{width}}"
+def _cell(values: dict[str, float], name: str, width: int = 12, fmt: str = ".2f") -> str:
+    return f"{values[name]:>{width}{fmt}}" if name in values else f"{'-':>{width}}"
+
+
+def print_layers(old: dict, new: dict) -> None:
+    """Each sampled experiment's per-layer CPU seconds, old beside new,
+    then its sample count and standard error."""
+    ol, nl = old["totals"].get("layers", {}), new["totals"].get("layers", {})
+    if not (ol or nl):
+        return
+    print()
+    print(f"{'experiment':<12}{'layer':<28}{'old':>10}{'new':>10}")
+    for name in sorted(ol.keys() | nl.keys()):
+        o, n = ol.get(name, {}), nl.get(name, {})
+        olay, nlay = o.get("layer_s", {}), n.get("layer_s", {})
+        for layer in sorted(olay.keys() | nlay.keys()):
+            print(f"{name:<12}{layer:<28}{_cell(olay, layer, 10)}{_cell(nlay, layer, 10)}")
+        for key, fmt in (("samples", ",.0f"), ("se_s", ".3f")):
+            print(f"{name:<12}{'(' + key + ')':<28}"
+                  f"{_cell(o, key, 10, fmt)}{_cell(n, key, 10, fmt)}")
 
 
 def compare(old: dict, new: dict, threshold: float) -> list[str]:
@@ -125,6 +144,7 @@ def compare(old: dict, new: dict, threshold: float) -> list[str]:
     for name in sorted(old_wall.keys() ^ new_wall.keys()):
         side = "dropped from" if name in old_wall else "new in"
         print(f"note: experiment {name} {side} the new snapshot")
+    print_layers(old, new)
     return warnings
 
 

@@ -326,6 +326,7 @@ class Trace:
             for slot in self.__slots__
             if slot not in (
                 "_sha", "_pending", "_frozen_digest", "_last_time", "_last_tn",
+                "_events_cache",
             )
         }
         state["_digest"] = self.digest_hex()
@@ -351,4 +352,5 @@ class Trace:
         self._sha = hashlib.sha256()
         self._last_time = _NO_TIME
         self._last_tn = ""
+        self._events_cache = None
         self._frozen_digest = digest

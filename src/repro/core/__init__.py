@@ -34,7 +34,7 @@ from .niching import SharedFitnessProblem, distinct_peaks, niche_counts
 from .population import Population, PopulationStats
 from .problem import CountingProblem, FitnessBudgetExceeded, Problem, stack_genomes
 from .rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
-from .variation import make_offspring, offspring_pair
+from .variation import offspring_pair
 from .vectorized import (
     ArrayPopulation,
     supports_vectorized_variation,
@@ -97,7 +97,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "offspring_pair",
-    "make_offspring",
     "ArrayPopulation",
     "supports_vectorized_variation",
     "vector_offspring",

@@ -208,19 +208,6 @@ class EvolutionEngine:
             ind.fitness = float(f)
         self.state.evaluations += len(individuals)
 
-    def _make_offspring_pair(
-        self, parent_a: Individual, parent_b: Individual
-    ) -> tuple[Individual, Individual]:
-        """Apply crossover (with probability) then mutation (with probability)."""
-        return offspring_pair(
-            self.rng,
-            self.config,
-            self.problem.spec,
-            parent_a,
-            parent_b,
-            generation=self.state.generation + 1,
-        )
-
     # -- vectorized fast path -----------------------------------------------
     def _use_vectorized(self) -> bool:
         """Whether this generation runs on the array fast path.
@@ -343,7 +330,14 @@ class SteadyStateEngine(EvolutionEngine):
             # its consumed mutation/repair draws) is discarded.  Deliberate:
             # this rng draw order is fingerprint-protected (tests pin the
             # stream).  The vectorized path below makes one child per step.
-            child, _ = self._make_offspring_pair(parents[0], parents[1])
+            child, _ = offspring_pair(
+                self.rng,
+                cfg,
+                self.problem.spec,
+                parents[0],
+                parents[1],
+                generation=self.state.generation + 1,
+            )
             self._evaluate([child])
             cfg.replacement(self.rng, self.population, child)
 

@@ -8,8 +8,8 @@ is that catalogue.  Every operator is a callable
 parents are never modified.  Operators whose randomness depends on the
 genome length alone also expose ``draw(rng, n)``, the random values of one
 call in the order the call consumes them; ``__call__`` draws through it, and
-the stream-exact block breeder (:func:`repro.core.variation.make_offspring`)
-draws through it too, then applies the matching block arithmetic.
+the stream-exact block breeder (:func:`repro.core.variation.breed`) draws
+through it too, then applies the matching block arithmetic.
 
 Discrete-string operators (one-point, two-point, k-point, uniform) apply to
 binary and integer genomes; SBX / BLX / arithmetic apply to real vectors;

@@ -5,11 +5,10 @@
 simulated master-slave farms all produce offspring through these helpers,
 so the cycle is implemented exactly once.
 
-:func:`offspring_pair` is the per-pair cycle.  :func:`make_offspring`
-breeds a whole generation with the same random stream: one loop draws
-every pair's random numbers in the order :func:`offspring_pair` would,
-then crossover, mutation and repair run once each on ``(n, L)`` blocks
-(see :func:`breed`).
+:func:`offspring_pair` is the per-pair cycle.  :func:`breed` breeds a
+whole generation with the same random stream: one loop draws every pair's
+random numbers in the order :func:`offspring_pair` would, then crossover,
+mutation and repair run once each on ``(n, L)`` blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .individual import Individual
 from .problem import stack_genomes
 from .vectorized.kernels import crossover_arithmetic, mutation_arithmetic
 
-__all__ = ["offspring_pair", "make_offspring", "breed"]
+__all__ = ["offspring_pair", "breed"]
 
 #: specs whose repair draws no random numbers, so repairing the whole
 #: generation after its last draw leaves the stream as the per-pair cycle
@@ -71,26 +70,6 @@ def offspring_pair(
     return children[0], children[1]
 
 
-def make_offspring(
-    rng: np.random.Generator,
-    config: GAConfig,
-    spec: GenomeSpec,
-    parents: Sequence[Individual],
-    count: int,
-    *,
-    generation: int = 0,
-) -> list[Individual]:
-    """Produce exactly ``count`` unevaluated offspring from a parent pool.
-
-    Parents are consumed pairwise in order; the pool wraps around if it is
-    smaller than needed.  With an odd ``count`` the last pair's second
-    child is bred, its draws consumed, and dropped.  The children and the
-    generator's final state equal those of the same :func:`offspring_pair`
-    calls in a loop.
-    """
-    return breed(rng, config, spec, parents, count, generation=generation)[0]
-
-
 def breed(
     rng: np.random.Generator,
     config: GAConfig,
@@ -100,8 +79,15 @@ def breed(
     *,
     generation: int = 0,
 ) -> tuple[list[Individual], np.ndarray | None]:
-    """:func:`make_offspring`, plus the children's ``(count, L)`` genome
-    block (``None`` when they were bred pair by pair).
+    """Produce exactly ``count`` unevaluated offspring from a parent pool,
+    plus their ``(count, L)`` genome block (``None`` when they were bred
+    pair by pair).
+
+    Parents are consumed pairwise in order; the pool wraps around if it is
+    smaller than needed.  With an odd ``count`` the last pair's second
+    child is bred, its draws consumed, and dropped.  The children and the
+    generator's final state equal those of the same :func:`offspring_pair`
+    calls in a loop.
 
     The block path needs both operators to expose ``draw`` with matching
     block arithmetic (:func:`~repro.core.vectorized.kernels.crossover_arithmetic`),

@@ -33,7 +33,7 @@ it draws random numbers in blocks, so rng streams diverge while operator
 semantics (cut distributions, per-gene rates, selection pressure) match.
 With the toggle off only the kernels' block arithmetic runs, fed the
 operators' own per-pair draws by the stream-exact breeder
-(:func:`repro.core.variation.make_offspring`), and every fingerprint is
+(:func:`repro.core.variation.breed`), and every fingerprint is
 byte-identical to the per-pair cycle.
 """
 

@@ -16,7 +16,7 @@ two: the block draw, and an arithmetic function (``two_point_exchange``,
 give: a kernel compares its large uniform block at once, so the block
 is freed before the arithmetic allocates).  The distributional
 kernel feeds it block-drawn values; the stream-exact breeder
-(:func:`repro.core.variation.make_offspring`) feeds it the operator's own
+(:func:`repro.core.variation.breed`) feeds it the operator's own
 per-call draws, stacked over the generation, through
 :func:`crossover_arithmetic` / :func:`mutation_arithmetic`.
 

@@ -1,11 +1,11 @@
 """The whole crossover–mutation–repair cycle on genome blocks.
 
 :func:`vector_offspring` is the distributional counterpart of
-:func:`repro.core.variation.make_offspring`: same pairwise parent
+:func:`repro.core.variation.breed`: same pairwise parent
 consumption (with wrap-around), same per-pair crossover probability, same
 per-child mutation probability, same origin tags — but with block draws
 through the kernels in :mod:`.kernels`, and producing *exactly* ``count``
-children.  ``make_offspring`` keeps the per-pair draw order, so it always
+children.  ``breed`` keeps the per-pair draw order, so it always
 builds full pairs and discards the odd sibling; here the final block is
 sliced to ``count`` before mutation, so no discarded-sibling work (or rng
 draws for it) ever happens.
@@ -37,7 +37,7 @@ def vector_offspring(
         ``(m, L)`` block, consumed pairwise in row order (rows 0+1 mate,
         rows 2+3 mate, …), wrapping around if fewer than ``2*ceil(count/2)``
         rows are supplied — the same pooling rule as the scalar
-        ``make_offspring``.
+        ``breed``.
     count:
         Number of children to return; the pair block is sliced to this
         before mutation/repair, so exactly this much work is done.

@@ -11,7 +11,8 @@ content-addressed on-disk cache (``--cache-dir``, default
 ``.sweep_cache``) keyed by experiment id, trial parameters, seed, quick
 flag and a digest of the repro source tree — editing any kernel code
 invalidates every entry.  ``--no-cache`` disables the cache entirely;
-``--bench-out FILE`` writes per-trial telemetry as JSON.
+``--bench-out FILE`` writes per-trial telemetry as JSON; with ``--jobs 1``
+it also splits each trial's CPU time by layer (:mod:`repro.runtime.layers`).
 
 ``--obs-out FILE`` enables the observability subsystem for the whole
 invocation and writes the merged span timeline and run notes as JSON
@@ -32,9 +33,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from ..obs import obs_session, sweep_obs_summary, write_chrome_trace, write_timeline
 from ..runtime.chaos import ChaosPlan
+from ..runtime.layers import layer_sampling
 from ..runtime.resilient import ResilienceConfig
 from ..runtime.sweep import SweepConfig, SweepTelemetry
 from . import REGISTRY, experiment_specs, run_experiment
@@ -145,8 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         "--bench-out",
         metavar="FILE",
         help="write per-trial telemetry (wall and CPU time, simulated events, "
-        "evaluations, cache hits) to FILE as JSON; flushed after every "
-        "sweep and on interrupt, so a killed run leaves partial telemetry",
+        "evaluations, cache hits; with --jobs 1 the CPU time by layer) to FILE "
+        "as JSON; flushed after every sweep and on interrupt, so a killed run "
+        "leaves partial telemetry",
     )
     parser.add_argument(
         "--deadline",
@@ -226,18 +230,20 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     obs_requested = bool(args.obs_out or args.obs_trace)
+    sampled = telemetry is not None and args.jobs == 1
     any_failed = False
 
     def _run_selected() -> bool:
         failed = False
-        for key in ids:
-            report = run_experiment(
-                key, quick=args.quick, audit=args.audit, config=config
-            )
-            print(report.render())
-            print()
-            if not report.all_passed:
-                failed = True
+        with layer_sampling() if sampled else nullcontext():
+            for key in ids:
+                report = run_experiment(
+                    key, quick=args.quick, audit=args.audit, config=config
+                )
+                print(report.render())
+                print()
+                if not report.all_passed:
+                    failed = True
         return failed
 
     try:

@@ -43,7 +43,7 @@ from .export import (
     write_chrome_trace,
     write_timeline,
 )
-from .session import ObsSession, current_obs, obs_enabled, obs_session
+from .session import ObsSession, current_obs, obs_session
 from .spans import SpanHandle, SpanRecord, SpanRecorder
 from .validate import (
     check_generation_coverage,
@@ -68,7 +68,6 @@ __all__ = [
     "current_obs",
     "derived_summary",
     "idle_time_by_track",
-    "obs_enabled",
     "obs_session",
     "phase_times",
     "sim_horizon",

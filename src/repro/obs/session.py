@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator
 
 from .spans import SpanRecord, SpanRecorder
 
-__all__ = ["ObsSession", "current_obs", "obs_enabled", "obs_session"]
+__all__ = ["ObsSession", "current_obs", "obs_session"]
 
 _ACTIVE: "ObsSession | None" = None
 
@@ -92,10 +92,6 @@ def _span_from_dict(span: dict[str, Any], id_base: int, prefix: str) -> SpanReco
 def current_obs() -> ObsSession | None:
     """The ambient session, or ``None`` when observability is disabled."""
     return _ACTIVE
-
-
-def obs_enabled() -> bool:
-    return _ACTIVE is not None
 
 
 @contextmanager

@@ -2,9 +2,10 @@
 
 A *span* is a closed interval ``[t0, t1]`` of simulated cluster time
 attached to a *track* — one lane of the run's timeline, e.g. ``deme-3``,
-``slave-2``, ``supervisor``.  Host time is not a span: it is measured
-per trial by the sweep (``BENCH_sweep.json``) and per layer by the
-suite-wide layer tracer (``BENCH_layers.json``).  Spans on the same
+``slave-2``, ``supervisor``.  Host time is not a span: the sweep
+measures it per trial (``BENCH_sweep.json``), and a serial
+``--bench-out`` run splits it by layer from stack samples
+(:mod:`repro.runtime.layers`).  Spans on the same
 track must nest properly: a child is fully contained in its parent, and
 siblings never partially overlap.
 That discipline is what makes the phase-resolved derivations in

@@ -42,6 +42,7 @@ import os
 import pickle
 import platform
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +53,7 @@ import numpy as np
 from ..cluster.trace import RETENTION_MODES, trace_retention
 from ..obs.export import timeline_doc
 from ..obs.session import current_obs, obs_session
+from .layers import layer_samples, layer_split
 from .resilient import (
     PoolStats,
     QuarantinedTask,
@@ -259,13 +261,20 @@ _MAGIC = b"RSWEEP2\n"
 class TrialCost:
     """What one trial cost when it ran: wall and CPU seconds (rounded to
     the microsecond), simulated events dispatched and fitness evaluations
-    observed.  Stored in the trial's cache entry, so a cache hit reports
-    the figures of the run that computed it."""
+    observed, and — when the sweep was sampled
+    (:func:`repro.runtime.layers.layer_sampling`) — the CPU time split by
+    layer with its sample count and standard error.  Stored in the
+    trial's cache entry, so a cache hit reports the figures of the run
+    that computed it."""
 
     wall_s: float = 0.0
     cpu_s: float = 0.0
     sim_events: int = 0
     evaluations: int = 0
+    #: layer -> seconds of ``cpu_s``; ``None`` when the run was not sampled
+    layer_s: Mapping[str, float] | None = None
+    layer_samples: int = 0
+    layer_se_s: float = 0.0
 
 
 def _pid_alive(pid: int) -> bool:
@@ -390,6 +399,9 @@ class TrialRecord:
     cpu_s: float = 0.0
     sim_events: int = 0
     evaluations: int = 0
+    layer_s: Mapping[str, float] | None = None
+    layer_samples: int = 0
+    layer_se_s: float = 0.0
     #: span count of the trial's child observability session (0 when obs off)
     obs_spans: int = 0
     #: True when the trial was quarantined as poison after K failed attempts
@@ -452,8 +464,24 @@ class SweepTelemetry:
     def totals(self) -> dict[str, Any]:
         """Suite totals.  Time, events and evaluations sum over the trials
         this invocation executed; cache hits carry their original cost but
-        cost nothing now, so a warm run reports the time it spent."""
+        cost nothing now, so a warm run reports the time it spent.
+        ``layers`` sums the sampled trials' CPU time, its split by layer and
+        the sample counts per experiment, with the errors in quadrature."""
         executed = [t for t in self.trials if not t.cached]
+        layers: dict[str, dict[str, Any]] = {}
+        for t in executed:
+            if t.layer_s is None:
+                continue
+            row = layers.setdefault(
+                t.experiment, {"cpu_s": 0.0, "samples": 0, "se_s": 0.0, "layer_s": Counter()}
+            )
+            row["cpu_s"] += t.cpu_s
+            row["samples"] += t.layer_samples
+            row["se_s"] += t.layer_se_s**2
+            row["layer_s"].update(t.layer_s)
+        for row in layers.values():
+            row["cpu_s"], row["se_s"] = round(row["cpu_s"], 6), round(row["se_s"] ** 0.5, 6)
+            row["layer_s"] = {k: round(v, 6) for k, v in sorted(row["layer_s"].items())}
         return {
             "trials": len(self.trials),
             "cache_hits": len(self.trials) - len(executed),
@@ -462,6 +490,7 @@ class SweepTelemetry:
             "sweep_wall_s": round(sum(s["wall_s"] for s in self.sweeps), 6),
             "sim_events": sum(t.sim_events for t in executed),
             "evaluations": sum(t.evaluations for t in executed),
+            "layers": layers,
         }
 
     def to_json(self) -> dict[str, Any]:
@@ -543,7 +572,9 @@ def _execute_indexed(
 ) -> tuple[int, Any, TrialCost, dict[str, Any] | None]:
     """Run one trial (in the sweeping process or a pool worker), measuring
     wall and CPU time and the simulation-kernel / evaluation-stack counters
-    around it.
+    around it.  When a :func:`~repro.runtime.layers.layer_sampling` block
+    is active, the samples taken during the trial split its CPU time by
+    layer.
 
     When the driver had an ambient observability session open at dispatch
     time (inherited across ``fork``, or simply still ambient on the serial
@@ -565,6 +596,7 @@ def _execute_indexed(
     index, trial = job
     ev0 = _problem.evaluations_observed()
     si0 = _sim.events_dispatched()
+    samples0 = layer_samples()
     obs_doc: dict[str, Any] | None = None
     cpu0 = time.process_time()
     start = time.perf_counter()
@@ -576,12 +608,14 @@ def _execute_indexed(
         else:
             value = trial.call()
     wall = time.perf_counter() - start
-    cpu = time.process_time() - cpu0
+    cpu = round(time.process_time() - cpu0, 6)
+    split = {} if samples0 is None else layer_split(samples0, layer_samples(), cpu)
     cost = TrialCost(
         wall_s=round(wall, 6),
-        cpu_s=round(cpu, 6),
+        cpu_s=cpu,
         sim_events=_sim.events_dispatched() - si0,
         evaluations=_problem.evaluations_observed() - ev0,
+        **split,
     )
     return index, value, cost, obs_doc
 
@@ -644,13 +678,10 @@ def run_sweep(
                     fn=trials[index].fn_id,
                     seed=trials[index].seed,
                     digest=digests[index][:16],
-                    wall_s=cost.wall_s,
                     cached=cached,
-                    cpu_s=cost.cpu_s,
-                    sim_events=cost.sim_events,
-                    evaluations=cost.evaluations,
                     obs_spans=obs_spans,
                     quarantined=quarantined,
+                    **dataclasses.asdict(cost),
                 )
             )
 

@@ -123,6 +123,21 @@ class TestTracePickling:
         clone.record(3.0, "c")
         assert clone.digest_hex() == t.digest_hex()
 
+    def test_read_events_do_not_ship_twice(self):
+        """Reading a full trace's events caches them; the cache is a view
+        of the columns and stays out of the pickle."""
+        import pickle
+
+        t = Trace()
+        for i in range(5000):
+            t.record(float(i), "msg", src=i % 7, dst=i % 11, size=1.5)
+        before = len(pickle.dumps(t))
+        events = list(t)
+        assert len(pickle.dumps(t)) == before
+        clone = self._roundtrip(t)
+        assert clone.digest_hex() == t.digest_hex()
+        assert list(clone) == events
+
     def test_full_trace_rerecords_awkward_fields_through_record(self):
         """An unpickled full trace rebuilds its hash by re-recording its
         events: fields that stress the line format (negative zero, a

@@ -1,9 +1,9 @@
 """The stream-exact block breeder against the per-pair cycle.
 
-:func:`make_offspring` draws every pair's random numbers in the order
+:func:`breed` draws every pair's random numbers in the order
 :func:`offspring_pair` does, then crosses, mutates and repairs whole
 blocks.  Each test here breeds the same parents twice from the same
-generator state, once through :func:`make_offspring` and once through a
+generator state, once through :func:`breed` and once through a
 reference loop of :func:`offspring_pair` calls, and requires the same
 children (bytes, dtype, origin, birth generation) and the same next draw.
 """
@@ -22,7 +22,7 @@ from repro.core.genome import BinarySpec, IntegerVectorSpec, PermutationSpec, Re
 from repro.core.operators import adaptive
 from repro.core.operators import crossover as cx
 from repro.core.operators import mutation as mut
-from repro.core.variation import breed, make_offspring, offspring_pair
+from repro.core.variation import breed, offspring_pair
 
 L = 12  # genome length of every case (TwoDimensionalCrossover reads it as 3 x 4)
 
@@ -128,7 +128,7 @@ def _individuals(genomes):
 
 
 def _reference(rng, config, spec, parents, count, generation):
-    """The per-pair cycle :func:`make_offspring` must reproduce."""
+    """The per-pair cycle :func:`breed` must reproduce."""
     out = []
     i = 0
     while len(out) < count:
@@ -142,7 +142,7 @@ def _reference(rng, config, spec, parents, count, generation):
 def assert_same_brood(config, spec, parents, count, seed, generation=3):
     # stateful operators (the decaying mutation) get a fresh copy per side
     rng_block, rng_pair = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = make_offspring(
+    got, _ = breed(
         rng_block, copy.deepcopy(config), spec, parents, count, generation=generation
     )
     want = _reference(rng_pair, copy.deepcopy(config), spec, parents, count, generation)
@@ -239,12 +239,12 @@ def test_count_validation():
     config = GAConfig().resolved_for(spec)
     parents = _individuals(spec.sample_population(np.random.default_rng(1), 2))
     with pytest.raises(ValueError, match="count"):
-        make_offspring(np.random.default_rng(0), config, spec, parents, -1)
+        breed(np.random.default_rng(0), config, spec, parents, -1)
     with pytest.raises(ValueError, match="two parents"):
-        make_offspring(np.random.default_rng(0), config, spec, parents[:1], 2)
+        breed(np.random.default_rng(0), config, spec, parents[:1], 2)
     with pytest.raises(ValueError, match="unresolved"):
-        make_offspring(np.random.default_rng(0), GAConfig(), spec, parents, 2)
-    assert make_offspring(np.random.default_rng(0), config, spec, parents[:1], 0) == []
+        breed(np.random.default_rng(0), GAConfig(), spec, parents, 2)
+    assert breed(np.random.default_rng(0), config, spec, parents[:1], 0) == ([], None)
 
 
 # -- the two-point cut draw ------------------------------------------------------

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import BinarySpec, GAConfig, Individual, PermutationSpec, make_offspring, offspring_pair
+from repro.core import BinarySpec, GAConfig, Individual, PermutationSpec, offspring_pair
 from repro.core.operators.crossover import OnePointCrossover, UniformCrossover
 from repro.core.operators.mutation import BitFlipMutation
+from repro.core.variation import breed
 
 
 class TestGAConfigValidation:
@@ -111,21 +112,21 @@ class TestMakeOffspring:
     def test_exact_count(self, rng):
         cfg = GAConfig().resolved_for(BinarySpec(10))
         a, b = _parents(10)
-        out = make_offspring(rng, cfg, BinarySpec(10), [a, b], 7)
+        out, _ = breed(rng, cfg, BinarySpec(10), [a, b], 7)
         assert len(out) == 7
 
     def test_zero_count(self, rng):
         cfg = GAConfig().resolved_for(BinarySpec(10))
-        assert make_offspring(rng, cfg, BinarySpec(10), [], 0) == []
+        assert breed(rng, cfg, BinarySpec(10), [], 0) == ([], None)
 
     def test_single_parent_raises(self, rng):
         cfg = GAConfig().resolved_for(BinarySpec(10))
         a, _ = _parents(10)
         with pytest.raises(ValueError):
-            make_offspring(rng, cfg, BinarySpec(10), [a], 2)
+            breed(rng, cfg, BinarySpec(10), [a], 2)
 
     def test_pool_wraps_around(self, rng):
         cfg = GAConfig().resolved_for(BinarySpec(10))
         a, b = _parents(10)
-        out = make_offspring(rng, cfg, BinarySpec(10), [a, b], 12)
+        out, _ = breed(rng, cfg, BinarySpec(10), [a, b], 12)
         assert len(out) == 12

@@ -1,4 +1,4 @@
-"""Tests for the EXPERIMENTS.md writer and the suite layer script."""
+"""Tests for the EXPERIMENTS.md writer."""
 
 import sys
 from pathlib import Path
@@ -78,20 +78,3 @@ class TestSectionRegex:
 
         with pytest.raises(ValueError, match="summary line"):
             recount_header("## E1 — first\n")
-
-
-class TestSuiteLayers:
-    """``scripts/suite_layers.py`` attributes a quick experiment's host
-    time to layers without losing or double counting any of it."""
-
-    @pytest.mark.parametrize("key", ["E2", "E9"])
-    def test_counts_match_and_self_times_sum_to_wall(self, key):
-        from suite_layers import count_mismatches, trace_experiment
-
-        row = trace_experiment(key, quick=True)
-        assert count_mismatches(row) == []
-        assert row["problems.genomes"] > 0 and row["cluster.sim.events"] > 0
-        attributed = sum(row["layer_self_s"].values()) + row["unattributed_s"]
-        assert attributed == pytest.approx(row["wall_s"], rel=1e-9, abs=1e-9)
-        assert min(row["layer_self_s"].values()) >= -1e-6
-        assert row["unattributed_s"] >= -1e-6
