@@ -43,9 +43,9 @@ def main() -> None:
     )
     cga.initialize()
     for sweep in (0, 3, 8, 15):
-        while cga.sweeps < sweep:
+        while cga.state.generation < sweep:
             cga.step()
-        print(f"--- fitness grid after sweep {cga.sweeps} "
+        print(f"--- fitness grid after sweep {cga.state.generation} "
               f"(best {cga.best_so_far.fitness:.0f}/{problem.optimum:.0f}) ---")
         print(heatmap(cga.fitness_grid()))
         print()

@@ -37,10 +37,8 @@ copy-pasted per engine, and this check keeps them centralised:
 
 5. **The vectorized fast path.**  ``repro/core/vectorized`` exists to
    replace per-individual Python loops with whole-block NumPy kernels,
-   so its kernel modules must contain no ``for``/``while`` statements,
-   comprehensions or generator expressions.  ``population.py`` is exempt:
-   it is the object boundary that converts between ``Individual`` lists
-   and arrays, and looping is its job.
+   so its modules must contain no ``for``/``while`` statements,
+   comprehensions or generator expressions.
 
 6. **The supervised pool.**  Real-process fan-out must go through
    :class:`repro.runtime.resilient.SupervisedPool` — a bare
@@ -86,8 +84,9 @@ copy-pasted per engine, and this check keeps them centralised:
    duplicate selection kernels ``selection_kernel`` and
    ``tournament_indices`` … ``best_indices``, the second digest-line
    encoder ``canonical_line`` / ``_fast_norm``, the trace summary type
-   ``TraceSummary`` or the timed-runtime wrapper
-   ``RuntimeCapabilities``; no module
+   ``TraceSummary``, the timed-runtime wrapper ``RuntimeCapabilities``,
+   the cellular result type ``CellularResult`` or the array population
+   ``ArrayPopulation``; no module
    under ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
@@ -104,10 +103,12 @@ copy-pasted per engine, and this check keeps them centralised:
    counter, ``PoolStats``, the sweep telemetry or a ``RunReport`` field),
    each selection scheme is written once, as its operator's
    ``indices`` method, ``Trace.record`` is the one producer of the
-   pinned digest line, and a timed host passes its resilience keywords
-   to ``TimedDemeRuntime`` directly.  An import counts under either
-   name: ``from m import X as Y`` is flagged when ``X`` or ``Y`` is
-   retired.
+   pinned digest line, a timed host passes its resilience keywords
+   to ``TimedDemeRuntime`` directly, ``CellularGA`` is an
+   ``EvolutionEngine`` that returns ``EvolutionResult``, and the
+   batched cycle works on plain arrays taken from a ``Population``.
+   An import counts under either name: ``from m import X as Y`` is
+   flagged when ``X`` or ``Y`` is retired.
 
 10. **Knob reachability.**  Every keyword of the engine classes rule 7
     names, of ``CellularGA``, ``MasterSlaveGA``, ``GAConfig`` and
@@ -148,9 +149,6 @@ POOL_OWNER = SRC / "runtime" / "resilient.py"
 #: bare-pool constructions/methods rule 6 forbids outside POOL_OWNER
 _BARE_POOL_NAMES = {"Pool", "imap_unordered", "imap", "map_async"}
 
-#: vectorized modules allowed to loop: the Individual<->array boundary
-VECTORIZED_LOOP_ALLOWED = {"population.py"}
-
 #: AST nodes that mean "a Python-level loop over elements"
 _LOOP_NODES = (
     ast.For,
@@ -164,10 +162,6 @@ _LOOP_NODES = (
 
 #: modules that implement the wire protocol itself
 SEND_ALLOWED = {"reliable.py", "supervisor.py"}
-
-#: result classes that are NOT engine reports: outcomes of sequential
-#: sub-engines embedded inside engines (analogous to EvolutionResult)
-RESULT_CLASS_ALLOWED = {("cellular.py", "CellularResult")}
 
 #: the one module that owns the report schema
 SCHEMA_OWNER = "base.py"
@@ -216,7 +210,6 @@ def lint_file(path: Path) -> list[str]:
             isinstance(node, ast.ClassDef)
             and (node.name.endswith("Result") or node.name.endswith("Report"))
             and rel != SCHEMA_OWNER
-            and (rel, node.name) not in RESULT_CLASS_ALLOWED
         ):
             problems.append(
                 f"{path.relative_to(REPO)}:{node.lineno}: bespoke result class "
@@ -383,8 +376,7 @@ def lint_vectorized_file(path: Path) -> list[str]:
             problems.append(
                 f"{path.relative_to(REPO)}:{node.lineno}: {kind} in a "
                 "vectorized kernel module — express the operation as a "
-                "whole-block NumPy kernel (loops live behind the "
-                "population.py object boundary)"
+                "whole-block NumPy kernel"
             )
     return problems
 
@@ -526,6 +518,15 @@ _RETIRED_NAMES = {
         "retired runtime wrapper — timed hosts pass reliable_migration, "
         "supervised, checkpoint_every and heartbeat_grace to "
         "_init_timed_runtime directly"
+    ),
+    "CellularResult": (
+        "retired cellular result type — CellularGA runs on EvolutionEngine's "
+        "lifecycle and returns EvolutionResult; sweeps are "
+        "state.generation and the curves are history"
+    ),
+    "ArrayPopulation": (
+        "retired array population — nothing converted to it; the batched "
+        "cycle stacks genomes and fitnesses from a Population directly"
     ),
 }
 
@@ -790,9 +791,7 @@ def main() -> int:
     experiment_files = _experiment_modules()
     for path in experiment_files:
         problems.extend(lint_experiment_file(path))
-    vectorized_files = sorted(
-        p for p in VECTORIZED.glob("*.py") if p.name not in VECTORIZED_LOOP_ALLOWED
-    )
+    vectorized_files = sorted(VECTORIZED.glob("*.py"))
     for path in vectorized_files:
         problems.extend(lint_vectorized_file(path))
     pool_files = sorted(p for p in SRC.rglob("*.py") if p != POOL_OWNER)

@@ -35,11 +35,7 @@ from .population import Population, PopulationStats
 from .problem import CountingProblem, FitnessBudgetExceeded, Problem, stack_genomes
 from .rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
 from .variation import offspring_pair
-from .vectorized import (
-    ArrayPopulation,
-    supports_vectorized_variation,
-    vector_offspring,
-)
+from .vectorized import supports_vectorized_variation, vector_offspring
 from .termination import (
     AllOf,
     AnyOf,
@@ -97,7 +93,6 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "offspring_pair",
-    "ArrayPopulation",
     "supports_vectorized_variation",
     "vector_offspring",
     "EngineSnapshot",

@@ -11,11 +11,6 @@ blocks with per-row probability masks.
 
 Layout
 ------
-:mod:`~repro.core.vectorized.population`
-    :class:`ArrayPopulation` — the array-backed representation,
-    losslessly convertible to/from :class:`~repro.core.population.Population`.
-    This is the object boundary, the one module allowed to loop over
-    individuals.
 :mod:`~repro.core.vectorized.kernels`
     Batched NumPy kernels: block crossover and block mutation, plus the
     operator → kernel registries.  Loop-free by contract (enforced by
@@ -42,11 +37,9 @@ from .kernels import (
     mutation_kernel,
     supports_vectorized_variation,
 )
-from .population import ArrayPopulation
 from .variation import vector_offspring
 
 __all__ = [
-    "ArrayPopulation",
     "crossover_kernel",
     "mutation_kernel",
     "supports_vectorized_variation",

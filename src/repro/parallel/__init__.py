@@ -16,7 +16,7 @@ is the engine's contract scenario (:mod:`repro.verify.engines`).
 
 from .async_master_slave import SimulatedAsyncMasterSlave
 from .base import ParallelEngine, RunReport, validate_report
-from .cellular import UPDATE_POLICIES, CellularGA, CellularResult
+from .cellular import UPDATE_POLICIES, CellularGA
 from .cellular_distributed import DistributedCellularGA
 from .classification import (
     GrainModel,
@@ -62,7 +62,6 @@ __all__ = [
     "MasterSlaveGA",
     "SimulatedMasterSlave",
     "CellularGA",
-    "CellularResult",
     "UPDATE_POLICIES",
     "HierarchicalGA",
     "SpecializedIslandModel",

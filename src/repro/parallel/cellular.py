@@ -21,19 +21,16 @@ orders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
 
-from ..cluster.trace import Trace
 from ..core.config import GAConfig
-from ..core.individual import Individual, best_of
+from ..core.engine import EvolutionEngine
+from ..core.individual import Individual
+from ..core.population import Population
 from ..core.problem import Problem
-from ..core.rng import ensure_rng
-from ..core.termination import EvolutionState, MaxGenerations, Termination
 from ..core.variation import offspring_pair
-from ..runtime.deme import emit_generation
 from ..topology.neighborhood import Neighborhood, VonNeumannNeighborhood
 from .classification import (
     GrainModel,
@@ -43,7 +40,7 @@ from .classification import (
     WalkStrategy,
 )
 
-__all__ = ["CellularGA", "CellularResult", "UpdatePolicy", "UPDATE_POLICIES"]
+__all__ = ["CellularGA", "UpdatePolicy", "UPDATE_POLICIES"]
 
 UpdatePolicy = Literal[
     "synchronous",
@@ -62,25 +59,13 @@ UPDATE_POLICIES: tuple[str, ...] = (
 )
 
 
-@dataclass
-class CellularResult:
-    """Outcome of a cellular run."""
+class CellularGA(EvolutionEngine):
+    """Toroidal-grid cellular GA: the third sequential reproduction loop.
 
-    best: Individual
-    evaluations: int
-    sweeps: int
-    solved: bool
-    stop_reason: str
-    best_curve: list[float] = field(repr=False, default_factory=list)
-    mean_curve: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def best_fitness(self) -> float:
-        return self.best.require_fitness()
-
-
-class CellularGA:
-    """Toroidal-grid cellular GA.
+    It runs on :class:`~repro.core.engine.EvolutionEngine`'s lifecycle,
+    like the generational and steady-state loops: the grid is
+    ``population`` (row-major cells), one sweep is one generation, and
+    ``run()`` returns an :class:`~repro.core.engine.EvolutionResult`.
 
     Parameters
     ----------
@@ -115,7 +100,6 @@ class CellularGA:
         neighborhood: Neighborhood | None = None,
         update: str = "synchronous",
         seed: int | np.random.Generator | None = None,
-        trace: Trace | None = None,
     ) -> None:
         if rows < 2 or cols < 2:
             raise ValueError(f"grid must be at least 2x2, got {rows}x{cols}")
@@ -123,24 +107,15 @@ class CellularGA:
             raise ValueError(
                 f"unknown update policy {update!r}; choose from {UPDATE_POLICIES}"
             )
-        self.problem = problem
-        self.config = (config or GAConfig()).resolved_for(problem.spec)
+        super().__init__(problem, config, seed=seed)
         self.rows, self.cols = rows, cols
         self.n_cells = rows * cols
         self.neighborhood = neighborhood or VonNeumannNeighborhood()
         self.update = update
-        self.rng = ensure_rng(seed)
-        self.trace = trace
-        self.grid: list[Individual] = []
-        self.evaluations = 0
-        self.sweeps = 0
-        self.best_curve: list[float] = []
-        self.mean_curve: list[float] = []
         self._fixed_order: np.ndarray | None = None
-        self._best_so_far: Individual | None = None
 
-    # -- setup ---------------------------------------------------------------------
-    def initialize(self, individuals: Sequence[Individual] | None = None) -> None:
+    def initialize(self, individuals: Sequence[Individual] | None = None) -> Population:
+        """Sample (or adopt) one individual per cell and evaluate them."""
         if individuals is None:
             genomes = self.problem.spec.sample_population(self.rng, self.n_cells)
             individuals = [Individual(genome=g) for g in genomes]
@@ -148,18 +123,7 @@ class CellularGA:
             raise ValueError(
                 f"grid needs exactly {self.n_cells} individuals, got {len(individuals)}"
             )
-        self.grid = list(individuals)
-        self._evaluate_batch([ind for ind in self.grid if not ind.evaluated])
-        self._track()
-
-    def _evaluate_batch(self, individuals: Sequence[Individual]) -> None:
-        """Fill in fitnesses for ``individuals`` with one stacked evaluation."""
-        if not individuals:
-            return
-        fitnesses = self.problem.evaluate_many([ind.genome for ind in individuals])
-        for ind, f in zip(individuals, fitnesses):
-            ind.fitness = float(f)
-        self.evaluations += len(individuals)
+        return super().initialize(individuals)
 
     # -- stepping ------------------------------------------------------------------
     def _cell_order(self) -> np.ndarray:
@@ -196,12 +160,12 @@ class CellularGA:
             self.problem.spec,
             parents[0],
             parents[1],
-            generation=self.sweeps + 1,
+            generation=self.state.generation + 1,
         )
         child = a if self.rng.random() < 0.5 else b
         if evaluate:
             child.fitness = self.problem.evaluate(child.genome)
-            self.evaluations += 1
+            self.state.evaluations += 1
         return child
 
     def _maybe_replace(self, idx: int, child: Individual, target: list[Individual]) -> None:
@@ -211,89 +175,28 @@ class CellularGA:
         if improves:
             target[idx] = child
 
-    def step(self) -> None:
+    def _advance(self) -> None:
         """One sweep: every cell position gets one update opportunity."""
-        if not self.grid:
-            self.initialize()
+        assert self.population is not None
+        grid = self.population.individuals
         if self.update == "synchronous":
-            old = list(self.grid)  # offspring all computed against the old grid
-            new = list(self.grid)
+            old = list(grid)  # offspring all computed against the old grid
+            new = list(grid)
             order = self._cell_order()
             children = [
                 self._offspring_for_cell(int(idx), old, evaluate=False)
                 for idx in order
             ]
-            self._evaluate_batch(children)  # one (n_cells, L) stacked evaluation
+            self._evaluate(children)  # one (n_cells, L) stacked evaluation
             for idx, child in zip(order, children):
                 self._maybe_replace(int(idx), child, new)
-            self.grid = new
+            self.population.individuals = new
         else:
             for idx in self._cell_order():
-                child = self._offspring_for_cell(int(idx), self.grid)
-                self._maybe_replace(int(idx), child, self.grid)
-        self.sweeps += 1
-        self._track()
-
-    # -- monitoring -----------------------------------------------------------------
-    def _track(self) -> None:
-        best = best_of(self.grid, self.problem.maximize)
-        if self._best_so_far is None or self.problem.is_improvement(
-            best.require_fitness(), self._best_so_far.require_fitness()
-        ):
-            self._best_so_far = best.copy()
-        f = np.asarray([ind.require_fitness() for ind in self.grid])
-        self.best_curve.append(self._best_so_far.require_fitness())
-        self.mean_curve.append(float(f.mean()))
-        emit_generation(
-            self.trace,
-            float(self.sweeps),
-            deme=0,
-            generation=self.sweeps,
-            best=float(self._best_so_far.require_fitness()),
-        )
-
-    @property
-    def best_so_far(self) -> Individual:
-        if self._best_so_far is None:
-            raise RuntimeError("cellular GA not initialised")
-        return self._best_so_far
+                child = self._offspring_for_cell(int(idx), grid)
+                self._maybe_replace(int(idx), child, grid)
 
     def fitness_grid(self) -> np.ndarray:
         """Current fitnesses as a (rows, cols) array — for diffusion plots."""
-        f = np.asarray([ind.require_fitness() for ind in self.grid])
-        return f.reshape(self.rows, self.cols)
-
-    def _solved(self) -> bool:
-        return self._best_so_far is not None and self.problem.is_solved(
-            self._best_so_far.require_fitness()
-        )
-
-    def run(self, termination: Termination | int | None = None) -> CellularResult:
-        if termination is None:
-            termination = MaxGenerations(100)
-        elif isinstance(termination, int):
-            termination = MaxGenerations(termination)
-        if not self.grid:
-            self.initialize()
-        while not termination.should_stop(self._state()) and not self._solved():
-            self.step()
-        solved = self._solved()
-        return CellularResult(
-            best=self.best_so_far.copy(),
-            evaluations=self.evaluations,
-            sweeps=self.sweeps,
-            solved=solved,
-            stop_reason="solved" if solved else termination.reason(),
-            best_curve=self.best_curve,
-            mean_curve=self.mean_curve,
-        )
-
-    def _state(self) -> EvolutionState:
-        return EvolutionState(
-            generation=self.sweeps,
-            evaluations=self.evaluations,
-            best_fitness=(
-                self._best_so_far.require_fitness() if self._best_so_far else None
-            ),
-            maximize=self.problem.maximize,
-        )
+        assert self.population is not None
+        return self.population.fitness_array().reshape(self.rows, self.cols)

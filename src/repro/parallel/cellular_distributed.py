@@ -119,7 +119,7 @@ class DistributedCellularGA(ParallelEngine):
         SIMD regime has no strip redundancy — and raises rather than
         silently computing on a dead node.
         """
-        cols = self.cga.cols
+        cols, sweep = self.cga.cols, self.cga.state.generation
         now = self.cluster.sim.now
         per_node_compute = []
         for i in range(self.cluster.n_nodes):
@@ -138,7 +138,7 @@ class DistributedCellularGA(ParallelEngine):
             for i, dur in enumerate(per_node_compute):
                 obs.spans.record(
                     "compute", now, now + dur, track=f"node-{i}",
-                    node=i, rows=self.strip_rows[i], sweep=self.cga.sweeps,
+                    node=i, rows=self.strip_rows[i], sweep=sweep,
                 )
         barrier = max(per_node_compute)
         comm = 0.0
@@ -153,7 +153,7 @@ class DistributedCellularGA(ParallelEngine):
         if obs is not None and comm > 0.0:
             t0 = max(self._net_cursor, now)
             obs.spans.record(
-                "comm", t0, t0 + comm, track="network", sweep=self.cga.sweeps,
+                "comm", t0, t0 + comm, track="network", sweep=sweep,
             )
             self._net_cursor = t0 + comm
         # halo exchanges happen pairwise in parallel: the barrier extends by
@@ -176,7 +176,7 @@ class DistributedCellularGA(ParallelEngine):
             if obs is not None:
                 obs.spans.record(
                     "sweep", sim.now, sim.now + duration, track="machine",
-                    sweep=self.cga.sweeps,
+                    sweep=self.cga.state.generation,
                 )
 
         self.cga.initialize()
@@ -198,7 +198,7 @@ class DistributedCellularGA(ParallelEngine):
             self.cluster.trace,
             self.cluster.sim.now,
             deme=0,
-            generation=self.cga.sweeps,
+            generation=self.cga.state.generation,
             best=float(self.cga.best_so_far.require_fitness()),
         )
 
@@ -211,13 +211,13 @@ class DistributedCellularGA(ParallelEngine):
         solved = self.cga._solved()
         return self._report(
             best=self.cga.best_so_far.copy(),
-            evaluations=self.cga.evaluations,
-            epochs=self.cga.sweeps,
+            evaluations=self.cga.state.evaluations,
+            epochs=self.cga.state.generation,
             solved=solved,
             stop_reason="solved" if solved else "max_sweeps",
             sim_time=self.cluster.sim.now,
             extras={
-                "sweeps": self.cga.sweeps,
+                "sweeps": self.cga.state.generation,
                 "nodes": self.cluster.n_nodes,
                 "compute_time": self.compute_time,
                 "comm_time": self.comm_time,

@@ -105,6 +105,8 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
             for i in range(n_islands)
         ]
         self.epoch = 0
+        self.migrants_sent = 0
+        self.migrants_accepted = 0
 
     def initialize(self) -> None:
         for deme in self.demes:
@@ -112,7 +114,7 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
 
     # -- standard lifecycle (step grids, swap best cells, record) ---------------
     def _lifecycle_initialized(self) -> bool:
-        return bool(self.demes[0].grid)
+        return self.demes[0].population is not None
 
     def _lifecycle_step(self) -> None:
         for deme in self.demes:
@@ -123,12 +125,17 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
             if self.schedule.should_migrate(i, self.epoch, self.rng):
                 ranked = sorted(
                     range(deme.n_cells),
-                    key=lambda c: deme.grid[c].require_fitness(),
+                    key=lambda c: deme.population[c].require_fitness(),
                     reverse=self.problem.maximize,
                 )
                 for dst in self.topology.neighbors_out(i):
-                    migrants = [deme.grid[c].copy() for c in ranked[: self.policy.rate]]
-                    self._place_migrants(self.demes[dst], migrants)
+                    migrants = [
+                        deme.population[c].copy() for c in ranked[: self.policy.rate]
+                    ]
+                    self.migrants_sent += len(migrants)
+                    self.migrants_accepted += self._place_migrants(
+                        self.demes[dst], migrants
+                    )
 
     def _lifecycle_record(self) -> None:
         for i, deme in enumerate(self.demes):
@@ -136,25 +143,27 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
                 self.trace,
                 float(self.epoch),
                 deme=i,
-                generation=deme.sweeps,
+                generation=deme.state.generation,
                 best=float(deme.best_so_far.require_fitness()),
             )
 
-    def _place_migrants(self, deme: CellularGA, migrants: list[Individual]) -> None:
-        """Immigrants replace the destination's worst cells in place."""
+    def _place_migrants(self, deme: CellularGA, migrants: list[Individual]) -> int:
+        """Immigrants replace the destination's worst cells in place;
+        returns how many cells they took."""
         ranked = sorted(
             range(deme.n_cells),
-            key=lambda c: deme.grid[c].require_fitness(),
+            key=lambda c: deme.population[c].require_fitness(),
             reverse=not self.problem.maximize,  # worst first
         )
         for cell, migrant in zip(ranked, migrants):
-            deme.grid[cell] = migrant.copy(origin="migrant")
+            deme.population[cell] = migrant.copy(origin="migrant")
+        return min(len(ranked), len(migrants))
 
     def global_best(self) -> Individual:
         return best_of([d.best_so_far for d in self.demes], self.problem.maximize)
 
     def total_evaluations(self) -> int:
-        return sum(d.evaluations for d in self.demes)
+        return sum(d.state.evaluations for d in self.demes)
 
     def _solved(self) -> bool:
         return self.problem.is_solved(self.global_best().require_fitness())
@@ -169,6 +178,8 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
             solved=solved,
             stop_reason="solved" if solved else "max_epochs",
             deme_bests=[d.best_so_far.require_fitness() for d in self.demes],
+            migrants_sent=self.migrants_sent,
+            migrants_accepted=self.migrants_accepted,
         )
 
 

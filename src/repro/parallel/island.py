@@ -64,9 +64,10 @@ __all__ = ["IslandModel", "SimulatedIslandModel", "EpochRecord", "engine_class_b
 def engine_class_by_name(name: str) -> Type[EvolutionEngine]:
     """Resolve Alba & Troya's reproduction-loop names to engine classes.
 
-    ``"generational"`` | ``"steady-state"`` — the cellular loop is a model
-    of its own (:mod:`repro.parallel.cellular`) and plugs in via
-    :class:`~repro.parallel.hybrid.CellularIslandModel`.
+    ``"generational"`` | ``"steady-state"`` — the cellular loop
+    (:class:`~repro.parallel.cellular.CellularGA`) is an engine too, but
+    its size is a grid shape, not ``config.population_size``, so islands
+    of grids are :class:`~repro.parallel.hybrid.CellularIslandModel`.
     """
     name = name.lower()
     if name == "generational":

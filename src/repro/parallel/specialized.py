@@ -166,6 +166,8 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             sub_cfg = cfg.resolved_for(sub_problem.spec)
             self.subeas.append(GenerationalEngine(sub_problem, sub_cfg, seed=rngs[i]))
         self.epoch = 0
+        self.migrants_sent = 0
+        self.migrants_accepted = 0
         self.trace = trace
         self._archive: list[tuple[np.ndarray, np.ndarray]] = []  # (genome, objectives)
 
@@ -229,12 +231,13 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             for dst in self.topology.neighbors_out(i):
                 migrants = select_migrants(self.rng, sub.population, self.policy)
                 parcels.append((i, dst, migrants))
+                self.migrants_sent += len(migrants)
         for src, dst, migrants in parcels:
             dst_sub = self.subeas[dst]
             for m in migrants:
                 m.fitness = dst_sub.problem.evaluate(m.genome)
                 dst_sub.state.evaluations += 1
-            integrate_immigrants(
+            self.migrants_accepted += integrate_immigrants(
                 self.rng, dst_sub.population, migrants, self.policy, source=src
             )
 
@@ -280,6 +283,8 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             epochs=self.epoch,
             stop_reason="max_epochs",
             deme_bests=[s.best_so_far.require_fitness() for s in self.subeas],
+            migrants_sent=self.migrants_sent,
+            migrants_accepted=self.migrants_accepted,
         )
 
 
@@ -320,8 +325,6 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
         self.demes = self.subeas
         self.config = self.subeas[0].config
         self.schedule = PeriodicSchedule(scenario.migration_interval)
-        self.migrants_sent = 0
-        self.migrants_accepted = 0
         self._init_timed_runtime(
             cluster or SimulatedCluster(scenario.n_subeas),
             eval_cost=eval_cost,

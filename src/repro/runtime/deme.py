@@ -145,7 +145,7 @@ class TimedDemeRuntime:
         ``supervised`` adds heartbeat supervision with checkpoint recovery
         onto spare nodes (:class:`~repro.parallel.supervisor.IslandSupervisor`)
         and needs one dedicated supervisor node beyond the demes.  A
-        ``heartbeat_grace`` of None means :meth:`_default_heartbeat_grace`."""
+        ``heartbeat_grace`` of None means ten expected generation times."""
         n_islands = self.n_islands
         if cluster.n_nodes < n_islands:
             raise ValueError(
@@ -169,7 +169,7 @@ class TimedDemeRuntime:
         self.supervised = supervised
         self.checkpoint_every = checkpoint_every
         if heartbeat_grace is None:
-            heartbeat_grace = self._default_heartbeat_grace()
+            heartbeat_grace = 10.0 * self.config.population_size * eval_cost
         self.heartbeat_grace = heartbeat_grace
         self._stop = False
         self._channel = None
@@ -185,19 +185,6 @@ class TimedDemeRuntime:
         ]
 
     # -- tunable seams (defaults preserve the island model's behaviour) ----------
-    def _default_heartbeat_grace(self) -> float:
-        """Silence threshold: ten expected generation times."""
-        return 10.0 * self.config.population_size * self.eval_cost
-
-    def _channel_min_rto(self) -> float:
-        """A receiver only drains its inbox between generations, so the
-        retransmit timeout must cover that application delay too."""
-        return 2.0 * self.config.population_size * self.eval_cost
-
-    def _supervisor_snapshot_payload(self) -> float:
-        """A checkpoint ships a whole population."""
-        return self.migration_payload * self.config.population_size
-
     def _step_work(self, i: int, evaluations: int) -> float:
         """Simulated seconds deme ``i`` spends on ``evaluations`` fitness
         evaluations (before node speed).  Engines that farm evaluations
@@ -449,7 +436,9 @@ class TimedDemeRuntime:
                 inbox_of=lambda d: self._inboxes[d],
                 is_stopped=lambda: self._stop,
                 is_done=lambda d: self._deme_done[d],
-                min_rto=self._channel_min_rto(),
+                # a receiver only drains its inbox between generations, so
+                # the retransmit timeout must cover that application delay too
+                min_rto=2.0 * self.config.population_size * self.eval_cost,
             )
         if self.supervised:
             self._supervisor = IslandSupervisor(
@@ -457,7 +446,10 @@ class TimedDemeRuntime:
                 node_id=n,
                 spares=list(range(n + 1, self.cluster.n_nodes)),
                 grace=self.heartbeat_grace,
-                snapshot_payload=self._supervisor_snapshot_payload(),
+                # a checkpoint ships a whole population
+                snapshot_payload=(
+                    self.migration_payload * self.config.population_size
+                ),
             )
             self.cluster.sim.process(self._supervisor.process(), name="supervisor")
         self._procs = [

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ArrayPopulation,
     GAConfig,
     GenerationalEngine,
     Individual,
@@ -74,72 +73,6 @@ def make_pop(fitnesses, maximize=True):
         ind.fitness = float(f)
         inds.append(ind)
     return Population(inds, maximize=maximize)
-
-
-class TestArrayPopulation:
-    def test_round_trip_preserves_everything_but_uid(self):
-        rng = np.random.default_rng(0)
-        inds = []
-        for k in range(6):
-            ind = Individual(
-                genome=rng.integers(0, 2, size=8).astype(np.int8),
-                birth_generation=k,
-                origin=f"tag{k}",
-                attrs={"k": k},
-            )
-            if k % 2 == 0:
-                ind.fitness = float(k)
-            inds.append(ind)
-        pop = Population(inds, maximize=False)
-        arr = ArrayPopulation.from_population(pop)
-        back = arr.to_population()
-        assert back.maximize is False
-        for a, b in zip(pop, back):
-            assert np.array_equal(a.genome, b.genome)
-            assert a.fitness == b.fitness
-            assert a.birth_generation == b.birth_generation
-            assert a.origin == b.origin
-            assert a.attrs == b.attrs
-            assert a.uid != b.uid  # identity is regenerated, not state
-
-    def test_genomes_are_copied_not_aliased(self):
-        ind = Individual(genome=np.zeros(4, dtype=np.int8))
-        arr = ArrayPopulation.from_individuals([ind])
-        arr.genomes[0, 0] = 1
-        assert ind.genome[0] == 0
-        out = arr.to_individuals()[0]
-        arr.genomes[0, 1] = 1
-        assert out.genome[1] == 0
-
-    def test_rejects_empty_and_ragged_state(self):
-        with pytest.raises(ValueError):
-            ArrayPopulation.from_individuals([])
-        with pytest.raises(ValueError):
-            ArrayPopulation(
-                genomes=np.zeros((3, 2)),
-                fitnesses=np.zeros(2),
-                evaluated=np.zeros(3, dtype=bool),
-                birth_generations=np.zeros(3, dtype=np.int64),
-                origins=np.asarray(["a"] * 3, dtype=object),
-            )
-
-    def test_rejects_nonfinite_evaluated_fitness(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ArrayPopulation(
-                genomes=np.zeros((2, 2)),
-                fitnesses=np.array([0.0, np.nan]),
-                evaluated=np.array([True, True]),
-                birth_generations=np.zeros(2, dtype=np.int64),
-                origins=np.asarray(["a", "b"], dtype=object),
-            )
-
-    def test_require_fitnesses_and_best_index(self):
-        pop = make_pop([3.0, 9.0, 1.0], maximize=True)
-        arr = ArrayPopulation.from_population(pop)
-        assert arr.best_index() == 1
-        arr.evaluated[2] = False
-        with pytest.raises(ValueError, match="unevaluated"):
-            arr.require_fitnesses()
 
 
 EXACT_PARITY_SELECTIONS = [

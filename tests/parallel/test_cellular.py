@@ -13,7 +13,7 @@ class TestConstruction:
     def test_grid_size(self):
         cga = CellularGA(OneMax(8), rows=4, cols=6, seed=1)
         cga.initialize()
-        assert cga.n_cells == 24 and len(cga.grid) == 24
+        assert cga.n_cells == 24 and len(cga.population) == 24
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -45,9 +45,9 @@ class TestUpdatePolicies:
     def test_sweep_counts_evaluations(self, policy):
         cga = CellularGA(OneMax(8), rows=4, cols=4, update=policy, seed=3)
         cga.initialize()
-        before = cga.evaluations
+        before = cga.state.evaluations
         cga.step()
-        assert cga.evaluations - before == 16  # one offspring per cell slot
+        assert cga.state.evaluations - before == 16  # one offspring per cell slot
 
 
 class TestElitistReplacement:
@@ -99,14 +99,14 @@ class TestTracking:
     def test_best_curve_monotone(self):
         cga = CellularGA(OneMax(16), rows=4, cols=4, seed=9)
         cga.run(20)
-        curve = cga.best_curve
+        curve = cga.history.best_curve()
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_result_fields(self):
         cga = CellularGA(OneMax(16), rows=4, cols=4, seed=10)
         res = cga.run(MaxGenerations(15))
-        assert res.sweeps <= 15
-        assert len(res.best_curve) == res.sweeps + 1
+        assert res.generations <= 15
+        assert len(res.history.best_curve()) == res.generations + 1
         assert res.evaluations > 0
 
     def test_deterministic(self):

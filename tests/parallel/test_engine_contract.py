@@ -111,6 +111,26 @@ def test_records_and_counters_are_well_formed(name, audits):
     assert report.stop_reason
 
 
+#: the builders whose contract scenario exchanges individuals between demes
+MIGRATING = [
+    "island",
+    "sim-island",
+    "specialized",
+    "sim-specialized",
+    "master-slave-island",
+    "sim-master-slave-island",
+    "cellular-island",
+]
+
+
+@pytest.mark.parametrize("name", MIGRATING)
+def test_migrating_engines_count_their_migrants(name, audits):
+    """Timed or untimed, an engine that migrates reports what it sent."""
+    report = audits[name].report
+    assert report.migrants_sent > 0
+    assert report.migrants_accepted <= report.migrants_sent
+
+
 def test_contract_run_seed_changes_the_run():
     _, a = contract_run("sim-island", seed=0)
     _, b = contract_run("sim-island", seed=1)

@@ -148,17 +148,17 @@ class TestCellularIslandModel:
         for c in range(m.demes[1].n_cells):
             bad = Individual(genome=np.zeros(16, dtype=np.int8))
             bad.fitness = 0.0
-            m.demes[1].grid[c] = bad
+            m.demes[1].population[c] = bad
         best0 = m.demes[0].best_so_far.require_fitness()
         m.epoch = 4  # next step triggers the periodic schedule (interval 5)
         m.step_epoch()
-        fit1 = max(i.require_fitness() for i in m.demes[1].grid)
+        fit1 = max(i.require_fitness() for i in m.demes[1].population)
         assert fit1 > 0.0  # an immigrant landed
 
     def test_evaluations_aggregate(self):
         m = CellularIslandModel(OneMax(16), 2, rows=3, cols=3, seed=9)
         m.run(epochs=4)
-        assert m.total_evaluations() == sum(d.evaluations for d in m.demes)
+        assert m.total_evaluations() == sum(d.state.evaluations for d in m.demes)
 
 
 class TestMasterSlaveIslandModel:
