@@ -318,7 +318,8 @@ class TestVariationThroughput:
     cycle on a 1k-individual OneMax generation.  The stream-exact block
     breeder (``breed``) must beat that per-pair cycle too, by
     >= 1.3x on a 20-member generation of 32-bit genomes, the size of an
-    island deme."""
+    island deme; and its raw-word replay of the draw loop must beat the
+    loop by >= 1.4x on 10 pairs of 64-gene genomes."""
 
     POP = 1000
     LENGTH = 128
@@ -326,6 +327,9 @@ class TestVariationThroughput:
     DEME_POP = 20
     DEME_LENGTH = 32
     BREEDER_FLOOR = 1.3
+    REPLAY_PAIRS = 10
+    REPLAY_LENGTH = 64
+    REPLAY_FLOOR = 1.4
 
     def _offspring_rates(self):
         from repro.core.vectorized import vector_offspring
@@ -392,6 +396,34 @@ class TestVariationThroughput:
         assert ratio >= self.BREEDER_FLOOR, (
             f"block breeder only {ratio:.2f}x the per-pair cycle "
             f"(need >= {self.BREEDER_FLOOR}x)"
+        )
+
+    def test_replayed_draws_beat_the_draw_loop(self):
+        """The block breeder's draw phase for one deme of 20: the PCG64
+        raw-word replay against the loop of generator calls it replaces
+        (bit-identical values and final state: tests/core/test_rng_replay.py)."""
+        from repro.core import variation
+
+        spec = OneMax(self.REPLAY_LENGTH).spec
+        cfg = GAConfig(crossover_prob=0.9, mutation_prob=1.0).resolved_for(spec)
+        rng = np.random.default_rng(0)
+        n, pairs = self.REPLAY_LENGTH, self.REPLAY_PAIRS
+        assert variation._replayed_draws(rng, cfg, n, pairs) is not None
+
+        def loop():
+            variation._draw_loop(rng, cfg, n, pairs)
+
+        def replay():
+            variation._replayed_draws(rng, cfg, n, pairs)
+
+        ratio = _paired_cpu_ratio(loop, replay, rounds=100, inner=20)
+        print(
+            f"breed draws ({pairs} pairs x {n} genes): replay {ratio:.2f}x the "
+            f"draw loop"
+        )
+        assert ratio >= self.REPLAY_FLOOR, (
+            f"replayed draws only {ratio:.2f}x the draw loop "
+            f"(need >= {self.REPLAY_FLOOR}x)"
         )
 
     def test_vectorized_engine_step_beats_scalar(self):

@@ -9,7 +9,10 @@ parents are never modified.  Operators whose randomness depends on the
 genome length alone also expose ``draw(rng, n)``, the random values of one
 call in the order the call consumes them; ``__call__`` draws through it, and
 the stream-exact block breeder (:func:`repro.core.variation.breed`) draws
-through it too, then applies the matching block arithmetic.
+through it too, then applies the matching block arithmetic.  The cut
+crossovers' ``draw`` is :func:`one_point_cut` / :func:`two_point_cuts` over
+the generator's ``integers``; the breeder's raw-word replay runs the same
+functions over decoded words.
 
 Discrete-string operators (one-point, two-point, k-point, uniform) apply to
 binary and integer genomes; SBX / BLX / arithmetic apply to real vectors;
@@ -37,6 +40,8 @@ __all__ = [
     "CycleCrossover",
     "TwoDimensionalCrossover",
     "crossover_for_spec",
+    "one_point_cut",
+    "two_point_cuts",
 ]
 
 
@@ -55,13 +60,42 @@ def _check_parents(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"genomes must be 1-D, got ndim={a.ndim}")
 
 
+def one_point_cut(integers, n: int) -> int:
+    """One-point crossover's cut from ``integers(low, high)`` draws (a
+    generator's ``integers``, or raw words decoded as such): genes from it
+    on are exchanged (``n``, no draw, if n < 2)."""
+    return n if n < 2 else int(integers(1, n))
+
+
+def two_point_cuts(integers, n: int) -> tuple[int, int]:
+    """Two-point crossover's exchanged segment ``[i, j)`` from
+    ``integers(low, high)`` draws: two distinct cuts in ``1..n-1``.
+
+    Below three genes this is one-point crossover's cut, to the end.
+    Otherwise it consumes exactly the draws of
+    ``rng.choice(n - 1, 2, replace=False)`` without that call's overhead.
+    That call is Floyd's algorithm: two bounded draws, then a shuffle of
+    the pair that takes one 32-bit draw, as a bounded draw below 2 does.
+    Sorting the cuts makes the shuffle moot, but its draw is still taken.
+    """
+    if n < 3:
+        return one_point_cut(integers, n), n
+    m = n - 1
+    v1 = integers(0, m - 1)
+    v2 = integers(0, m)
+    integers(0, 2)
+    if v2 == v1:
+        v2 = m - 1
+    return (v1 + 1, v2 + 1) if v1 < v2 else (v2 + 1, v1 + 1)
+
+
 @dataclass(frozen=True)
 class OnePointCrossover:
     """Classic single cut point exchange (Holland 1975)."""
 
     def draw(self, rng: np.random.Generator, n: int) -> int:
-        """The cut: genes from it on are exchanged (``n``, no draw, if n < 2)."""
-        return n if n < 2 else int(rng.integers(1, n))
+        """The cut (:func:`one_point_cut`)."""
+        return one_point_cut(rng.integers, n)
 
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray
@@ -81,26 +115,8 @@ class TwoPointCrossover:
     """Exchange the segment between two cut points."""
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple[int, int]:
-        """The exchanged segment ``[i, j)``: two distinct cuts in ``1..n-1``.
-
-        Below three genes this is one-point crossover's cut, to the end.
-        Otherwise it consumes exactly the draws of
-        ``rng.choice(n - 1, 2, replace=False)`` without that call's
-        overhead.  That call is Floyd's algorithm: two bounded draws, then
-        a shuffle of the pair that takes one 32-bit draw, as a bounded
-        draw below 2 does.  Sorting the cuts makes the shuffle moot, but
-        its draw is still taken.
-        """
-        if n < 3:
-            return OnePointCrossover().draw(rng, n), n
-        m = n - 1
-        integers = rng.integers
-        v1 = integers(0, m - 1)
-        v2 = integers(0, m)
-        integers(0, 2)
-        if v2 == v1:
-            v2 = m - 1
-        return (v1 + 1, v2 + 1) if v1 < v2 else (v2 + 1, v1 + 1)
+        """The exchanged segment (:func:`two_point_cuts`)."""
+        return two_point_cuts(rng.integers, n)
 
     def __call__(
         self, rng: np.random.Generator, a: np.ndarray, b: np.ndarray

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..problems import spectrum
+from ..problems import SPECTRUM
 from ..runtime.sweep import Trial, run_sweep
 from ..spec import RunSpec, engine, ga_config, operator, problem
 from .report import ExperimentReport, TableSpec
@@ -65,7 +65,7 @@ def _normalised_best(report, *, problem_name: str) -> float:
 
     The (seeded, deterministic) spectrum problem is rebuilt by name so only
     plain data crosses the process boundary."""
-    prob = spectrum(seed=7)[problem_name]
+    prob = SPECTRUM[problem_name](7)
     best = report.best_fitness
     if prob.optimum is not None and prob.optimum != 0:
         return best / prob.optimum if prob.maximize else prob.optimum / best
@@ -81,7 +81,7 @@ def _grid(quick: bool) -> tuple[list[str], int, list[Trial], list[Trial], list[T
     seeds = range(2) if quick else range(5)
     budget = 20_000 if quick else 60_000
     pop = 20 if quick else 32
-    names = list(spectrum(seed=7))
+    names = list(SPECTRUM)
     if quick:
         names = [k for k in names if k in ("easy", "deceptive", "np-complete")]
 

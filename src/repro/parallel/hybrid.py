@@ -55,7 +55,9 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
 
     Migration sends each deme's best cells to its neighbours, where they
     replace the worst cells — preserving the cellular structure inside each
-    island while adding the island model's coarse-grained diversity.
+    island while adding the island model's coarse-grained diversity.  Only
+    ``policy.rate`` is free: a policy with another selection or
+    replacement is rejected.
     """
 
     engine_name = "cellular-island"
@@ -90,6 +92,12 @@ class CellularIslandModel(EpochLoop, ParallelEngine):
         if self.topology.size != n_islands:
             raise ValueError("topology size must equal n_islands")
         self.policy = policy or MigrationPolicy(rate=2, replacement="worst")
+        if (self.policy.selection, self.policy.replacement) != ("best", "worst"):
+            raise ValueError(
+                "engine.params.policy: cellular-island migrates best cells over worst "
+                f"cells only, got selection={self.policy.selection!r}, "
+                f"replacement={self.policy.replacement!r}"
+            )
         self.schedule = schedule or PeriodicSchedule(5)
         rngs = spawn_rngs(seed, n_islands + 1)
         self.rng = rngs[-1]

@@ -1,8 +1,11 @@
 """Benchmark problems: the survey's problem spectrum plus its applications.
 
 ``spectrum()`` returns the five-class problem suite of Alba & Troya (2000):
-easy, deceptive, multimodal, NP-complete and epistatic landscapes.
+easy, deceptive, multimodal, NP-complete and epistatic landscapes;
+``SPECTRUM`` builds one member alone.
 """
+
+from typing import Callable
 
 from ..core.problem import CountingProblem, Problem
 from .binary import (
@@ -88,8 +91,21 @@ __all__ = [
     "pareto_front",
     "hypervolume_2d",
     # suites
+    "SPECTRUM",
     "spectrum",
 ]
+
+
+#: the spectrum's members by name, each built from the suite's seed alone
+#: (every seeded member draws from its own generator), so building one
+#: member equals taking it from the whole suite
+SPECTRUM: dict[str, Callable[[int], Problem]] = {
+    "easy": lambda seed: OneMax(64),
+    "deceptive": lambda seed: DeceptiveTrap(blocks=16, k=4),
+    "multimodal": lambda seed: PPeaks(p=64, length=64, seed=seed),
+    "np-complete": lambda seed: MaxSat(n_vars=48, n_clauses=200, seed=seed),
+    "epistatic": lambda seed: NKLandscape(n=48, k=4, seed=seed, exact_optimum=False),
+}
 
 
 def spectrum(seed: int = 0) -> dict[str, Problem]:
@@ -98,10 +114,4 @@ def spectrum(seed: int = 0) -> dict[str, Problem]:
     Keys name the difficulty class the survey cites: "easy, deceptive,
     multimodal, NP-Complete, and epistatic search landscapes".
     """
-    return {
-        "easy": OneMax(64),
-        "deceptive": DeceptiveTrap(blocks=16, k=4),
-        "multimodal": PPeaks(p=64, length=64, seed=seed),
-        "np-complete": MaxSat(n_vars=48, n_clauses=200, seed=seed),
-        "epistatic": NKLandscape(n=48, k=4, seed=seed, exact_optimum=False),
-    }
+    return {name: build(seed) for name, build in SPECTRUM.items()}

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ...core.genome import RealVectorSpec
 from ...core.problem import Problem
@@ -60,37 +61,40 @@ def technical_indicators(prices: np.ndarray, window: int = 20) -> np.ndarray:
     """Classic indicator matrix (one row per day, NaN-free after warmup).
 
     Columns: 1-day return, 5-day momentum, price/SMA5 − 1, price/SMA20 − 1,
-    rolling volatility, RSI-like up-fraction, stochastic %K.
+    rolling volatility, RSI-like up-fraction, stochastic %K.  The rolling
+    columns look back over the last ``window`` days, or all days so far
+    while fewer have passed; the SMAs likewise over 5 and 20 days.
     """
     n = prices.shape[0]
+    days = np.arange(n)
     ret1 = np.zeros(n)
     ret1[1:] = prices[1:] / prices[:-1] - 1.0
 
-    def sma(k: int) -> np.ndarray:
-        out = np.empty(n)
-        c = np.cumsum(np.insert(prices, 0, 0.0))
-        for i in range(n):
-            a = max(0, i - k + 1)
-            out[i] = (c[i + 1] - c[a]) / (i + 1 - a)
-        return out
+    def trailing_mean(values: np.ndarray, k: int) -> np.ndarray:
+        c = np.cumsum(np.insert(values, 0, 0.0))
+        start = np.maximum(0, days - k + 1)
+        return (c[days + 1] - c[start]) / (days + 1 - start)
 
-    sma5, sma20 = sma(5), sma(20)
+    sma5, sma20 = trailing_mean(prices, 5), trailing_mean(prices, 20)
     mom5 = np.zeros(n)
     mom5[5:] = prices[5:] / prices[:-5] - 1.0
-    vol = np.zeros(n)
-    for i in range(n):
-        a = max(0, i - window + 1)
-        vol[i] = ret1[a : i + 1].std()
-    up_frac = np.zeros(n)
-    for i in range(n):
-        a = max(0, i - window + 1)
-        seg = ret1[a : i + 1]
-        up_frac[i] = float((seg > 0).mean())
-    stoch = np.zeros(n)
-    for i in range(n):
-        a = max(0, i - window + 1)
-        lo, hi = prices[a : i + 1].min(), prices[a : i + 1].max()
-        stoch[i] = 0.5 if hi == lo else (prices[i] - lo) / (hi - lo)
+    up_frac = trailing_mean((ret1 > 0).astype(float), window)
+
+    # full windows from a sliding view; the warm-up rows (fewer than
+    # `window` days so far) as running extremes and short std calls, since
+    # a prefix-sum variance would not add in numpy's order
+    warm = min(window - 1, n)
+    vol = np.empty(n)
+    lo, hi = np.empty(n), np.empty(n)
+    vol[:warm] = [ret1[: i + 1].std() for i in range(warm)]
+    lo[:warm] = np.minimum.accumulate(prices[:warm])
+    hi[:warm] = np.maximum.accumulate(prices[:warm])
+    if n >= window:
+        vol[warm:] = sliding_window_view(ret1, window).std(axis=1)
+        prices_windows = sliding_window_view(prices, window)
+        lo[warm:] = prices_windows.min(axis=1)
+        hi[warm:] = prices_windows.max(axis=1)
+    stoch = np.divide(prices - lo, hi - lo, out=np.full(n, 0.5), where=hi != lo)
     feats = np.stack(
         [ret1, mom5, prices / sma5 - 1.0, prices / sma20 - 1.0, vol, up_frac, stoch],
         axis=1,

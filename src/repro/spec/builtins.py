@@ -70,6 +70,7 @@ from ..migration.schedule import (
 from ..migration.synchrony import Synchrony
 from ..parallel.specialized import SIMScenario, standard_scenarios
 from ..problems import (
+    SPECTRUM,
     Ackley,
     DeceptiveTrap,
     FonsecaFleming,
@@ -95,7 +96,6 @@ from ..problems import (
     ZDT2,
     ZDT3,
     ZeroMax,
-    spectrum,
 )
 from ..problems.applications.feature_selection import FeatureSelection
 from ..problems.applications.reactor import ReactorCoreDesign
@@ -164,12 +164,11 @@ def _transonic_wing_truth(mach: float = 0.82, cl_required: float = 0.5):
 @register_problem("spectrum", exemplar={"name": "easy", "seed": 0})
 def _spectrum_problem(name: str, seed: int = 0):
     """One named member of the difficulty spectrum (E4's problem suite)."""
-    suite = spectrum(seed=seed)
-    if name not in suite:
+    if name not in SPECTRUM:
         from .registry import suggest
 
-        raise ValueError(f"unknown spectrum problem {name!r}{suggest(name, suite)}")
-    return suite[name]
+        raise ValueError(f"unknown spectrum problem {name!r}{suggest(name, SPECTRUM)}")
+    return SPECTRUM[name](seed)
 
 
 # -- operators: selection ----------------------------------------------------------

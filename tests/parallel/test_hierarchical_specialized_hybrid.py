@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GAConfig, MaxGenerations
+from repro.migration import MigrationPolicy
 from repro.parallel import (
     CellularIslandModel,
     HierarchicalGA,
@@ -154,6 +155,23 @@ class TestCellularIslandModel:
         m.step_epoch()
         fit1 = max(i.require_fitness() for i in m.demes[1].population)
         assert fit1 > 0.0  # an immigrant landed
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            MigrationPolicy(rate=2, selection="random", replacement="worst"),
+            MigrationPolicy(rate=2, selection="best", replacement="random"),
+            MigrationPolicy(rate=2),  # replacement "worst-if-better"
+        ],
+    )
+    def test_rejects_a_policy_it_would_ignore(self, policy):
+        with pytest.raises(ValueError, match=r"^engine\.params\.policy: "):
+            CellularIslandModel(OneMax(16), 2, rows=3, cols=3, policy=policy, seed=1)
+
+    def test_the_rate_is_free(self):
+        policy = MigrationPolicy(rate=3, replacement="worst")
+        m = CellularIslandModel(OneMax(16), 2, rows=3, cols=3, policy=policy, seed=1)
+        assert m.policy is policy
 
     def test_evaluations_aggregate(self):
         m = CellularIslandModel(OneMax(16), 2, rows=3, cols=3, seed=9)

@@ -92,6 +92,44 @@ class TestFeatureSelection:
             FeatureSelection.synthetic(feature_cost=-1.0)
 
 
+def _indicators_by_day(prices: np.ndarray, window: int = 20) -> np.ndarray:
+    """:func:`technical_indicators` day by day: the oracle its loop-free
+    form must equal byte for byte."""
+    n = prices.shape[0]
+    ret1 = np.zeros(n)
+    ret1[1:] = prices[1:] / prices[:-1] - 1.0
+
+    def sma(k: int) -> np.ndarray:
+        out = np.empty(n)
+        c = np.cumsum(np.insert(prices, 0, 0.0))
+        for i in range(n):
+            a = max(0, i - k + 1)
+            out[i] = (c[i + 1] - c[a]) / (i + 1 - a)
+        return out
+
+    sma5, sma20 = sma(5), sma(20)
+    mom5 = np.zeros(n)
+    mom5[5:] = prices[5:] / prices[:-5] - 1.0
+    vol = np.zeros(n)
+    for i in range(n):
+        a = max(0, i - window + 1)
+        vol[i] = ret1[a : i + 1].std()
+    up_frac = np.zeros(n)
+    for i in range(n):
+        a = max(0, i - window + 1)
+        seg = ret1[a : i + 1]
+        up_frac[i] = float((seg > 0).mean())
+    stoch = np.zeros(n)
+    for i in range(n):
+        a = max(0, i - window + 1)
+        lo, hi = prices[a : i + 1].min(), prices[a : i + 1].max()
+        stoch[i] = 0.5 if hi == lo else (prices[i] - lo) / (hi - lo)
+    return np.stack(
+        [ret1, mom5, prices / sma5 - 1.0, prices / sma20 - 1.0, vol, up_frac, stoch],
+        axis=1,
+    )
+
+
 class TestStockPrediction:
     def test_price_series_positive(self):
         prices = synthetic_prices(days=300, seed=7)
@@ -103,6 +141,17 @@ class TestStockPrediction:
         assert feats.shape == (200, 7)
         assert np.all(np.isfinite(feats))
         assert feats[:, 6].min() >= 0.0 and feats[:, 6].max() <= 1.0  # stochastic %K
+
+    @pytest.mark.parametrize("seed", [*range(12), 5100, 5101])
+    def test_indicators_equal_the_day_by_day_form(self, seed):
+        prices = synthetic_prices(seed=seed)
+        assert technical_indicators(prices).tobytes() == _indicators_by_day(prices).tobytes()
+
+    @pytest.mark.parametrize("days,window", [(50, 1), (50, 2), (51, 50), (50, 60), (120, 7)])
+    def test_indicators_at_short_series_and_other_windows(self, days, window):
+        prices = synthetic_prices(days=days, seed=days + window)
+        got = technical_indicators(prices, window)
+        assert got.tobytes() == _indicators_by_day(prices, window).tobytes()
 
     def test_zero_weights_zero_return(self):
         p = StockPrediction(seed=9, hidden=3)

@@ -9,9 +9,11 @@ from repro.problems import (
     MaxSat,
     SubsetSum,
     TaskGraphScheduling,
+    SPECTRUM,
     TravelingSalesman,
     spectrum,
 )
+from repro.spec import ProblemSpec
 
 
 class TestSubsetSum:
@@ -183,3 +185,26 @@ class TestSpectrum:
 
     def test_all_maximization(self):
         assert all(p.maximize for p in spectrum().values())
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_members_built_alone_equal_the_suite(self, seed):
+        suite = spectrum(seed=seed)
+        assert list(SPECTRUM) == list(suite)
+        for name, member in suite.items():
+            for alone in (
+                SPECTRUM[name](seed),
+                ProblemSpec("spectrum", {"name": name, "seed": seed}).build(),
+            ):
+                assert type(alone) is type(member)
+                assert alone.optimum == member.optimum
+                genomes = np.stack(member.spec.sample_population(np.random.default_rng(seed), 200))
+                assert np.array_equal(
+                    alone.evaluate_batch(genomes), member.evaluate_batch(genomes)
+                )
+                assert [alone.evaluate(g) for g in genomes[:20]] == [
+                    member.evaluate(g) for g in genomes[:20]
+                ]
+
+    def test_unknown_member_is_named(self):
+        with pytest.raises(ValueError, match="did you mean 'easy'"):
+            ProblemSpec("spectrum", {"name": "eazy"}).build()

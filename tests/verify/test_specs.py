@@ -82,6 +82,21 @@ def test_spec_replay_cli_rejects_a_wrong_kind_problem(tmp_path, capsys):
     assert "engine.params.problem: expected a problem spec, got int" in err
 
 
+def test_spec_replay_cli_rejects_a_cellular_island_policy_it_would_ignore(tmp_path, capsys):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("cellular-island").to_dict()
+    doc["engine"]["params"]["policy"] = {
+        "$spec": "operator",
+        "name": "migration-policy",
+        "params": {"rate": 2, "selection": "random", "replacement": "random"},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    assert "engine.params.policy: cellular-island" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["specialized", "sim-specialized"])
 def test_spec_replay_cli_rejects_a_wrong_kind_scenario(tmp_path, capsys, name):
     from repro.verify.__main__ import main
