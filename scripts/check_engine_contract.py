@@ -85,8 +85,9 @@ copy-pasted per engine, and this check keeps them centralised:
    ``tournament_indices`` … ``best_indices``, the second digest-line
    encoder ``canonical_line`` / ``_fast_norm``, the trace summary type
    ``TraceSummary``, the timed-runtime wrapper ``RuntimeCapabilities``,
-   the cellular result type ``CellularResult`` or the array population
-   ``ArrayPopulation``; no module
+   the cellular result type ``CellularResult``, the array population
+   ``ArrayPopulation`` or the cellular islands' own migrant placement
+   ``_place_migrants``; no module
    under ``repro/parallel/`` may bring back ``register_engine`` or
    ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
    ``RunOutcome``.  Callers name ``RunReport`` directly, batch
@@ -105,8 +106,9 @@ copy-pasted per engine, and this check keeps them centralised:
    ``indices`` method, ``Trace.record`` is the one producer of the
    pinned digest line, a timed host passes its resilience keywords
    to ``TimedDemeRuntime`` directly, ``CellularGA`` is an
-   ``EvolutionEngine`` that returns ``EvolutionResult``, and the
-   batched cycle works on plain arrays taken from a ``Population``.
+   ``EvolutionEngine`` that returns ``EvolutionResult``, the
+   batched cycle works on plain arrays taken from a ``Population``, and
+   islands of cellular grids migrate through ``IslandModel``'s policy.
    An import counts under either name: ``from m import X as Y`` is
    flagged when ``X`` or ``Y`` is retired.
 
@@ -121,6 +123,13 @@ copy-pasted per engine, and this check keeps them centralised:
     exemplar or example sets is a default: inline it and delete the
     parameter.  An allowlist entry that names no checked keyword, or a
     keyword some caller now sets, is stale and flagged too.
+
+11. **One eviction path.**  Only the replacement operators in
+    ``repro/core/operators/replacement.py`` may call
+    ``Population.replace_worst``.  Steady-state insertion, migrant
+    integration (``integrate_immigrants``), hierarchical promotion and
+    the pool's push each apply one of those rules, so "whom a newcomer
+    replaces" is written once per rule.
 
 Run from the repository root::
 
@@ -528,6 +537,10 @@ _RETIRED_NAMES = {
         "retired array population — nothing converted to it; the batched "
         "cycle stacks genomes and fitnesses from a Population directly"
     ),
+    "_place_migrants": (
+        "retired cellular-island migrant placement — CellularIslandModel is an "
+        "IslandModel and integrates migrants with integrate_immigrants"
+    ),
 }
 
 #: names rule 9 additionally forbids under repro/parallel/
@@ -581,6 +594,25 @@ def lint_retired_file(path: Path) -> list[str]:
         for name in sorted(retired.keys() & names):
             problems.append(f"{where}:{node.lineno}: {name}: {retired[name]}")
     return problems
+
+
+#: the one module that may call Population.replace_worst (rule 11)
+REPLACEMENT_OWNER = SRC / "core" / "operators" / "replacement.py"
+
+
+def lint_replace_worst_file(path: Path) -> list[str]:
+    """Only the replacement operators evict the worst member (rule 11)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{_where(path)}:{node.lineno}: replace_worst(...) outside "
+        "core/operators/replacement.py — evict through a replacement rule "
+        "(ReplaceWorst, ReplaceWorstIfBetter, …), the only code that picks "
+        "an evictee"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "replace_worst"
+    ]
 
 
 #: rule 10: the classes whose keywords must be reached
@@ -805,6 +837,9 @@ def main() -> int:
     retired_files = sorted(SRC.rglob("*.py"))
     for path in retired_files:
         problems.extend(lint_retired_file(path))
+    eviction_files = sorted(p for p in SRC.rglob("*.py") if p != REPLACEMENT_OWNER)
+    for path in eviction_files:
+        problems.extend(lint_replace_worst_file(path))
     problems.extend(lint_knob_reachability())
     for line in problems:
         print(line)
@@ -819,6 +854,7 @@ def main() -> int:
         f"{len(pool_files)} bare-pool-free modules + "
         f"{len(trace_files)} trace-mutation-free modules + "
         f"{len(retired_files)} retired-surface-free modules + "
+        f"{len(eviction_files)} eviction-rule-only modules + "
         f"{len(KNOB_CLASS_NAMES)} knob-reachable classes clean"
     )
     return 0

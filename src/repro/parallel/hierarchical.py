@@ -22,6 +22,7 @@ from ..cluster.trace import Trace
 from ..core.config import GAConfig
 from ..core.engine import GenerationalEngine
 from ..core.individual import Individual
+from ..core.operators.replacement import ReplaceWorstIfBetter
 from ..core.rng import spawn_rngs
 from ..problems.multifidelity import MultiFidelityProblem
 from ..runtime.deme import EpochLoop, emit_generation
@@ -183,13 +184,9 @@ class HierarchicalGA(EpochLoop, ParallelEngine):
         """Replace the deme's worst member if the newcomer improves on it."""
         pop = deme.population
         assert pop is not None
-        worst = pop.worst()
-        nf, wf = newcomer.require_fitness(), worst.require_fitness()
-        improves = nf > wf if pop.maximize else nf < wf
-        if improves:
-            pop.replace_worst(newcomer)
+        if ReplaceWorstIfBetter()(deme.rng, pop, newcomer) is not None:
             # keep the engine's best-so-far tracking honest
-            bsf = deme.best_so_far.require_fitness()
+            nf, bsf = newcomer.require_fitness(), deme.best_so_far.require_fitness()
             better = nf > bsf if pop.maximize else nf < bsf
             if better:
                 deme._best_so_far = newcomer.copy()

@@ -25,7 +25,7 @@ Two drivers are provided:
 
 from __future__ import annotations
 
-from typing import Type
+from typing import Callable, Type
 
 from ..cluster.machine import SimulatedCluster
 from ..cluster.trace import Trace
@@ -66,8 +66,10 @@ def engine_class_by_name(name: str) -> Type[EvolutionEngine]:
 
     ``"generational"`` | ``"steady-state"`` — the cellular loop
     (:class:`~repro.parallel.cellular.CellularGA`) is an engine too, but
-    its size is a grid shape, not ``config.population_size``, so islands
-    of grids are :class:`~repro.parallel.hybrid.CellularIslandModel`.
+    its size is a grid shape, not ``config.population_size``, so it has no
+    name here: islands of grids pass ``engine=partial(CellularGA, rows=...,
+    cols=...)``, as :class:`~repro.parallel.hybrid.CellularIslandModel`
+    does.
     """
     name = name.lower()
     if name == "generational":
@@ -97,7 +99,7 @@ class _IslandBase(ParallelEngine):
         policy: MigrationPolicy | None = None,
         schedule: MigrationSchedule | None = None,
         synchrony: Synchrony | None = None,
-        engine: str | Type[EvolutionEngine] = "generational",
+        engine: str | Callable[..., EvolutionEngine] = "generational",
         seed: int | None = None,
         trace: Trace | None = None,
     ) -> None:
@@ -115,11 +117,11 @@ class _IslandBase(ParallelEngine):
         self.policy = policy or MigrationPolicy()
         self.schedule = schedule or PeriodicSchedule(5)
         self.synchrony = synchrony or Synchrony(synchronous=True)
-        engine_cls = engine_class_by_name(engine) if isinstance(engine, str) else engine
+        make_deme = engine_class_by_name(engine) if isinstance(engine, str) else engine
         rngs = spawn_rngs(seed, n_islands + 1)
         self.rng = rngs[-1]  # model-level randomness (schedules etc.)
         self.demes: list[EvolutionEngine] = [
-            engine_cls(problem, self.config, seed=rngs[i]) for i in range(n_islands)
+            make_deme(problem, self.config, seed=rngs[i]) for i in range(n_islands)
         ]
         self.buffers: list[MigrationBuffer] = [
             self.synchrony.make_buffer() for _ in range(n_islands)

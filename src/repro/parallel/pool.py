@@ -22,7 +22,9 @@ from ..cluster.machine import SimulatedCluster
 from ..cluster.sim import Timeout
 from ..obs.session import current_obs
 from ..core.config import GAConfig
-from ..core.individual import Individual, best_of
+from ..core.individual import Individual
+from ..core.operators.replacement import ReplaceWorstIfBetter
+from ..core.population import Population
 from ..core.problem import Problem
 from ..core.rng import spawn_rngs
 from ..core.variation import offspring_pair
@@ -99,7 +101,7 @@ class PooledEvolution(ParallelEngine):
         rngs = spawn_rngs(seed, n_agents + 1)
         self._pool_rng = rngs[-1]
         self._agent_rngs = rngs[:-1]
-        self.pool: list[Individual] = []
+        self.pool = Population([], maximize=problem.maximize)
         self.evaluations = 0
         self.pulls = 0
         self._remaining = max_transactions
@@ -113,20 +115,9 @@ class PooledEvolution(ParallelEngine):
 
     def _pool_push(self, offspring: list[Individual]) -> None:
         """Offspring replace the pool's worst members if they improve them."""
+        push = ReplaceWorstIfBetter()
         for child in offspring:
-            worst_idx = min(
-                range(len(self.pool)),
-                key=lambda i: (
-                    self.pool[i].require_fitness()
-                    if self.problem.maximize
-                    else -self.pool[i].require_fitness()
-                ),
-            )
-            worst = self.pool[worst_idx]
-            cf, wf = child.require_fitness(), worst.require_fitness()
-            improves = cf > wf if self.problem.maximize else cf < wf
-            if improves:
-                self.pool[worst_idx] = child
+            push(self._pool_rng, self.pool, child)
 
     # -- agent coroutine -----------------------------------------------------------------
     def _agent(self, agent_id: int):
@@ -224,7 +215,7 @@ class PooledEvolution(ParallelEngine):
                 self._stop = True
 
     def global_best(self) -> Individual:
-        return best_of(self.pool, self.problem.maximize)
+        return self.pool.best()
 
     # -- driver --------------------------------------------------------------------------------
     def run(self) -> RunReport:
@@ -232,7 +223,9 @@ class PooledEvolution(ParallelEngine):
         genomes = self.problem.spec.sample_population(
             self._pool_rng, self.config.population_size
         )
-        self.pool = [Individual(genome=g) for g in genomes]
+        self.pool = Population(
+            [Individual(genome=g) for g in genomes], maximize=self.problem.maximize
+        )
         for ind in self.pool:
             ind.fitness = self.problem.evaluate(ind.genome)
         self.evaluations += len(self.pool)

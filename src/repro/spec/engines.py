@@ -14,7 +14,8 @@ for round-trip, determinism, schema, trace invariants and observability
 (:mod:`repro.verify.engines`).
 
 A builder is the engine class itself, except for the island family,
-whose builder picks the :meth:`partitioned` constructor.  Either way it
+whose builder picks the :meth:`partitioned` constructor (not
+``cellular-island``: a grid shape sizes its demes).  Either way it
 receives already-built params by keyword (problems, configs, clusters,
 operators — :func:`~repro.spec.components.build_value` lowers the nested
 specs first), so a spec-built engine is *the same object graph* a
@@ -137,7 +138,7 @@ register_engine(
 )
 register_engine(
     "cellular-island",
-    _island_like(CellularIslandModel),
+    CellularIslandModel,
     exemplar={
         "params": {
             "problem": _EX_PROBLEM,

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import Individual
+from repro.core.operators.replacement import (
+    ReplaceRandom,
+    ReplaceSimilar,
+    ReplaceWorst,
+    ReplaceWorstIfBetter,
+)
 from repro.migration import (
     MigrationBuffer,
     MigrationPolicy,
@@ -73,6 +79,14 @@ class TestSelectMigrants:
         with pytest.raises(ValueError):
             MigrationPolicy(rate=-1)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [("selection", {"selection": "bset"}), ("replacement", {"replacement": "wrost"})],
+    )
+    def test_unknown_name_rejected_when_built(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"^{field}: unknown .*{kwargs[field]!r}"):
+            MigrationPolicy(**kwargs)
+
 
 class TestIntegrateImmigrants:
     def test_worst_replacement_always_accepts(self, rng):
@@ -128,6 +142,45 @@ class TestIntegrateImmigrants:
             rng, pop, [migrant(0.5)], MigrationPolicy(replacement="worst-if-better")
         )
         assert n == 1 and pop.worst().fitness == 3
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize(
+        "name, rule",
+        [
+            ("worst", ReplaceWorst()),
+            ("random", ReplaceRandom()),
+            ("worst-if-better", ReplaceWorstIfBetter()),
+            ("similar", ReplaceSimilar()),
+        ],
+    )
+    def test_each_name_applies_its_replacement_rule(self, name, rule, maximize):
+        def setup():
+            pop = make_population([5, 1, 3, 1, 4, 2], maximize=maximize, length=6)
+            immigrants = []
+            for k, f in enumerate([0.5, 6.0, 2.5, 1.0, 4.5]):
+                ind = Individual(genome=np.arange(6, dtype=np.int8) % (k + 2))
+                ind.fitness = f
+                immigrants.append(ind)
+            return pop, immigrants, np.random.default_rng(7)
+
+        def state(pop):
+            return (
+                b"".join(i.genome.tobytes() + np.float64(i.fitness).tobytes() for i in pop),
+                [i.origin for i in pop],
+            )
+
+        pop, immigrants, rng = setup()
+        accepted = integrate_immigrants(
+            rng, pop, immigrants, MigrationPolicy(replacement=name), source=3
+        )
+        ref_pop, ref_immigrants, ref_rng = setup()
+        ref_accepted = sum(
+            rule(ref_rng, ref_pop, imm.copy(origin="migrant:3")) is not None
+            for imm in ref_immigrants
+        )
+        assert accepted == ref_accepted
+        assert state(pop) == state(ref_pop)
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 class TestSchedules:

@@ -27,6 +27,18 @@ def test_rule_9_flags_a_retired_name_under_an_import_alias(tmp_path):
     assert "aliased.py:2: canonical_line:" in problems[1]
 
 
+def test_rule_11_flags_an_eviction_outside_the_replacement_operators(tmp_path):
+    module = tmp_path / "evicts.py"
+    module.write_text(
+        "def accept(pop, newcomer):\n"
+        "    pop.replace_worst(newcomer)\n"
+        "    return pop.worst()\n"
+    )
+    (problem,) = lint.lint_replace_worst_file(module)
+    assert "evicts.py:2: replace_worst(...) outside" in problem
+    assert lint.lint_replace_worst_file(lint.REPLACEMENT_OWNER) != []
+
+
 def _fixture(tmp_path: Path, caller_source: str) -> tuple[Path, Path]:
     """A source tree whose engine forwards one keyword to its base, and a
     caller tree holding ``caller_source``."""

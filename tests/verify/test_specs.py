@@ -82,7 +82,7 @@ def test_spec_replay_cli_rejects_a_wrong_kind_problem(tmp_path, capsys):
     assert "engine.params.problem: expected a problem spec, got int" in err
 
 
-def test_spec_replay_cli_rejects_a_cellular_island_policy_it_would_ignore(tmp_path, capsys):
+def test_spec_replay_cli_runs_a_cellular_island_random_policy(tmp_path, capsys):
     from repro.verify.__main__ import main
 
     doc = exemplar_spec("cellular-island").to_dict()
@@ -91,10 +91,35 @@ def test_spec_replay_cli_rejects_a_cellular_island_policy_it_would_ignore(tmp_pa
         "name": "migration-policy",
         "params": {"rate": 2, "selection": "random", "replacement": "random"},
     }
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 0
+    assert "replay: 1/1 ok" in capsys.readouterr().out
+
+
+def test_spec_replay_cli_rejects_a_cellular_island_total_population(tmp_path, capsys):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("cellular-island").to_dict()
+    doc["engine"]["params"]["total_population"] = 32
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["replay", str(path)]) == 2
-    assert "engine.params.policy: cellular-island" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unexpected keyword argument 'total_population'" in err
+    assert "Traceback" not in err
+
+
+def test_spec_replay_cli_rejects_an_unknown_immigrant_replacement(tmp_path, capsys):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("island").to_dict()
+    doc["engine"]["params"]["policy"]["params"]["replacement"] = "wrost"
+    doc["run"]["termination"] = 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    assert "replacement: unknown immigrant replacement 'wrost'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["specialized", "sim-specialized"])
