@@ -131,6 +131,15 @@ copy-pasted per engine, and this check keeps them centralised:
     the pool's push each apply one of those rules, so "whom a newcomer
     replaces" is written once per rule.
 
+12. **One migration path.**  Only the island machinery
+    (``repro/parallel/island.py``, ``repro/runtime/deme.py`` and
+    ``repro/parallel/hybrid.py``) may call ``select_migrants`` or
+    ``integrate_immigrants``.  Every island-shaped engine migrates through
+    ``_IslandBase._emigrate`` / ``_immigrate`` or the timed runtime's
+    ``_send_migrants``, and re-scores arrivals, where it must, by
+    overriding ``_integrate_parcel`` — no engine keeps a private
+    migration loop beside them.
+
 Run from the repository root::
 
     python scripts/check_engine_contract.py
@@ -615,6 +624,33 @@ def lint_replace_worst_file(path: Path) -> list[str]:
     ]
 
 
+#: the modules that may call the migration primitives (rule 12)
+MIGRATION_OWNERS = {
+    SRC / "parallel" / "island.py",
+    SRC / "runtime" / "deme.py",
+    SRC / "parallel" / "hybrid.py",
+}
+_MIGRATION_PRIMITIVES = {"select_migrants", "integrate_immigrants"}
+
+
+def lint_migration_file(path: Path) -> list[str]:
+    """Only the island machinery selects and integrates migrants (rule 12)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = sorted(
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in _MIGRATION_PRIMITIVES
+    )
+    return [
+        f"{_where(path)}:{line}: {name}(...) outside the island machinery — "
+        "migrate through IslandModel (override _integrate_parcel to re-score "
+        "arrivals), not a private loop"
+        for line, name in calls
+    ]
+
+
 #: rule 10: the classes whose keywords must be reached
 KNOB_CLASS_NAMES = ENGINE_CLASS_NAMES | {
     "CellularGA",
@@ -840,6 +876,9 @@ def main() -> int:
     eviction_files = sorted(p for p in SRC.rglob("*.py") if p != REPLACEMENT_OWNER)
     for path in eviction_files:
         problems.extend(lint_replace_worst_file(path))
+    migration_files = sorted(p for p in SRC.rglob("*.py") if p not in MIGRATION_OWNERS)
+    for path in migration_files:
+        problems.extend(lint_migration_file(path))
     problems.extend(lint_knob_reachability())
     for line in problems:
         print(line)
@@ -855,6 +894,7 @@ def main() -> int:
         f"{len(trace_files)} trace-mutation-free modules + "
         f"{len(retired_files)} retired-surface-free modules + "
         f"{len(eviction_files)} eviction-rule-only modules + "
+        f"{len(migration_files)} migration-loop-free modules + "
         f"{len(KNOB_CLASS_NAMES)} knob-reachable classes clean"
     )
     return 0

@@ -121,7 +121,8 @@ class _IslandBase(ParallelEngine):
         rngs = spawn_rngs(seed, n_islands + 1)
         self.rng = rngs[-1]  # model-level randomness (schedules etc.)
         self.demes: list[EvolutionEngine] = [
-            make_deme(problem, self.config, seed=rngs[i]) for i in range(n_islands)
+            make_deme(self._deme_problem(i), self.config, seed=rngs[i])
+            for i in range(n_islands)
         ]
         self.buffers: list[MigrationBuffer] = [
             self.synchrony.make_buffer() for _ in range(n_islands)
@@ -152,6 +153,15 @@ class _IslandBase(ParallelEngine):
         cfg = (config or GAConfig()).with_population_size(per_deme)
         return cls(problem, n_islands, cfg, **kwargs)
 
+    # -- per-deme seams (both drivers) --------------------------------------------
+    def _deme_problem(self, i: int) -> Problem:
+        """The problem deme ``i`` optimises: the model's own, unless the
+        host gives each deme its own objective (the specialized model)."""
+        return self.problem
+
+    def _after_step(self, i: int) -> None:
+        """Hook after deme ``i`` initializes or steps (e.g. archiving)."""
+
     # -- migration plumbing ------------------------------------------------------
     def _emigrate(self, deme_idx: int, now: int) -> None:
         """Send one parcel per outgoing link from deme ``deme_idx``."""
@@ -165,17 +175,19 @@ class _IslandBase(ParallelEngine):
             self.buffers[dst].post(migrants, source=deme_idx, sent_at=now)
             self.migrants_sent += len(migrants)
 
-    def _immigrate(self, deme_idx: int, now: int) -> int:
+    def _immigrate(self, deme_idx: int, now: int) -> None:
         """Drain deme ``deme_idx``'s mailbox and integrate arrivals."""
-        deme = self.demes[deme_idx]
-        assert deme.population is not None
-        accepted = 0
         for source, migrants in self.buffers[deme_idx].collect(now):
-            accepted += integrate_immigrants(
-                self.rng, deme.population, migrants, self.policy, source=source
-            )
-        self.migrants_accepted += accepted
-        return accepted
+            self._integrate_parcel(deme_idx, source, migrants)
+
+    def _integrate_parcel(self, i: int, src: int, migrants: list[Individual]) -> None:
+        """Fold one parcel from deme ``src`` into deme ``i`` — the one
+        integration step of the untimed and the timed driver.  Engines
+        whose demes score fitness differently (scalarized subEAs) override
+        it to re-evaluate on arrival."""
+        self.migrants_accepted += integrate_immigrants(
+            self.rng, self.demes[i].population, migrants, self.policy, source=src
+        )
 
     # -- global state ---------------------------------------------------------------
     def global_best(self) -> Individual:
@@ -237,8 +249,9 @@ class IslandModel(EpochLoop, _IslandBase):
     engine_name = "island"
 
     def initialize(self) -> None:
-        for deme in self.demes:
+        for i, deme in enumerate(self.demes):
             deme.initialize()
+            self._after_step(i)
 
     # -- standard lifecycle (one round: step, migrate, integrate, record) --------
     def _lifecycle_initialized(self) -> bool:
@@ -249,8 +262,9 @@ class IslandModel(EpochLoop, _IslandBase):
         self._accepted_before = self.migrants_accepted
 
     def _lifecycle_step(self) -> None:
-        for deme in self.demes:
+        for i, deme in enumerate(self.demes):
             deme.step()
+            self._after_step(i)
 
     def _lifecycle_exchange(self) -> None:
         for i, deme in enumerate(self.demes):

@@ -26,10 +26,8 @@ import numpy as np
 from ..cluster.machine import SimulatedCluster
 from ..cluster.trace import Trace
 from ..core.config import GAConfig
-from ..core.engine import GenerationalEngine
 from ..core.individual import Individual
-from ..core.rng import spawn_rngs
-from ..migration.policy import MigrationPolicy, integrate_immigrants, select_migrants
+from ..migration.policy import MigrationPolicy
 from ..migration.schedule import PeriodicSchedule
 from ..problems.multiobjective import (
     MultiObjectiveProblem,
@@ -37,20 +35,10 @@ from ..problems.multiobjective import (
     hypervolume_2d,
     pareto_front,
 )
-from ..runtime.deme import (
-    EpochLoop,
-    TimedDemeRuntime,
-    emit_generation,
-)
-from ..topology.static import CompleteTopology, RingTopology, Topology
-from .base import ParallelEngine, RunReport
-from .classification import (
-    GrainModel,
-    ModelClassification,
-    ParallelismKind,
-    ProgrammingModel,
-    WalkStrategy,
-)
+from ..runtime.deme import TimedDemeRuntime
+from ..topology.static import CompleteTopology, RingTopology
+from .base import RunReport
+from .island import IslandModel
 
 __all__ = [
     "SpecializedIslandModel",
@@ -113,8 +101,19 @@ def standard_scenarios(n_objectives: int = 2) -> list[SIMScenario]:
     ]
 
 
-class SpecializedIslandModel(EpochLoop, ParallelEngine):
+class SpecializedIslandModel(IslandModel):
     """SIM driver over a 2+-objective problem.
+
+    An :class:`~repro.parallel.island.IslandModel` whose deme *i* optimises
+    ``ScalarizedObjective(problem, scenario.weights[i])``, on the
+    scenario's topology, migrating every ``scenario.migration_interval``
+    epochs (default policy: each subEA's two best replace the
+    destination's two worst).  What is SIM's own: the Pareto archive every
+    evaluated individual is folded into, its hypervolume as the quality,
+    per-subEA best-so-far as :meth:`deme_bests`, no subEA ever "solves",
+    and :meth:`_integrate_parcel` re-scalarises immigrants under the
+    destination's weights.  :meth:`run` takes an epoch count, and
+    :meth:`partitioned` is refused (a scenario sets the subEA count).
 
     Parameters
     ----------
@@ -131,13 +130,6 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
 
     engine_name = "specialized"
 
-    classification = ModelClassification(
-        grain=GrainModel.COARSE_GRAINED,
-        walk=WalkStrategy.MULTIPLE,
-        parallelism=ParallelismKind.CONTROL,
-        programming=ProgrammingModel.DISTRIBUTED,
-    )
-
     def __init__(
         self,
         problem: MultiObjectiveProblem,
@@ -149,27 +141,47 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
         seed: int | None = None,
         trace: Trace | None = None,
     ) -> None:
-        self.problem = problem
         self.scenario = scenario
-        self.policy = policy or MigrationPolicy(rate=2, selection="best", replacement="worst")
         self.hv_reference = None if hv_reference is None else np.asarray(hv_reference, float)
-        n = scenario.n_subeas
-        self.topology: Topology = (
-            CompleteTopology(n) if scenario.topology == "complete" else RingTopology(n)
-        )
-        rngs = spawn_rngs(seed, n + 1)
-        self.rng = rngs[-1]
-        cfg = config or GAConfig()
-        self.subeas: list[GenerationalEngine] = []
-        for i, w in enumerate(scenario.weights):
-            sub_problem = ScalarizedObjective(problem, w)
-            sub_cfg = cfg.resolved_for(sub_problem.spec)
-            self.subeas.append(GenerationalEngine(sub_problem, sub_cfg, seed=rngs[i]))
-        self.epoch = 0
-        self.migrants_sent = 0
-        self.migrants_accepted = 0
-        self.trace = trace
         self._archive: list[tuple[np.ndarray, np.ndarray]] = []  # (genome, objectives)
+        n = scenario.n_subeas
+        super().__init__(
+            problem,
+            n,
+            config,
+            topology=CompleteTopology(n) if scenario.topology == "complete" else RingTopology(n),
+            policy=policy or MigrationPolicy(rate=2, selection="best", replacement="worst"),
+            schedule=PeriodicSchedule(scenario.migration_interval),
+            seed=seed,
+            trace=trace,
+        )
+
+    @classmethod
+    def partitioned(cls, *args, **kwargs):
+        raise TypeError("SpecializedIslandModel subEAs are counted by the scenario")
+
+    # -- the per-deme seams ---------------------------------------------------------
+    def _deme_problem(self, i: int) -> ScalarizedObjective:
+        return ScalarizedObjective(self.problem, self.scenario.weights[i])
+
+    def _after_step(self, i: int) -> None:
+        self._archive_population(self.demes[i].population.individuals)
+
+    def _integrate_parcel(self, i: int, src: int, migrants: list[Individual]) -> None:
+        """Re-scalarise on arrival, then integrate.
+
+        An immigrant's fitness under the destination's weights differs from
+        its fitness at home, so it is re-evaluated (counted on the
+        destination subEA's meter).
+        """
+        deme = self.demes[i]
+        for m in migrants:
+            m.fitness = deme.problem.evaluate(m.genome)
+            deme.state.evaluations += 1
+        super()._integrate_parcel(i, src, migrants)
+
+    def deme_bests(self) -> list[float]:
+        return [d.best_so_far.require_fitness() for d in self.demes]
 
     # -- archive ---------------------------------------------------------------------
     def _archive_population(self, individuals: Sequence[Individual]) -> None:
@@ -189,60 +201,6 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             order = np.argsort([o[0] for _, o in self._archive])
             idx = np.linspace(0, len(order) - 1, ARCHIVE_CAPACITY).astype(int)
             self._archive = [self._archive[order[i]] for i in idx]
-
-    # -- evolution --------------------------------------------------------------------
-    def initialize(self) -> None:
-        for sub in self.subeas:
-            sub.initialize()
-            self._archive_population(sub.population.individuals)
-
-    # -- standard lifecycle (step + archive, migrate, record) --------------------
-    def _lifecycle_initialized(self) -> bool:
-        return self.subeas[0].population is not None
-
-    def _lifecycle_step(self) -> None:
-        for sub in self.subeas:
-            sub.step()
-            self._archive_population(sub.population.individuals)
-
-    def _lifecycle_exchange(self) -> None:
-        if self.epoch % self.scenario.migration_interval == 0:
-            self._migrate()
-
-    def _lifecycle_record(self) -> None:
-        for i, sub in enumerate(self.subeas):
-            emit_generation(
-                self.trace,
-                float(self.epoch),
-                deme=i,
-                generation=sub.state.generation,
-                best=float(sub.best_so_far.require_fitness()),
-            )
-
-    def _migrate(self) -> None:
-        """Exchange individuals between subEAs, re-scalarising on arrival.
-
-        An immigrant's fitness under the destination's weights differs from
-        its fitness at home, so it is re-evaluated (counted on the
-        destination subEA's meter).
-        """
-        parcels: list[tuple[int, int, list[Individual]]] = []
-        for i, sub in enumerate(self.subeas):
-            for dst in self.topology.neighbors_out(i):
-                migrants = select_migrants(self.rng, sub.population, self.policy)
-                parcels.append((i, dst, migrants))
-                self.migrants_sent += len(migrants)
-        for src, dst, migrants in parcels:
-            dst_sub = self.subeas[dst]
-            for m in migrants:
-                m.fitness = dst_sub.problem.evaluate(m.genome)
-                dst_sub.state.evaluations += 1
-            self.migrants_accepted += integrate_immigrants(
-                self.rng, dst_sub.population, migrants, self.policy, source=src
-            )
-
-    def total_evaluations(self) -> int:
-        return sum(s.state.evaluations for s in self.subeas)
 
     def _archive_summary(self) -> tuple[np.ndarray, float]:
         """The non-dominated front and its hypervolume."""
@@ -268,6 +226,10 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
             best=None,
             evaluations=self.total_evaluations(),
             solved=False,
+            stop_reason="max_epochs",
+            deme_bests=self.deme_bests(),
+            migrants_sent=self.migrants_sent,
+            migrants_accepted=self.migrants_accepted,
             extras={
                 "scenario": self.scenario,
                 "archive_objectives": objs,
@@ -279,13 +241,7 @@ class SpecializedIslandModel(EpochLoop, ParallelEngine):
 
     def run(self, epochs: int = 50) -> RunReport:
         self.run_epochs(epochs)
-        return self._sim_report(
-            epochs=self.epoch,
-            stop_reason="max_epochs",
-            deme_bests=[s.best_so_far.require_fitness() for s in self.subeas],
-            migrants_sent=self.migrants_sent,
-            migrants_accepted=self.migrants_accepted,
-        )
+        return self._sim_report(epochs=self.epoch)
 
 
 class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
@@ -296,10 +252,8 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
     (``Node.finish_time`` semantics — the gap the untimed driver cannot
     model), migrants pay network transit, and the reliable channel /
     supervision capabilities are available exactly as for islands.
-
-    The destination subEA re-scalarises every immigrant on arrival (its
-    weights differ from the sender's), which is the SIM-specific
-    :meth:`_integrate_parcel` override — everything else is the runtime's.
+    Archiving and the re-scalarising :meth:`_integrate_parcel` are the
+    untimed model's own; everything else is the runtime's.
     """
 
     engine_name = "sim-specialized"
@@ -321,10 +275,6 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
         **kwargs,
     ) -> None:
         super().__init__(problem, scenario, config, **kwargs)
-        self.n_islands = scenario.n_subeas
-        self.demes = self.subeas
-        self.config = self.subeas[0].config
-        self.schedule = PeriodicSchedule(scenario.migration_interval)
         self._init_timed_runtime(
             cluster or SimulatedCluster(scenario.n_subeas),
             eval_cost=eval_cost,
@@ -338,29 +288,13 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
             heartbeat_grace=heartbeat_grace,
         )
 
-    def _after_step(self, i: int) -> None:
-        self._archive_population(self.subeas[i].population.individuals)
-
     def _deme_solved(self, i: int) -> bool:
         return False
-
-    def _integrate_parcel(self, i: int, src: int, migrants) -> None:
-        dst_sub = self.subeas[i]
-        for m in migrants:
-            m.fitness = dst_sub.problem.evaluate(m.genome)
-            dst_sub.state.evaluations += 1
-        self.migrants_accepted += integrate_immigrants(
-            self.rng, dst_sub.population, migrants, self.policy, source=src
-        )
 
     def run(self) -> RunReport:
         self._setup_runtime()
         self.cluster.run()
         return self._sim_report(
-            epochs=max(s.state.generation for s in self.subeas),
-            stop_reason="max_epochs",
-            deme_bests=[s.best_so_far.require_fitness() for s in self.subeas],
-            migrants_sent=self.migrants_sent,
-            migrants_accepted=self.migrants_accepted,
+            epochs=max(d.state.generation for d in self.demes),
             **self._runtime_report_fields(),
         )

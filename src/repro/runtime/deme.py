@@ -118,7 +118,10 @@ class TimedDemeRuntime:
 
     A host mixes this in and supplies ``demes`` (evolution engines with
     ``state`` / ``population`` / ``step()``), ``n_islands``, ``topology``,
-    ``schedule``, ``policy``, ``rng``, ``problem`` and ``config``; the
+    ``schedule``, ``policy``, ``rng``, ``problem`` and ``config``, plus the
+    two per-deme steps it shares with its untimed driver:
+    ``_after_step(i)`` and ``_integrate_parcel(i, src, migrants)``
+    (:class:`~repro.parallel.island.IslandModel`'s base defines both).  The
     runtime owns node placement, downtime stalls, migrant transport and
     (opt-in) reliable delivery and supervised recovery.  Demes are
     conventionally called *islands* here after the model that pioneered
@@ -190,9 +193,6 @@ class TimedDemeRuntime:
         evaluations (before node speed).  Engines that farm evaluations
         inside a deme (the SMP-hybrid composition) override this."""
         return evaluations * self.eval_cost
-
-    def _after_step(self, i: int) -> None:
-        """Hook after deme ``i`` initializes or steps (e.g. archiving)."""
 
     def _deme_solved(self, i: int) -> bool:
         """Whether deme ``i`` has reached the problem's optimum."""
@@ -297,16 +297,6 @@ class TimedDemeRuntime:
                 deme=i, src=src, count=len(migrants),
             )
         self._integrate_parcel(i, src, migrants)
-
-    def _integrate_parcel(self, i: int, src: int, migrants) -> None:
-        """Fold arrived ``migrants`` into deme ``i``.  Engines whose demes
-        score fitness differently (e.g. scalarized subEAs) override this
-        to re-evaluate on arrival."""
-        from ..migration.policy import integrate_immigrants
-
-        self.migrants_accepted += integrate_immigrants(
-            self.rng, self.demes[i].population, migrants, self.policy, source=src
-        )
 
     def _send_migrants(self, i: int) -> None:
         from ..migration.policy import select_migrants

@@ -10,6 +10,7 @@ from repro.parallel import (
     HierarchicalGA,
     MasterSlaveIslandModel,
     SIMScenario,
+    SimulatedSpecializedIslandModel,
     SpecializedIslandModel,
     specialized,
     standard_scenarios,
@@ -118,6 +119,26 @@ class TestSpecializedIslandModel:
         spent = model.total_evaluations() - evals_before
         assert spent > 2 * 10  # generation work + immigrant re-evaluations
 
+    @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
+    def test_every_member_is_scored_under_its_subeas_weights(self, timed):
+        # both drivers fold parcels through the one re-scalarising
+        # _integrate_parcel, so immigrants carry the destination's score
+        scen = SIMScenario("two-spec", ((1.0, 0.0), (0.0, 1.0)), migration_interval=1)
+        args = (SchafferF2(), scen, GAConfig(population_size=10))
+        if timed:
+            model = SimulatedSpecializedIslandModel(*args, max_epochs=4, seed=5)
+            res = model.run()
+        else:
+            model = SpecializedIslandModel(*args, seed=5)
+            res = model.run(epochs=4)
+        assert res.migrants_accepted > 0
+        migrants = 0
+        for deme in model.demes:
+            for ind in deme.population:
+                assert ind.fitness == deme.problem.evaluate(ind.genome)
+                migrants += ind.origin.startswith("migrant")
+        assert migrants > 0
+
     def test_archive_capacity_respected(self, monkeypatch):
         monkeypatch.setattr(specialized, "ARCHIVE_CAPACITY", 10)
         model = SpecializedIslandModel(
@@ -131,6 +152,30 @@ class TestSpecializedIslandModel:
         scen = SIMScenario("bad", ((1.0, 0.0, 0.0),))
         with pytest.raises(ValueError):
             SpecializedIslandModel(SchafferF2(), scen)
+
+
+# island models whose demes are not sized by config.population_size refuse
+# the inherited total-population constructor
+@pytest.mark.parametrize(
+    "cls, args, why",
+    [
+        pytest.param(
+            CellularIslandModel, (OneMax(16), 64, 2), "rows x cols",
+            id="cellular-island",
+        ),
+        pytest.param(
+            SpecializedIslandModel, (SchafferF2(), 64, 2), "scenario",
+            id="specialized",
+        ),
+        pytest.param(
+            SimulatedSpecializedIslandModel, (SchafferF2(), 64, 2), "scenario",
+            id="sim-specialized",
+        ),
+    ],
+)
+def test_partitioned_is_refused(cls, args, why):
+    with pytest.raises(TypeError, match=why):
+        cls.partitioned(*args)
 
 
 class TestCellularIslandModel:
@@ -176,10 +221,6 @@ class TestCellularIslandModel:
         assert [c.fitness for c in grid] == [4.0, 3.0, 5.0, 5.0]
         assert [c.origin for c in grid].count("migrant") == 2
         assert (m.migrants_sent, m.migrants_accepted) == (2, 2)
-
-    def test_partitioned_is_refused(self):
-        with pytest.raises(TypeError, match="rows x cols"):
-            CellularIslandModel.partitioned(OneMax(16), 64, 2, rows=3, cols=3)
 
     def test_deme_bests_and_records_follow_best_so_far(self):
         m = CellularIslandModel(OneMax(32), 2, rows=3, cols=3, seed=2)

@@ -44,6 +44,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _FAIL_ENV = "REPRO_TEST_FAIL_X"
 _SLEEP_ENV = "REPRO_TEST_TRIAL_SLEEP"
+_GATE_ENV = "REPRO_TEST_TRIAL_GATE"
 
 #: fast retry schedule for chaos runs
 FAST = dict(backoff_base_s=0.001, backoff_cap_s=0.01)
@@ -55,6 +56,13 @@ def _square(*, x: int, seed: int) -> int:
 
 def _slow_square(*, x: int, seed: int) -> int:
     time.sleep(float(os.environ.get(_SLEEP_ENV, "0")))
+    gate = os.environ.get(_GATE_ENV)
+    if gate and x >= 2:
+        # hold the sweep open at its third trial until the gate file
+        # appears (bounded, so an orphaned process cannot spin forever)
+        deadline = time.monotonic() + 120.0
+        while not os.path.exists(gate) and time.monotonic() < deadline:
+            time.sleep(0.05)
     return x * x + seed
 
 
@@ -245,6 +253,9 @@ class TestCrashRestart:
             [str(REPO_ROOT / "src"), str(REPO_ROOT)]
         )
         env[_SLEEP_ENV] = "0.4"
+        # never created: the victim finishes two trials, then blocks, so
+        # it is alive when the kill lands however loaded the host is
+        env[_GATE_ENV] = str(tmp_path / "gate-never-opened")
         code = (
             f"from {_crash_child.__module__} import _crash_child; "
             f"_crash_child({str(tmp_path)!r})"

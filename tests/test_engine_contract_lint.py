@@ -39,6 +39,22 @@ def test_rule_11_flags_an_eviction_outside_the_replacement_operators(tmp_path):
     assert lint.lint_replace_worst_file(lint.REPLACEMENT_OWNER) != []
 
 
+def test_rule_12_flags_a_migration_loop_outside_the_island_machinery(tmp_path):
+    module = tmp_path / "migrates.py"
+    module.write_text(
+        "from repro.migration import policy\n"
+        "from repro.migration.policy import select_migrants\n"
+        "def migrate(rng, src, dst, pol):\n"
+        "    migrants = select_migrants(rng, src, pol)\n"
+        "    return policy.integrate_immigrants(rng, dst, migrants, pol)\n"
+    )
+    first, second = lint.lint_migration_file(module)
+    assert "migrates.py:4: select_migrants(...) outside the island" in first
+    assert "migrates.py:5: integrate_immigrants(...) outside the island" in second
+    for owner in lint.MIGRATION_OWNERS:
+        assert lint.lint_migration_file(owner) != []
+
+
 def _fixture(tmp_path: Path, caller_source: str) -> tuple[Path, Path]:
     """A source tree whose engine forwards one keyword to its base, and a
     caller tree holding ``caller_source``."""
