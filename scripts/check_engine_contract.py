@@ -127,18 +127,22 @@ copy-pasted per engine, and this check keeps them centralised:
 11. **One eviction path.**  Only the replacement operators in
     ``repro/core/operators/replacement.py`` may call
     ``Population.replace_worst``.  Steady-state insertion, migrant
-    integration (``integrate_immigrants``), hierarchical promotion and
-    the pool's push each apply one of those rules, so "whom a newcomer
-    replaces" is written once per rule.
+    integration (``integrate_immigrants``, which the hierarchical GA's
+    promotion and demotion go through too) and the pool's push each
+    apply one of those rules, so "whom a newcomer replaces" is written
+    once per rule.
 
 12. **One migration path.**  Only the island machinery
-    (``repro/parallel/island.py``, ``repro/runtime/deme.py`` and
-    ``repro/parallel/hybrid.py``) may call ``select_migrants`` or
-    ``integrate_immigrants``.  Every island-shaped engine migrates through
-    ``_IslandBase._emigrate`` / ``_immigrate`` or the timed runtime's
-    ``_send_migrants``, and re-scores arrivals, where it must, by
-    overriding ``_integrate_parcel`` — no engine keeps a private
-    migration loop beside them.
+    (``repro/parallel/island.py`` and ``repro/parallel/hybrid.py``) may
+    call ``select_migrants`` or ``integrate_immigrants``.  Every
+    island-shaped engine migrates through ``_IslandBase._select_parcel``
+    and ``_integrate_parcel`` — from ``_emigrate`` / ``_immigrate``, the
+    timed runtime's ``_send_migrants`` or its own exchange — and
+    ``_integrate_parcel`` re-scores an arrival wherever its destination
+    has its own objective, so no engine keeps a private migration loop
+    beside them.  Nor may any other ``repro/parallel`` module than that
+    machinery and the pool's push (``pool.py``) build a replacement rule
+    and apply it itself (``ReplaceWorstIfBetter()(...)`` and friends).
 
 Run from the repository root::
 
@@ -627,7 +631,6 @@ def lint_replace_worst_file(path: Path) -> list[str]:
 #: the modules that may call the migration primitives (rule 12)
 MIGRATION_OWNERS = {
     SRC / "parallel" / "island.py",
-    SRC / "runtime" / "deme.py",
     SRC / "parallel" / "hybrid.py",
 }
 _MIGRATION_PRIMITIVES = {"select_migrants", "integrate_immigrants"}
@@ -645,8 +648,41 @@ def lint_migration_file(path: Path) -> list[str]:
     )
     return [
         f"{_where(path)}:{line}: {name}(...) outside the island machinery — "
-        "migrate through IslandModel (override _integrate_parcel to re-score "
-        "arrivals), not a private loop"
+        "migrate through IslandModel's _select_parcel and _integrate_parcel, "
+        "not a private loop"
+        for line, name in calls
+    ]
+
+
+#: the engine modules that may build and apply a replacement rule (rule 12)
+EVICTION_RULE_OWNERS = MIGRATION_OWNERS | {PARALLEL / "pool.py"}
+
+
+def _replacement_rules() -> set[str]:
+    """The survivor-rule classes ``core/operators/replacement.py`` defines."""
+    tree = ast.parse(REPLACEMENT_OWNER.read_text())
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "Replacement"
+    }
+
+
+def lint_eviction_rule_file(path: Path) -> list[str]:
+    """Only the island machinery and the pool's push build a replacement
+    rule to apply themselves (rule 12)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    rules = _replacement_rules()
+    calls = sorted(
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in rules
+    )
+    return [
+        f"{_where(path)}:{line}: {name}(...) outside the island machinery and "
+        "the pool's push — let arrivals enter through _integrate_parcel "
+        "(the migration policy's replacement rule)"
         for line, name in calls
     ]
 
@@ -879,6 +915,9 @@ def main() -> int:
     migration_files = sorted(p for p in SRC.rglob("*.py") if p not in MIGRATION_OWNERS)
     for path in migration_files:
         problems.extend(lint_migration_file(path))
+    rule_free_files = sorted(p for p in PARALLEL.glob("*.py") if p not in EVICTION_RULE_OWNERS)
+    for path in rule_free_files:
+        problems.extend(lint_eviction_rule_file(path))
     problems.extend(lint_knob_reachability())
     for line in problems:
         print(line)
@@ -895,6 +934,7 @@ def main() -> int:
         f"{len(retired_files)} retired-surface-free modules + "
         f"{len(eviction_files)} eviction-rule-only modules + "
         f"{len(migration_files)} migration-loop-free modules + "
+        f"{len(rule_free_files)} replacement-rule-free engine modules + "
         f"{len(KNOB_CLASS_NAMES)} knob-reachable classes clean"
     )
     return 0

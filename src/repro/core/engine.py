@@ -129,15 +129,10 @@ class EvolutionEngine:
             return self.population  # generation 0 counts as the first step
         self._advance()
         self.state.generation += 1
-        current_best = self.population.best()
-        if self._best_so_far is None or self.problem.is_improvement(
-            current_best.require_fitness(), self._best_so_far.require_fitness()
-        ):
-            self._best_so_far = current_best.copy()
+        if self.offer_best(self.population.best()):
             self.state.stagnant_generations = 0
         else:
             self.state.stagnant_generations += 1
-        self.state.best_fitness = self._best_so_far.require_fitness()
         self.callbacks.on_generation(self.state, self.population)
         return self.population
 
@@ -169,6 +164,17 @@ class EvolutionEngine:
             stop_reason=stop_reason,
             history=self.history,
         )
+
+    def offer_best(self, candidate: Individual) -> bool:
+        """Make a copy of ``candidate`` the best-so-far if it beats it, and
+        say whether it did (stagnation is :meth:`step`'s to count)."""
+        if self._best_so_far is not None and not self.problem.is_improvement(
+            candidate.require_fitness(), self._best_so_far.require_fitness()
+        ):
+            return False
+        self._best_so_far = candidate.copy()
+        self.state.best_fitness = self._best_so_far.require_fitness()
+        return True
 
     @property
     def best_so_far(self) -> Individual:

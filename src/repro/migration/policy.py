@@ -92,7 +92,8 @@ def select_migrants(
     population: Population,
     policy: MigrationPolicy,
 ) -> list[Individual]:
-    """Choose ``policy.rate`` emigrant *copies* from ``population``."""
+    """Choose ``policy.rate`` emigrant *copies* from ``population``
+    (roulette sends fewer when fewer members weigh more than the worst)."""
     k = min(policy.rate, len(population))
     if k == 0:
         return []
@@ -107,7 +108,12 @@ def select_migrants(
         f = population.fitness_array()
         w = f - f.min() if population.maximize else f.max() - f
         total = w.sum()
-        probs = (w / total) if total > 0 else np.full(len(population), 1.0 / len(population))
+        if total > 0:
+            # the worst members weigh 0: send no more than can be drawn
+            k = min(k, int(np.count_nonzero(w)))
+            probs = w / total
+        else:
+            probs = np.full(len(population), 1.0 / len(population))
         idx = rng.choice(len(population), size=k, replace=False, p=probs)
         chosen = [population[int(i)] for i in idx]
     return [ind.copy() for ind in chosen]

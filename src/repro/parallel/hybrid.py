@@ -31,7 +31,7 @@ from ..core.config import GAConfig
 from ..core.engine import FitnessEvaluator
 from ..core.operators.replacement import replace_worst_ranked
 from ..core.problem import Problem
-from ..migration.policy import MigrationPolicy, integrate_immigrants, select_migrants
+from ..migration.policy import MigrationPolicy, integrate_immigrants
 from ..migration.schedule import MigrationSchedule
 from ..topology.static import Topology
 from .base import RunReport
@@ -43,7 +43,7 @@ from .classification import (
     ProgrammingModel,
     WalkStrategy,
 )
-from .island import IslandModel, SimulatedIslandModel
+from .island import BestSoFarDemes, IslandModel, SimulatedIslandModel
 
 __all__ = [
     "CellularIslandModel",
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-class CellularIslandModel(IslandModel):
+class CellularIslandModel(BestSoFarDemes, IslandModel):
     """Ring (or arbitrary topology) of cellular-GA demes.
 
     An :class:`~repro.parallel.island.IslandModel` of
@@ -109,10 +109,8 @@ class CellularIslandModel(IslandModel):
 
     def _emigrate(self, deme_idx: int, now: int) -> None:
         """Each parcel enters its destination grid as it is sent."""
-        population = self.demes[deme_idx].population
         for dst in self.topology.neighbors_out(deme_idx):
-            migrants = select_migrants(self.rng, population, self.policy)
-            self.migrants_sent += len(migrants)
+            migrants = self._select_parcel(deme_idx)
             grid = self.demes[dst].population
             if self.policy.replacement == "worst":
                 arrivals = [m.copy(origin="migrant") for m in migrants]
@@ -122,23 +120,9 @@ class CellularIslandModel(IslandModel):
                     self.rng, grid, migrants, self.policy
                 )
 
-    def deme_bests(self) -> list[float]:
-        return [d.best_so_far.require_fitness() for d in self.demes]
-
     def run(self, epochs: int = 100) -> RunReport:
         self.run_epochs(epochs, done=self._solved)
-        solved = self._solved()
-        return self._report(
-            best=self.global_best().copy(),
-            evaluations=self.total_evaluations(),
-            epochs=self.epoch,
-            solved=solved,
-            stop_reason="solved" if solved else "max_epochs",
-            deme_bests=self.deme_bests(),
-            records=self.records,
-            migrants_sent=self.migrants_sent,
-            migrants_accepted=self.migrants_accepted,
-        )
+        return self._island_report("max_epochs", epochs=self.epoch)
 
 
 class MasterSlaveIslandModel(IslandModel):

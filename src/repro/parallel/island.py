@@ -168,12 +168,18 @@ class _IslandBase(ParallelEngine):
         targets = self.topology.neighbors_out(deme_idx)
         if not targets or self.policy.rate == 0:
             return
-        deme = self.demes[deme_idx]
-        assert deme.population is not None
         for dst in targets:
-            migrants = select_migrants(self.rng, deme.population, self.policy)
-            self.buffers[dst].post(migrants, source=deme_idx, sent_at=now)
-            self.migrants_sent += len(migrants)
+            self.buffers[dst].post(self._select_parcel(deme_idx), source=deme_idx, sent_at=now)
+
+    def _select_parcel(
+        self, src: int, policy: MigrationPolicy | None = None
+    ) -> list[Individual]:
+        """Choose one parcel of deme ``src``'s emigrants under ``policy``
+        (the model's by default) and count it sent."""
+        population = self.demes[src].population
+        migrants = select_migrants(self.rng, population, policy or self.policy)
+        self.migrants_sent += len(migrants)
+        return migrants
 
     def _immigrate(self, deme_idx: int, now: int) -> None:
         """Drain deme ``deme_idx``'s mailbox and integrate arrivals."""
@@ -182,11 +188,19 @@ class _IslandBase(ParallelEngine):
 
     def _integrate_parcel(self, i: int, src: int, migrants: list[Individual]) -> None:
         """Fold one parcel from deme ``src`` into deme ``i`` — the one
-        integration step of the untimed and the timed driver.  Engines
-        whose demes score fitness differently (scalarized subEAs) override
-        it to re-evaluate on arrival."""
+        integration step of the untimed and the timed driver.
+
+        A deme that optimises its own objective rather than the model's
+        (a scalarized subEA, a fidelity view) first re-scores each arrival
+        under it, counted on that deme's meter: fitnesses from different
+        objectives are not comparable."""
+        deme = self.demes[i]
+        if deme.problem is not self.problem:
+            for m in migrants:
+                m.fitness = deme.problem.evaluate(m.genome)
+                deme.state.evaluations += 1
         self.migrants_accepted += integrate_immigrants(
-            self.rng, self.demes[i].population, migrants, self.policy, source=src
+            self.rng, deme.population, migrants, self.policy, source=src
         )
 
     # -- global state ---------------------------------------------------------------
@@ -212,6 +226,22 @@ class _IslandBase(ParallelEngine):
         except RuntimeError:
             return False
 
+    def _island_report(self, stop_reason: str, **fields) -> RunReport:
+        """The report of an island driver: the global best, the evaluation
+        and migrant counters, the deme bests and the epoch records."""
+        solved = self._solved()
+        return self._report(
+            best=self.global_best().copy(),
+            evaluations=self.total_evaluations(),
+            solved=solved,
+            stop_reason="solved" if solved else stop_reason,
+            deme_bests=self.deme_bests(),
+            records=self.records,
+            migrants_sent=self.migrants_sent,
+            migrants_accepted=self.migrants_accepted,
+            **fields,
+        )
+
     def _record_epoch(self, sent_before: int, accepted_before: int) -> None:
         deme_bests = self.deme_bests()
         self.records.append(
@@ -236,6 +266,14 @@ class _IslandBase(ParallelEngine):
     def _advance_topology(self) -> None:
         if isinstance(self.topology, DynamicTopology):
             self.topology.advance()
+
+
+class BestSoFarDemes:
+    """Mixin for island models whose ``deme_bests`` — and so ``records``
+    and the trace — follow each deme's best-so-far, not its current best."""
+
+    def deme_bests(self) -> list[float]:
+        return [d.best_so_far.require_fitness() for d in self.demes]
 
 
 class IslandModel(EpochLoop, _IslandBase):
@@ -290,19 +328,7 @@ class IslandModel(EpochLoop, _IslandBase):
         self.run_epochs(
             done=lambda: termination.should_stop(self._global_state()) or self._solved()
         )
-        solved = self._solved()
-        best = self.global_best()
-        return self._report(
-            best=best.copy(),
-            evaluations=self.total_evaluations(),
-            epochs=self.epoch,
-            solved=solved,
-            stop_reason="solved" if solved else termination.reason(),
-            deme_bests=self.deme_bests(),
-            records=self.records,
-            migrants_sent=self.migrants_sent,
-            migrants_accepted=self.migrants_accepted,
-        )
+        return self._island_report(termination.reason(), epochs=self.epoch)
 
     def _global_state(self) -> EvolutionState:
         best = self.global_best().require_fitness() if self.epoch >= 0 else None
@@ -393,17 +419,8 @@ class SimulatedIslandModel(TimedDemeRuntime, _IslandBase):
         """Simulate until some deme solves the problem or epochs exhaust."""
         self._setup_runtime()
         self.cluster.run()
-        solved = self._solved()
-        best = self.global_best()
-        return self._report(
-            best=best.copy(),
-            evaluations=self.total_evaluations(),
+        return self._island_report(
+            "max_epochs",
             epochs=max(d.state.generation for d in self.demes),
-            solved=solved,
-            stop_reason="solved" if solved else "max_epochs",
-            deme_bests=self.deme_bests(),
-            records=self.records,
-            migrants_sent=self.migrants_sent,
-            migrants_accepted=self.migrants_accepted,
             **self._runtime_report_fields(),
         )

@@ -38,7 +38,7 @@ from ..problems.multiobjective import (
 from ..runtime.deme import TimedDemeRuntime
 from ..topology.static import CompleteTopology, RingTopology
 from .base import RunReport
-from .island import IslandModel
+from .island import BestSoFarDemes, IslandModel
 
 __all__ = [
     "SpecializedIslandModel",
@@ -101,19 +101,20 @@ def standard_scenarios(n_objectives: int = 2) -> list[SIMScenario]:
     ]
 
 
-class SpecializedIslandModel(IslandModel):
+class SpecializedIslandModel(BestSoFarDemes, IslandModel):
     """SIM driver over a 2+-objective problem.
 
     An :class:`~repro.parallel.island.IslandModel` whose deme *i* optimises
     ``ScalarizedObjective(problem, scenario.weights[i])``, on the
     scenario's topology, migrating every ``scenario.migration_interval``
     epochs (default policy: each subEA's two best replace the
-    destination's two worst).  What is SIM's own: the Pareto archive every
+    destination's two worst).  Since each subEA scores its own weighted
+    sum, the island base re-scalarises every immigrant under the
+    destination's weights.  What is SIM's own: the Pareto archive every
     evaluated individual is folded into, its hypervolume as the quality,
-    per-subEA best-so-far as :meth:`deme_bests`, no subEA ever "solves",
-    and :meth:`_integrate_parcel` re-scalarises immigrants under the
-    destination's weights.  :meth:`run` takes an epoch count, and
-    :meth:`partitioned` is refused (a scenario sets the subEA count).
+    per-subEA best-so-far as :meth:`deme_bests` and no subEA ever
+    "solves".  :meth:`run` takes an epoch count, and :meth:`partitioned`
+    is refused (a scenario sets the subEA count).
 
     Parameters
     ----------
@@ -166,22 +167,6 @@ class SpecializedIslandModel(IslandModel):
 
     def _after_step(self, i: int) -> None:
         self._archive_population(self.demes[i].population.individuals)
-
-    def _integrate_parcel(self, i: int, src: int, migrants: list[Individual]) -> None:
-        """Re-scalarise on arrival, then integrate.
-
-        An immigrant's fitness under the destination's weights differs from
-        its fitness at home, so it is re-evaluated (counted on the
-        destination subEA's meter).
-        """
-        deme = self.demes[i]
-        for m in migrants:
-            m.fitness = deme.problem.evaluate(m.genome)
-            deme.state.evaluations += 1
-        super()._integrate_parcel(i, src, migrants)
-
-    def deme_bests(self) -> list[float]:
-        return [d.best_so_far.require_fitness() for d in self.demes]
 
     # -- archive ---------------------------------------------------------------------
     def _archive_population(self, individuals: Sequence[Individual]) -> None:
@@ -252,8 +237,8 @@ class SimulatedSpecializedIslandModel(TimedDemeRuntime, SpecializedIslandModel):
     (``Node.finish_time`` semantics — the gap the untimed driver cannot
     model), migrants pay network transit, and the reliable channel /
     supervision capabilities are available exactly as for islands.
-    Archiving and the re-scalarising :meth:`_integrate_parcel` are the
-    untimed model's own; everything else is the runtime's.
+    Archiving is the untimed model's own; everything else is the
+    runtime's and the island base's.
     """
 
     engine_name = "sim-specialized"

@@ -119,9 +119,10 @@ class TimedDemeRuntime:
     A host mixes this in and supplies ``demes`` (evolution engines with
     ``state`` / ``population`` / ``step()``), ``n_islands``, ``topology``,
     ``schedule``, ``policy``, ``rng``, ``problem`` and ``config``, plus the
-    two per-deme steps it shares with its untimed driver:
-    ``_after_step(i)`` and ``_integrate_parcel(i, src, migrants)``
-    (:class:`~repro.parallel.island.IslandModel`'s base defines both).  The
+    three per-deme steps it shares with its untimed driver:
+    ``_after_step(i)``, ``_select_parcel(i)`` and
+    ``_integrate_parcel(i, src, migrants)``
+    (:class:`~repro.parallel.island.IslandModel`'s base defines them).  The
     runtime owns node placement, downtime stalls, migrant transport and
     (opt-in) reliable delivery and supervised recovery.  Demes are
     conventionally called *islands* here after the model that pioneered
@@ -299,11 +300,8 @@ class TimedDemeRuntime:
         self._integrate_parcel(i, src, migrants)
 
     def _send_migrants(self, i: int) -> None:
-        from ..migration.policy import select_migrants
-
-        deme = self.demes[i]
         for dst in self._route_targets(i):
-            migrants = select_migrants(self.rng, deme.population, self.policy)
+            migrants = self._select_parcel(i)
             if not migrants:
                 continue
             size = self.migration_payload * len(migrants)
@@ -318,7 +316,6 @@ class TimedDemeRuntime:
                     size=size,
                     kind="migration",
                 )
-            self.migrants_sent += len(migrants)
             if self._obs is not None:
                 now = self.cluster.sim.now
                 self._obs.spans.record(

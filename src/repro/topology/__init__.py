@@ -20,6 +20,7 @@ from .static import (
     StarTopology,
     Topology,
     TorusTopology,
+    TreeTopology,
     topology_by_name,
 )
 
@@ -35,6 +36,7 @@ __all__ = [
     "RandomRegularTopology",
     "IsolatedTopology",
     "PipelineTopology",
+    "TreeTopology",
     "topology_by_name",
     "DynamicTopology",
     "RandomRewiringTopology",

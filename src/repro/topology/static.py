@@ -13,6 +13,7 @@ statement about these graphs' diameters/degrees.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "RandomRegularTopology",
     "IsolatedTopology",
     "PipelineTopology",
+    "TreeTopology",
     "topology_by_name",
 ]
 
@@ -144,6 +146,66 @@ class PipelineTopology(Topology):
     def neighbors_in(self, i: int) -> list[int]:
         self._check(i)
         return [i - 1] if i > 0 else []
+
+
+#: the most demes a :class:`TreeTopology` may hold
+MAX_TREE_DEMES = 1024
+
+
+class TreeTopology(Topology):
+    """Complete ``branching``-ary tree of ``layers`` levels in heap layout.
+
+    Deme 0 is the root and the children of deme ``i`` are ``b*i+1 … b*i+b``,
+    so layer ``l`` holds ``b**l`` consecutive demes, numbered left to right
+    after the layer above.  Edges run both ways: a deme exchanges with its
+    parent and its children (the hierarchical GA's promotion and
+    demotion).  Trees over :data:`MAX_TREE_DEMES` demes are refused.
+    """
+
+    def __init__(self, layers: int, branching: int) -> None:
+        if layers < 1:
+            raise ValueError(f"need >= 1 layer, got {layers}")
+        if branching < 1:
+            raise ValueError(f"branching must be >= 1, got {branching}")
+        # the first deme of each layer, counted only as far as the cap
+        starts, width = [0], 1
+        for _ in range(layers):
+            if starts[-1] + width > MAX_TREE_DEMES:
+                raise ValueError(
+                    f"layers={layers}, branching={branching}: the tree has "
+                    f"more than {MAX_TREE_DEMES} demes"
+                )
+            starts.append(starts[-1] + width)
+            width *= branching
+        super().__init__(starts[-1])
+        self.layers, self.branching = layers, branching
+        self._starts = starts
+
+    def layer(self, l: int) -> range:
+        """The demes of layer ``l`` (0 = the root's)."""
+        return range(self._starts[l], self._starts[l + 1])
+
+    def layer_of(self, i: int) -> int:
+        self._check(i)
+        return bisect_right(self._starts, i) - 1
+
+    def parent(self, i: int) -> int | None:
+        self._check(i)
+        return (i - 1) // self.branching if i > 0 else None
+
+    def children(self, i: int) -> list[int]:
+        self._check(i)
+        first = self.branching * i + 1
+        return list(range(first, min(first + self.branching, self.size)))
+
+    def neighbors_out(self, i: int) -> list[int]:
+        parent = self.parent(i)
+        return ([] if parent is None else [parent]) + self.children(i)
+
+    neighbors_in = neighbors_out
+
+    def __repr__(self) -> str:
+        return f"TreeTopology(layers={self.layers}, branching={self.branching})"
 
 
 class CompleteTopology(Topology):

@@ -55,6 +55,11 @@ class TestSelectMigrants:
         ]
         assert picks.count(10) > 150
 
+    def test_roulette_sends_no_more_than_weigh_above_the_worst(self, rng):
+        pop = make_population([1, 1, 1, 2])
+        out = select_migrants(rng, pop, MigrationPolicy(rate=3, selection="roulette"))
+        assert [i.fitness for i in out] == [2]
+
     def test_migrants_are_copies(self, rng):
         pop = make_population([1, 5])
         out = select_migrants(rng, pop, MigrationPolicy(rate=1, selection="best"))

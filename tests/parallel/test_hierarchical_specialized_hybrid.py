@@ -18,6 +18,7 @@ from repro.parallel import (
 from repro.problems import ZDT1, OneMax, SchafferF2
 from repro.problems.applications import TransonicWingDesign
 from repro.runtime import ThreadExecutor
+from repro.topology import TreeTopology
 
 
 class TestHierarchicalGA:
@@ -33,15 +34,21 @@ class TestHierarchicalGA:
         )
 
     def test_tree_structure(self, hga):
-        assert [len(layer) for layer in hga.demes] == [1, 2, 4]
+        assert isinstance(hga.topology, TreeTopology)
+        assert hga.n_islands == len(hga.demes) == 7
+        assert [len(hga.topology.layer(l)) for l in range(3)] == [1, 2, 4]
+        # deme i scores at its layer's fidelity
+        assert [d.problem.fidelity for d in hga.demes] == [2, 1, 1, 0, 0, 0, 0]
 
     def test_layer_fidelities_decrease_downward(self, hga):
         assert hga.layer_fidelity == [2, 1, 0]
 
     def test_children_of(self, hga):
-        assert hga._children_of(0, 0) == [0, 1]
-        assert hga._children_of(1, 1) == [2, 3]
-        assert hga._children_of(2, 0) == []  # leaves
+        tree = hga.topology
+        assert tree.children(0) == [1, 2]
+        assert tree.children(2) == [5, 6]
+        assert tree.children(3) == []  # leaves
+        assert [tree.parent(c) for c in (1, 2, 5, 6)] == [0, 0, 2, 2]
 
     def test_work_units_weighted_by_cost(self, hga):
         hga.initialize()
@@ -50,22 +57,51 @@ class TestHierarchicalGA:
 
     def test_run_improves_top_best(self, hga):
         hga.initialize()
-        start = hga.top_best().require_fitness()
+        start = hga.global_best().require_fitness()
         res = hga.run(max_epochs=10)
         assert res.best_fitness <= start
-
-    def test_work_budget_respected(self, hga):
-        res = hga.run(max_epochs=1000, work_budget=20_000)
-        assert res.work_units <= 20_000 * 1.5  # stops within ~1 epoch overshoot
+        assert res.best_fitness == hga.demes[0].best_so_far.require_fitness()
 
     def test_promotion_reevaluates_under_parent_model(self, hga):
         hga.initialize()
-        top = hga.demes[0][0]
+        top = hga.demes[0]
         before = top.state.evaluations
-        hga.epoch = hga.migration_interval - 1
+        hga.epoch = hga.schedule.interval - 1
         hga.step_epoch()  # triggers exchange
-        # top deme paid for re-evaluating promoted children
-        assert top.state.evaluations > before + 10  # step + promotions
+        # 9 offspring (one elite survives) + its two children's two best each,
+        # re-scored under the top deme's model
+        assert top.state.evaluations == before + 9 + 2 * 2
+        # every member of every deme is scored at its deme's fidelity
+        for deme in hga.demes:
+            for ind in deme.population:
+                assert ind.fitness == deme.problem.evaluate(ind.genome)
+
+    def test_an_exchange_moves_two_up_and_one_down_per_edge(self, hga):
+        hga.initialize()
+        hga.epoch = hga.schedule.interval - 1
+        hga.step_epoch()
+        assert hga.migrants_sent == 6 * (2 + 1)
+        assert 0 < hga.migrants_accepted <= hga.migrants_sent
+        (record,) = hga.records[1:]
+        assert (record.migrants_sent, record.migrants_accepted) == (
+            hga.migrants_sent, hga.migrants_accepted
+        )
+
+    def test_an_arrival_that_beats_the_best_so_far_becomes_it(self, hga):
+        hga.initialize()
+        hga.epoch = hga.schedule.interval - 1
+        hga.step_epoch()
+        for deme in hga.demes:
+            best = deme.population.best().require_fitness()
+            assert deme.best_so_far.require_fitness() <= best
+
+    def test_report_carries_curves_records_and_counters(self, hga):
+        res = hga.run(max_epochs=4)
+        assert [r.epoch for r in res.records] == [0, 1, 2, 3, 4]
+        assert res.best_curve == [r.global_best for r in res.records]
+        assert len(res.work_curve) == 5 and res.work_curve[-1] == res.work_units
+        assert res.deme_bests == [d.best_so_far.require_fitness() for d in hga.demes]
+        assert 0 < res.migrants_accepted <= res.migrants_sent == 2 * 6 * 3
 
     def test_more_layers_than_fidelities_reuse_cheapest(self):
         hga = HierarchicalGA(
@@ -170,6 +206,10 @@ class TestSpecializedIslandModel:
         pytest.param(
             SimulatedSpecializedIslandModel, (SchafferF2(), 64, 2), "scenario",
             id="sim-specialized",
+        ),
+        pytest.param(
+            HierarchicalGA, (TransonicWingDesign(), 64, 2), "layers and branching",
+            id="hierarchical",
         ),
     ],
 )

@@ -55,6 +55,21 @@ def test_rule_12_flags_a_migration_loop_outside_the_island_machinery(tmp_path):
         assert lint.lint_migration_file(owner) != []
 
 
+def test_rule_12_flags_a_replacement_rule_applied_outside_the_island_machinery(tmp_path):
+    module = tmp_path / "promotes.py"
+    module.write_text(
+        "from repro.core.operators import replacement\n"
+        "from repro.core.operators.replacement import ReplaceWorstIfBetter\n"
+        "def accept(rng, pop, newcomer):\n"
+        "    if ReplaceWorstIfBetter()(rng, pop, newcomer) is None:\n"
+        "        replacement.ReplaceWorst()(rng, pop, newcomer)\n"
+    )
+    first, second = lint.lint_eviction_rule_file(module)
+    assert "promotes.py:4: ReplaceWorstIfBetter(...) outside the island" in first
+    assert "promotes.py:5: ReplaceWorst(...) outside the island" in second
+    assert lint.lint_eviction_rule_file(lint.PARALLEL / "pool.py") != []
+
+
 def _fixture(tmp_path: Path, caller_source: str) -> tuple[Path, Path]:
     """A source tree whose engine forwards one keyword to its base, and a
     caller tree holding ``caller_source``."""

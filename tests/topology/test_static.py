@@ -14,8 +14,10 @@ from repro.topology import (
     RingTopology,
     StarTopology,
     TorusTopology,
+    TreeTopology,
     topology_by_name,
 )
+from repro.topology.static import MAX_TREE_DEMES
 
 CONNECTED = [
     RingTopology(8),
@@ -26,6 +28,7 @@ CONNECTED = [
     TorusTopology(2, 4),
     HypercubeTopology(3),
     RandomRegularTopology(8, k=3, seed=1),
+    TreeTopology(3, 2),
 ]
 
 
@@ -139,6 +142,54 @@ class TestHypercube:
 
     def test_degree_is_dimension(self):
         assert all(HypercubeTopology(4).degree(i) == 4 for i in range(16))
+
+
+class TestTree:
+    def test_heap_layout(self):
+        t = TreeTopology(3, 2)
+        assert [list(t.layer(l)) for l in range(3)] == [[0], [1, 2], [3, 4, 5, 6]]
+        assert [t.children(i) for i in range(7)] == [
+            [1, 2], [3, 4], [5, 6], [], [], [], []
+        ]
+        assert [t.parent(i) for i in range(7)] == [None, 0, 0, 1, 1, 2, 2]
+        assert [t.layer_of(i) for i in range(7)] == [0, 1, 1, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("layers,branching", [(1, 1), (4, 1), (3, 2), (3, 3)])
+    def test_parent_and_children_are_symmetric(self, layers, branching):
+        t = TreeTopology(layers, branching)
+        for i in range(t.size):
+            expected = ([] if i == 0 else [t.parent(i)]) + t.children(i)
+            assert t.neighbors_out(i) == t.neighbors_in(i) == expected
+            for c in t.children(i):
+                assert t.parent(c) == i
+        assert len(t.edges()) == 2 * (t.size - 1)
+
+    @pytest.mark.parametrize(
+        "layers,branching,size", [(1, 1, 1), (5, 1, 5), (1, 3, 1), (3, 2, 7), (4, 3, 40)]
+    )
+    def test_size_is_the_sum_of_the_layers(self, layers, branching, size):
+        t = TreeTopology(layers, branching)
+        assert t.size == size == sum(len(t.layer(l)) for l in range(layers))
+        assert t.diameter() == (2 * (layers - 1) if branching > 1 else layers - 1)
+
+    def test_a_chain_is_a_bidirectional_pipeline(self):
+        t = TreeTopology(4, 1)
+        assert [t.neighbors_out(i) for i in range(4)] == [[1], [0, 2], [1, 3], [2]]
+
+    def test_the_cap_is_reached_exactly(self):
+        assert TreeTopology(MAX_TREE_DEMES, 1).size == MAX_TREE_DEMES
+        with pytest.raises(ValueError, match="layers=1025, branching=1"):
+            TreeTopology(MAX_TREE_DEMES + 1, 1)
+
+    @pytest.mark.parametrize("layers,branching", [(10**6, 1), (10**6, 2), (2, 10**6)])
+    def test_a_huge_tree_is_refused_before_it_is_built(self, layers, branching):
+        with pytest.raises(ValueError, match=f"layers={layers}, branching={branching}"):
+            TreeTopology(layers, branching)
+
+    @pytest.mark.parametrize("layers,branching", [(0, 2), (3, 0)])
+    def test_empty_shapes_are_refused(self, layers, branching):
+        with pytest.raises(ValueError):
+            TreeTopology(layers, branching)
 
 
 class TestRandomRegular:

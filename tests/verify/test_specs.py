@@ -122,6 +122,22 @@ def test_spec_replay_cli_rejects_an_unknown_immigrant_replacement(tmp_path, caps
     assert "replacement: unknown immigrant replacement 'wrost'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [{"layers": 10**6}, {"branching": 10**6}])
+def test_spec_replay_cli_rejects_a_hierarchy_over_the_deme_cap(tmp_path, capsys, shape):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("hierarchical").to_dict()
+    doc["engine"]["params"].update(shape)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    layers = shape.get("layers", 2)
+    branching = shape.get("branching", 2)
+    assert f"layers={layers}, branching={branching}: the tree has more than 1024" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["specialized", "sim-specialized"])
 def test_spec_replay_cli_rejects_a_wrong_kind_scenario(tmp_path, capsys, name):
     from repro.verify.__main__ import main
