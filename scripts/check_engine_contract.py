@@ -126,11 +126,12 @@ copy-pasted per engine, and this check keeps them centralised:
 
 11. **One eviction path.**  Only the replacement operators in
     ``repro/core/operators/replacement.py`` may call
-    ``Population.replace_worst``.  Steady-state insertion, migrant
+    ``Population.replace_worst``.  Steady-state insertion
+    (``SteadyStateEngine.insert``, which the asynchronous farm's
+    completions and the pool's pushes go through too) and migrant
     integration (``integrate_immigrants``, which the hierarchical GA's
-    promotion and demotion go through too) and the pool's push each
-    apply one of those rules, so "whom a newcomer replaces" is written
-    once per rule.
+    promotion and demotion go through too) each apply one of those
+    rules, so "whom a newcomer replaces" is written once per rule.
 
 12. **One migration path.**  Only the island machinery
     (``repro/parallel/island.py`` and ``repro/parallel/hybrid.py``) may
@@ -141,8 +142,20 @@ copy-pasted per engine, and this check keeps them centralised:
     ``_integrate_parcel`` re-scores an arrival wherever its destination
     has its own objective, so no engine keeps a private migration loop
     beside them.  Nor may any other ``repro/parallel`` module than that
-    machinery and the pool's push (``pool.py``) build a replacement rule
-    and apply it itself (``ReplaceWorstIfBetter()(...)`` and friends).
+    machinery build a replacement rule and apply it itself
+    (``ReplaceWorstIfBetter()(...)`` and friends): a steady-state
+    population applies its ``config.replacement`` through
+    ``SteadyStateEngine.insert``.
+
+13. **One evaluation path.**  No ``repro/parallel`` module calls
+    ``.evaluate(...)``, ``.evaluate_many(...)`` or
+    ``.evaluate_batch(...)``: every fitness is assigned by
+    ``EvolutionEngine._evaluate``, the one owner of the evaluation count
+    (so a report's ``evaluations`` is what the problem scored), and every
+    population lives in an engine.  Nor does one call
+    ``sample_population(...)`` except ``cellular.py``'s ``initialize``,
+    which samples one individual per cell before handing them to
+    ``EvolutionEngine.initialize``.
 
 Run from the repository root::
 
@@ -654,10 +667,6 @@ def lint_migration_file(path: Path) -> list[str]:
     ]
 
 
-#: the engine modules that may build and apply a replacement rule (rule 12)
-EVICTION_RULE_OWNERS = MIGRATION_OWNERS | {PARALLEL / "pool.py"}
-
-
 def _replacement_rules() -> set[str]:
     """The survivor-rule classes ``core/operators/replacement.py`` defines."""
     tree = ast.parse(REPLACEMENT_OWNER.read_text())
@@ -669,8 +678,8 @@ def _replacement_rules() -> set[str]:
 
 
 def lint_eviction_rule_file(path: Path) -> list[str]:
-    """Only the island machinery and the pool's push build a replacement
-    rule to apply themselves (rule 12)."""
+    """Only the island machinery builds a replacement rule to apply
+    itself (rule 12)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     rules = _replacement_rules()
     calls = sorted(
@@ -680,11 +689,61 @@ def lint_eviction_rule_file(path: Path) -> list[str]:
         and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in rules
     )
     return [
-        f"{_where(path)}:{line}: {name}(...) outside the island machinery and "
-        "the pool's push — let arrivals enter through _integrate_parcel "
-        "(the migration policy's replacement rule)"
+        f"{_where(path)}:{line}: {name}(...) outside the island machinery — "
+        "let arrivals enter through _integrate_parcel (the migration "
+        "policy's replacement rule) or SteadyStateEngine.insert "
+        "(config.replacement)"
         for line, name in calls
     ]
+
+
+#: the scoring methods rule 13 forbids engine modules to call
+_SCORING_METHODS = {"evaluate", "evaluate_many", "evaluate_batch"}
+
+#: the one (module, function) of repro/parallel that may sample a
+#: population itself (rule 13)
+SAMPLING_OWNER = ("cellular.py", "initialize")
+
+
+def _calls_in_functions(tree: ast.AST) -> list[tuple[ast.Call, str | None]]:
+    """Every call with the name of its innermost enclosing function."""
+    calls: list[tuple[ast.Call, str | None]] = []
+
+    def walk(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call):
+                calls.append((child, function))
+            walk(child, inner)
+
+    walk(tree, None)
+    return calls
+
+
+def lint_scoring_file(path: Path) -> list[str]:
+    """Engine modules score through ``EvolutionEngine._evaluate`` and
+    sample through ``EvolutionEngine.initialize`` (rule 13)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    problems = []
+    for call, function in sorted(
+        _calls_in_functions(tree), key=lambda item: item[0].lineno
+    ):
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        if isinstance(call.func, ast.Attribute) and name in _SCORING_METHODS:
+            problems.append(
+                f"{_where(path)}:{call.lineno}: .{name}(...) in an engine module — "
+                "score through EvolutionEngine._evaluate, the one owner of the "
+                "evaluation count"
+            )
+        elif name == "sample_population" and (path.name, function) != SAMPLING_OWNER:
+            problems.append(
+                f"{_where(path)}:{call.lineno}: sample_population(...) outside "
+                "cellular.py's initialize — seed the population through "
+                "EvolutionEngine.initialize"
+            )
+    return problems
 
 
 #: rule 10: the classes whose keywords must be reached
@@ -915,9 +974,12 @@ def main() -> int:
     migration_files = sorted(p for p in SRC.rglob("*.py") if p not in MIGRATION_OWNERS)
     for path in migration_files:
         problems.extend(lint_migration_file(path))
-    rule_free_files = sorted(p for p in PARALLEL.glob("*.py") if p not in EVICTION_RULE_OWNERS)
+    rule_free_files = sorted(p for p in PARALLEL.glob("*.py") if p not in MIGRATION_OWNERS)
     for path in rule_free_files:
         problems.extend(lint_eviction_rule_file(path))
+    scoring_files = sorted(PARALLEL.glob("*.py"))
+    for path in scoring_files:
+        problems.extend(lint_scoring_file(path))
     problems.extend(lint_knob_reachability())
     for line in problems:
         print(line)
@@ -935,6 +997,7 @@ def main() -> int:
         f"{len(eviction_files)} eviction-rule-only modules + "
         f"{len(migration_files)} migration-loop-free modules + "
         f"{len(rule_free_files)} replacement-rule-free engine modules + "
+        f"{len(scoring_files)} scoring-free engine modules + "
         f"{len(KNOB_CLASS_NAMES)} knob-reachable classes clean"
     )
     return 0

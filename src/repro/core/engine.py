@@ -319,32 +319,48 @@ class SteadyStateEngine(EvolutionEngine):
     One *generation* is defined as ``population_size`` insertions — i.e.
     one full population's worth of births — so convergence curves are
     comparable with the generational engine.
+
+    :meth:`breed_child` and :meth:`insert` are the one steady-state birth
+    and insertion; the generation-free farms drive them directly, one
+    child per completed evaluation.
     """
+
+    def breed_child(self) -> Individual:
+        """Select two parents from the population and return one child,
+        unevaluated, born into the next generation."""
+        assert self.population is not None
+        parents = self.config.selection(
+            self.rng, self.population.individuals, 2, self.problem.maximize
+        )
+        # A full sibling pair is always built and the second child (and
+        # its consumed mutation/repair draws) is discarded.  Deliberate:
+        # this rng draw order is fingerprint-protected (tests pin the
+        # stream).  The vectorized path below makes one child per step.
+        child, _ = offspring_pair(
+            self.rng,
+            self.config,
+            self.problem.spec,
+            parents[0],
+            parents[1],
+            generation=self.state.generation + 1,
+        )
+        return child
+
+    def insert(self, child: Individual) -> None:
+        """Score ``child`` if it has no fitness yet, then let the
+        replacement rule decide whether and whom it evicts."""
+        assert self.population is not None
+        if not child.evaluated:
+            self._evaluate([child])
+        self.config.replacement(self.rng, self.population, child)
 
     def _advance(self) -> None:
         if self._use_vectorized():
             self._advance_vectorized()
             return
         assert self.population is not None
-        cfg = self.config
         for _ in range(len(self.population)):
-            parents = cfg.selection(
-                self.rng, self.population.individuals, 2, self.problem.maximize
-            )
-            # A full sibling pair is always built and the second child (and
-            # its consumed mutation/repair draws) is discarded.  Deliberate:
-            # this rng draw order is fingerprint-protected (tests pin the
-            # stream).  The vectorized path below makes one child per step.
-            child, _ = offspring_pair(
-                self.rng,
-                cfg,
-                self.problem.spec,
-                parents[0],
-                parents[1],
-                generation=self.state.generation + 1,
-            )
-            self._evaluate([child])
-            cfg.replacement(self.rng, self.population, child)
+            self.insert(self.breed_child())
 
     def _advance_vectorized(self) -> None:
         assert self.population is not None

@@ -10,9 +10,12 @@ individual, so heterogeneous farms stay fully utilised (the weakness of
 the synchronous farm E2/E9 quantify).
 
 :class:`SimulatedAsyncMasterSlave` measures utilisation and time on the
-simulated cluster; genetics are a steady-state GA whose insertion order
-depends on completion order (so, unlike the synchronous farm, the
-trajectory legitimately depends on machine speeds — that *is* the model).
+simulated cluster; genetics are a :class:`~repro.core.engine.SteadyStateEngine`
+whose births (:meth:`~repro.core.engine.SteadyStateEngine.breed_child`) are
+dispatched to slaves and whose insertions
+(:meth:`~repro.core.engine.SteadyStateEngine.insert`) follow completion
+order (so, unlike the synchronous farm, the trajectory legitimately
+depends on machine speeds — that *is* the model).
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ import numpy as np
 
 from ..cluster.machine import SimulatedCluster
 from ..core.config import GAConfig
+from ..core.engine import SteadyStateEngine
 from ..obs.session import current_obs
-from ..core.individual import Individual, best_of
+from ..core.individual import Individual
 from ..core.problem import Problem
-from ..core.rng import ensure_rng
-from ..core.variation import offspring_pair
 from ..runtime.deme import emit_generation
 from .base import ParallelEngine, RunReport
 from .classification import (
@@ -83,12 +85,9 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
         if eval_cost <= 0:
             raise ValueError(f"eval_cost must be positive, got {eval_cost}")
         self.problem = problem
-        self.config = (config or GAConfig()).resolved_for(problem.spec)
         self.cluster = cluster
         self.eval_cost = eval_cost
-        self.rng = ensure_rng(seed)
-        self.population: list[Individual] = []
-        self.evaluations = 0
+        self.engine = SteadyStateEngine(problem, config, seed=seed)
 
     def _round_trip(self, slave: int, start: float) -> float:
         """Dispatch + compute + reply duration for one individual on
@@ -109,33 +108,12 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
         reply = net.transit_time(slave, 0, 8.0)
         return (compute_done - start) + reply
 
-    def _breed_one(self) -> Individual:
-        parents = self.config.selection(self.rng, self.population, 2, self.problem.maximize)
-        a, _ = offspring_pair(
-            self.rng, self.config, self.problem.spec, parents[0], parents[1]
-        )
-        return a
-
-    def _insert(self, child: Individual) -> None:
-        from ..core.population import Population
-
-        pop = Population(self.population, maximize=self.problem.maximize)
-        self.config.replacement(self.rng, pop, child)
-        self.population = pop.individuals
-
     def run(self, max_evaluations: int = 5_000) -> RunReport:
         if max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
+        engine = self.engine
         # initial population evaluated up-front (charged to the farm below)
-        genomes = self.problem.spec.sample_population(
-            self.rng, self.config.population_size
-        )
-        self.population = []
-        for g in genomes:
-            ind = Individual(genome=g)
-            ind.fitness = self.problem.evaluate(g)
-            self.population.append(ind)
-        self.evaluations = len(self.population)
+        engine.initialize()
 
         n_slaves = self.cluster.n_nodes - 1
         now = 0.0
@@ -165,27 +143,24 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
 
         # prime every slave
         for s in range(n_slaves):
-            dispatch(s, self._breed_one())
+            dispatch(s, engine.breed_child())
 
         solved = False
-        while self.evaluations < max_evaluations and not solved and in_flight:
+        while engine.state.evaluations < max_evaluations and not solved and in_flight:
             s = int(np.argmin(busy_until))
             now = float(busy_until[s])
-            child = in_flight[s]
-            child.fitness = self.problem.evaluate(child.genome)
-            self.evaluations += 1
             completions[s] += 1
-            self._insert(child)
+            engine.insert(in_flight[s])
             # the loop advances its own clock (no coroutines), so trace
             # records carry `now` explicitly rather than sim.now
             emit_generation(
-                self.cluster.trace, now, deme=0, generation=self.evaluations,
+                self.cluster.trace, now, deme=0, generation=engine.state.evaluations,
                 best=float(self.global_best().require_fitness()),
             )
             if self.problem.is_solved(self.global_best().require_fitness()):
                 solved = True
                 break
-            dispatch(s, self._breed_one())
+            dispatch(s, engine.breed_child())
 
         horizon = max(now, 1e-12)
         utilisation = [float(min(1.0, busy_time[s] / horizon)) for s in range(n_slaves)]
@@ -197,7 +172,7 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
             stop_reason = "max_evaluations"
         return self._report(
             best=self.global_best().copy(),
-            evaluations=self.evaluations,
+            evaluations=engine.state.evaluations,
             epochs=sum(completions),
             solved=solved,
             stop_reason=stop_reason,
@@ -206,4 +181,4 @@ class SimulatedAsyncMasterSlave(ParallelEngine):
         )
 
     def global_best(self) -> Individual:
-        return best_of(self.population, self.problem.maximize)
+        return self.engine.population.best()

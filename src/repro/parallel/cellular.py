@@ -164,8 +164,7 @@ class CellularGA(EvolutionEngine):
         )
         child = a if self.rng.random() < 0.5 else b
         if evaluate:
-            child.fitness = self.problem.evaluate(child.genome)
-            self.state.evaluations += 1
+            self._evaluate([child])
         return child
 
     def _maybe_replace(self, idx: int, child: Individual, target: list[Individual]) -> None:

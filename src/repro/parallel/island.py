@@ -196,9 +196,7 @@ class _IslandBase(ParallelEngine):
         objectives are not comparable."""
         deme = self.demes[i]
         if deme.problem is not self.problem:
-            for m in migrants:
-                m.fitness = deme.problem.evaluate(m.genome)
-                deme.state.evaluations += 1
+            deme._evaluate(migrants)
         self.migrants_accepted += integrate_immigrants(
             self.rng, deme.population, migrants, self.policy, source=src
         )

@@ -148,24 +148,11 @@ class SimulatedMasterSlave(ParallelEngine):
         self.eval_cost = eval_cost
         self.chunks_per_worker = chunks_per_worker
         self.fault_tolerant = fault_tolerant
-        self.engine = GenerationalEngine(
-            problem, config, seed=seed, evaluator=self  # we intercept evaluate()
-        )
+        self.engine = GenerationalEngine(problem, config, seed=seed)
         self.workers = cluster.n_nodes - 1
         self.generation_makespans: list[float] = []
         self.redispatches = 0
         self.lost_chunks = 0
-        self._pending_batch: list | None = None
-
-    # -- FitnessEvaluator interface -------------------------------------------------
-    def evaluate(self, problem: Problem, genomes) -> list[float]:
-        """Called synchronously by the engine; performs the *real* fitness
-        computation immediately and remembers the batch so the running
-        simulation coroutine can charge its simulated cost."""
-        fitnesses = problem.evaluate_many(genomes)
-        if self._pending_batch is not None:
-            self._pending_batch.append(len(genomes))
-        return fitnesses
 
     # -- simulation ----------------------------------------------------------------
     def _farm_generation(self, n_evals: int):
@@ -305,25 +292,23 @@ class SimulatedMasterSlave(ParallelEngine):
             best=float(state.best_fitness) if state.best_fitness is not None else None,
         )
 
+    def _farmed(self, advance):
+        """Coroutine: run one engine generation (``advance``), then price
+        the evaluations it spent — the delta in the engine's count — on
+        the simulated slaves."""
+        before = self.engine.state.evaluations
+        advance()
+        spent = self.engine.state.evaluations - before
+        makespan = yield from self._farm_generation(spent)
+        self.generation_makespans.append(makespan)
+        self._record_generation()
+
     def _master_process(self, termination: Termination):
         """Master coroutine: run generations until termination."""
         engine = self.engine
-        # generation 0
-        self._pending_batch = []
-        engine.initialize()
-        n0 = sum(self._pending_batch)
-        self._pending_batch = None
-        makespan = yield from self._farm_generation(n0)
-        self.generation_makespans.append(makespan)
-        self._record_generation()
+        yield from self._farmed(engine.initialize)  # generation 0
         while not termination.should_stop(engine.state) and not engine._solved():
-            self._pending_batch = []
-            engine.step()
-            n = sum(self._pending_batch)
-            self._pending_batch = None
-            makespan = yield from self._farm_generation(n)
-            self.generation_makespans.append(makespan)
-            self._record_generation()
+            yield from self._farmed(engine.step)
         self._stop_reason = "solved" if engine._solved() else termination.reason()
         # trailing watchdog timers keep the event queue warm after the last
         # generation; the farm's wall time is when the master finished

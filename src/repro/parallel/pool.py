@@ -10,7 +10,11 @@ tolerating high WAN latencies because nothing is barrier-synchronised.
 
 :class:`PooledEvolution` realises that model on the simulated cluster: the
 pool lives on node 0 (the coordinator), agents on the remaining nodes, all
-traffic pays network transit.  The survey's subset-sum test problem is the
+traffic pays network transit.  The pool is a
+:class:`~repro.core.engine.SteadyStateEngine`'s population: it seeds and
+scores through that engine, and each pushed offspring enters through
+:meth:`~repro.core.engine.SteadyStateEngine.insert`, i.e. under
+``config.replacement``.  The survey's subset-sum test problem is the
 canonical workload (see tests/E-suite usage).
 """
 
@@ -22,9 +26,8 @@ from ..cluster.machine import SimulatedCluster
 from ..cluster.sim import Timeout
 from ..obs.session import current_obs
 from ..core.config import GAConfig
+from ..core.engine import SteadyStateEngine
 from ..core.individual import Individual
-from ..core.operators.replacement import ReplaceWorstIfBetter
-from ..core.population import Population
 from ..core.problem import Problem
 from ..core.rng import spawn_rngs
 from ..core.variation import offspring_pair
@@ -51,13 +54,16 @@ class PooledEvolution(ParallelEngine):
     ----------
     problem, config:
         Standard GA configuration; ``config.population_size`` is the pool
-        size.
+        size, ``config.replacement`` decides whom a pushed offspring
+        evicts (by default the worst member, only if the offspring beats
+        it).
     cluster:
         Node 0 hosts the pool; nodes 1.. host one agent each.
     eval_cost:
         Simulated seconds per fitness evaluation (agents pay it locally).
     batch:
-        Individuals pulled (and offspring pushed) per agent transaction.
+        Individuals pulled (and offspring pushed) per agent transaction;
+        at most the pool size, since a pull draws distinct members.
     max_transactions:
         Total pull-breed-push cycles across all agents before stopping.
 
@@ -91,18 +97,23 @@ class PooledEvolution(ParallelEngine):
             raise ValueError(f"batch must be >= 2 (need parents), got {batch}")
         if eval_cost <= 0:
             raise ValueError(f"eval_cost must be positive, got {eval_cost}")
+        if max_transactions < 1:
+            raise ValueError(f"max_transactions must be >= 1, got {max_transactions}")
+        n_agents = cluster.n_nodes - 1
+        rngs = spawn_rngs(seed, n_agents + 1)
+        self.engine = SteadyStateEngine(problem, config, seed=rngs[-1])
+        pool_size = self.engine.config.population_size
+        if batch > pool_size:
+            raise ValueError(
+                f"batch ({batch}) must not exceed population_size ({pool_size}): "
+                "a pull draws distinct members"
+            )
         self.problem = problem
-        self.config = (config or GAConfig()).resolved_for(problem.spec)
         self.cluster = cluster
         self.eval_cost = eval_cost
         self.batch = batch
         self.max_transactions = max_transactions
-        n_agents = cluster.n_nodes - 1
-        rngs = spawn_rngs(seed, n_agents + 1)
-        self._pool_rng = rngs[-1]
         self._agent_rngs = rngs[:-1]
-        self.pool = Population([], maximize=problem.maximize)
-        self.evaluations = 0
         self.pulls = 0
         self._remaining = max_transactions
         self._stop = False
@@ -110,14 +121,9 @@ class PooledEvolution(ParallelEngine):
 
     # -- pool operations (run at the coordinator) -----------------------------------
     def _pool_pull(self) -> list[Individual]:
-        idx = self._pool_rng.choice(len(self.pool), size=self.batch, replace=False)
-        return [self.pool[int(i)].copy() for i in idx]
-
-    def _pool_push(self, offspring: list[Individual]) -> None:
-        """Offspring replace the pool's worst members if they improve them."""
-        push = ReplaceWorstIfBetter()
-        for child in offspring:
-            push(self._pool_rng, self.pool, child)
+        pool = self.engine.population
+        idx = self.engine.rng.choice(len(pool), size=self.batch, replace=False)
+        return [pool[int(i)].copy() for i in idx]
 
     # -- agent coroutine -----------------------------------------------------------------
     def _agent(self, agent_id: int):
@@ -166,14 +172,12 @@ class PooledEvolution(ParallelEngine):
             while len(offspring) < self.batch:
                 pair = rng.choice(len(parents), size=2, replace=False)
                 a, b = offspring_pair(
-                    rng, self.config, self.problem.spec,
+                    rng, self.engine.config, self.problem.spec,
                     parents[int(pair[0])], parents[int(pair[1])],
                 )
                 offspring.extend([a, b])
             offspring = offspring[: self.batch]
-            for child in offspring:
-                child.fitness = self.problem.evaluate(child.genome)
-            self.evaluations += len(offspring)
+            self.engine._evaluate(offspring)
             self.agent_evaluations[agent_id] += len(offspring)
             # breeding suspends across downtime; a permanent crash loses
             # the in-flight offspring (never pushed back to the pool)
@@ -200,7 +204,8 @@ class PooledEvolution(ParallelEngine):
                     "push", t0, self.cluster.sim.now, track=track,
                     agent=agent_id, count=len(offspring),
                 )
-            self._pool_push(offspring)
+            for child in offspring:
+                self.engine.insert(child)
             transactions += 1
             emit_generation(
                 self.cluster.trace,
@@ -215,20 +220,12 @@ class PooledEvolution(ParallelEngine):
                 self._stop = True
 
     def global_best(self) -> Individual:
-        return self.pool.best()
+        return self.engine.population.best()
 
     # -- driver --------------------------------------------------------------------------------
     def run(self) -> RunReport:
         # seed the pool (coordinator pays initial evaluation time implicitly)
-        genomes = self.problem.spec.sample_population(
-            self._pool_rng, self.config.population_size
-        )
-        self.pool = Population(
-            [Individual(genome=g) for g in genomes], maximize=self.problem.maximize
-        )
-        for ind in self.pool:
-            ind.fitness = self.problem.evaluate(ind.genome)
-        self.evaluations += len(self.pool)
+        self.engine.initialize()
         self._obs = current_obs()
         for a in range(self.cluster.n_nodes - 1):
             self.cluster.sim.process(self._agent(a), name=f"agent-{a}")
@@ -237,14 +234,14 @@ class PooledEvolution(ParallelEngine):
         solved = self.problem.is_solved(best.require_fitness())
         return self._report(
             best=best.copy(),
-            evaluations=self.evaluations,
+            evaluations=self.engine.state.evaluations,
             epochs=self.pulls,
             solved=solved,
             stop_reason="solved" if solved else "transactions-exhausted",
             sim_time=self.cluster.sim.now,
             extras={
                 "pulls": self.pulls,
-                "pool_size": len(self.pool),
+                "pool_size": len(self.engine.population),
                 "agent_evaluations": list(self.agent_evaluations),
             },
         )

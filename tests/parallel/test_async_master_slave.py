@@ -50,7 +50,7 @@ class TestAsyncFarm:
     def test_population_size_constant(self):
         farm = make([1.0, 1.0])
         farm.run(max_evaluations=600)
-        assert len(farm.population) == 30
+        assert len(farm.engine.population) == 30
 
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ through node downtime now stall (specialized islands, async
 master-slave).
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -26,6 +27,7 @@ import pytest
 from repro.cluster import Network, SimulatedCluster
 from repro.cluster.faults import FaultPlan
 from repro.core import GAConfig
+from repro.core.problem import evaluations_observed
 from repro.migration import MigrationPolicy
 import repro.parallel
 from repro.parallel import (
@@ -40,7 +42,7 @@ from repro.parallel.base import REPORT_COUNTERS, EpochRecord
 from repro.parallel.specialized import standard_scenarios
 from repro.problems import OneMax
 from repro.problems.multiobjective import SchafferF2
-from repro.spec import ENGINE_BUILDERS, build_run
+from repro.spec import ENGINE_BUILDERS, EngineSpec, build_run
 from repro.verify.engines import (
     audit_engine,
     audit_engines,
@@ -48,7 +50,7 @@ from repro.verify.engines import (
     contract_run,
 )
 from repro.verify.invariants import CheckContext, check_trace
-from repro.verify.specs import exemplar_spec
+from repro.verify.specs import execute, exemplar_spec
 
 ENGINES = contract_engine_names()
 
@@ -129,6 +131,32 @@ def test_migrating_engines_count_their_migrants(name, audits):
     report = audits[name].report
     assert report.migrants_sent > 0
     assert report.migrants_accepted <= report.migrants_sent
+
+
+def _counted_specs():
+    """Every builder's exemplar, plus the cellular islands' line sweep
+    (its cells are scored one at a time, not as one stacked batch)."""
+    specs = {name: exemplar_spec(name) for name in ENGINE_BUILDERS}
+    line_sweep = exemplar_spec("cellular-island")
+    specs["cellular-island/line-sweep"] = dataclasses.replace(
+        line_sweep,
+        engine=EngineSpec(
+            "cellular-island", {**line_sweep.engine.params, "update": "line-sweep"}
+        ),
+    )
+    return specs
+
+
+COUNTED = _counted_specs()
+
+
+@pytest.mark.parametrize("label", list(COUNTED))
+def test_reported_evaluations_are_the_evaluations_made(label):
+    """An engine's evaluation count has one owner: the count it reports
+    is the number of genomes its problem actually scored."""
+    before = evaluations_observed()
+    _, _, report = execute(COUNTED[label])
+    assert report.evaluations == evaluations_observed() - before
 
 
 def test_contract_run_seed_changes_the_run():

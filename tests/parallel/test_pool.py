@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import SimulatedCluster, wan_internet
 from repro.core import GAConfig
+from repro.core.operators import ReplaceWorst
 from repro.parallel import PooledEvolution
 from repro.problems import OneMax, SubsetSum
 
@@ -71,7 +72,7 @@ class TestPooledEvolution:
         # pushing is replace-if-better, so the final pool's worst is at
         # least as good as any initial random individual could guarantee —
         # verify all members evaluated and pool is internally consistent
-        fits = [i.require_fitness() for i in pe.pool]
+        fits = [i.require_fitness() for i in pe.engine.population]
         assert all(np.isfinite(fits))
         assert pe.global_best().require_fitness() == max(fits)
 
@@ -88,6 +89,34 @@ class TestPooledEvolution:
     def test_invalid_batch(self):
         with pytest.raises(ValueError):
             make(batch=1)
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            # a pull samples `batch` distinct members: more than the pool
+            # holds would fail only at the first pull, mid-simulation
+            ({"batch": 31}, r"^batch \(31\) must not exceed population_size \(30\)"),
+            ({"max_transactions": 0}, "^max_transactions must be >= 1, got 0"),
+            ({"max_transactions": -5}, "^max_transactions must be >= 1, got -5"),
+        ],
+        ids=["batch-over-pool", "zero-transactions", "negative-transactions"],
+    )
+    def test_unrunnable_settings_are_rejected_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            make(**setting)
+
+    def test_push_applies_the_configured_replacement(self):
+        def final_pool(config):
+            cluster = SimulatedCluster(4, network=wan_internet().build(4))
+            pe = PooledEvolution(
+                OneMax(24), config, cluster=cluster, max_transactions=40, seed=3
+            )
+            pe.run()
+            return [ind.require_fitness() for ind in pe.engine.population]
+
+        default = final_pool(GAConfig(population_size=30))
+        always = final_pool(GAConfig(population_size=30, replacement=ReplaceWorst()))
+        assert default != always
 
     def test_deterministic(self):
         r1 = make(seed=7, max_transactions=60).run()

@@ -67,7 +67,40 @@ def test_rule_12_flags_a_replacement_rule_applied_outside_the_island_machinery(t
     first, second = lint.lint_eviction_rule_file(module)
     assert "promotes.py:4: ReplaceWorstIfBetter(...) outside the island" in first
     assert "promotes.py:5: ReplaceWorst(...) outside the island" in second
-    assert lint.lint_eviction_rule_file(lint.PARALLEL / "pool.py") != []
+    # the pool pushes through SteadyStateEngine.insert, under config.replacement
+    assert lint.lint_eviction_rule_file(lint.PARALLEL / "pool.py") == []
+
+
+def test_rule_13_flags_scoring_and_sampling_outside_the_engine(tmp_path):
+    module = tmp_path / "scores.py"
+    module.write_text(
+        "def run(self, problem, rng, deme):\n"
+        "    genomes = problem.spec.sample_population(rng, 4)\n"
+        "    fits = [problem.evaluate(g) for g in genomes]\n"
+        "    fits += problem.evaluate_many(genomes)\n"
+        "    deme._evaluate(genomes)\n"
+        "    return problem.evaluate_batch(genomes), evaluate(genomes)\n"
+    )
+    sampling, scalar, many, batch = lint.lint_scoring_file(module)
+    assert "scores.py:2: sample_population(...) outside cellular.py's" in sampling
+    assert "scores.py:3: .evaluate(...) in an engine module" in scalar
+    assert "scores.py:4: .evaluate_many(...) in an engine module" in many
+    assert "scores.py:6: .evaluate_batch(...) in an engine module" in batch
+
+
+def test_rule_13_lets_only_the_cellular_initialize_sample(tmp_path):
+    source = (
+        "class Grid:\n"
+        "    def initialize(self):\n"
+        "        return self.problem.spec.sample_population(self.rng, 4)\n"
+    )
+    cellular = tmp_path / "cellular.py"
+    cellular.write_text(source)
+    assert lint.lint_scoring_file(cellular) == []
+    other = tmp_path / "pool.py"
+    other.write_text(source)
+    (problem,) = lint.lint_scoring_file(other)
+    assert "pool.py:3: sample_population(...) outside" in problem
 
 
 def _fixture(tmp_path: Path, caller_source: str) -> tuple[Path, Path]:

@@ -138,6 +138,29 @@ def test_spec_replay_cli_rejects_a_hierarchy_over_the_deme_cap(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("batch", 21, "batch (21) must not exceed population_size (20)"),
+        ("max_transactions", -5, "max_transactions must be >= 1, got -5"),
+    ],
+    ids=["batch-over-pool", "no-transactions"],
+)
+def test_spec_replay_cli_rejects_an_unrunnable_pool(
+    tmp_path, capsys, field, value, message
+):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("pool").to_dict()
+    doc["engine"]["params"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("name", ["specialized", "sim-specialized"])
 def test_spec_replay_cli_rejects_a_wrong_kind_scenario(tmp_path, capsys, name):
     from repro.verify.__main__ import main
