@@ -497,6 +497,19 @@ _ENCODER = (
     "of the pinned line (an unpickled full trace re-records its events "
     "through it) and trace_digest_walk the independent oracle"
 )
+_RECORD = (
+    "retired per-generation history — EvolutionState and the run's result "
+    "(RunReport.records for the parallel models) are the one record of a "
+    "run; a caller that wants a curve collects it in a callback"
+)
+_HOOKS = (
+    "retired callback wrapper — the engine calls each of its callbacks' "
+    "on_generation itself; any object with that method is a callback"
+)
+_COUNTER = (
+    "retired second evaluation counter — EvolutionEngine._evaluate is the "
+    "one counter (state.evaluations) and budgets are MaxEvaluations"
+)
 _INLINE = (
     "retired in-line trace checker — repro.verify.invariants.check_trace "
     "checks invariants post-hoc only"
@@ -557,7 +570,7 @@ _RETIRED_NAMES = {
     "CellularResult": (
         "retired cellular result type — CellularGA runs on EvolutionEngine's "
         "lifecycle and returns EvolutionResult; sweeps are "
-        "state.generation and the curves are history"
+        "state.generation and a curve is a caller's callback"
     ),
     "ArrayPopulation": (
         "retired array population — nothing converted to it; the batched "
@@ -567,6 +580,16 @@ _RETIRED_NAMES = {
         "retired cellular-island migrant placement — CellularIslandModel is an "
         "IslandModel and integrates migrants with integrate_immigrants"
     ),
+    "History": _RECORD,
+    "GenerationRecord": _RECORD,
+    "PopulationStats": (
+        "retired per-generation statistics — nothing read them; a caller "
+        "that wants them computes them from fitness_array() in a callback"
+    ),
+    "CallbackList": _HOOKS,
+    "LambdaCallback": _HOOKS,
+    "CountingProblem": _COUNTER,
+    "FitnessBudgetExceeded": _COUNTER,
 }
 
 #: names rule 9 additionally forbids under repro/parallel/

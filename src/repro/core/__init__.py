@@ -5,7 +5,7 @@ Everything a *simple GA* (the survey's §1.1) needs; parallel models in
 migration and a (simulated or real) parallel machine.
 """
 
-from .callbacks import Callback, CallbackList, History, LambdaCallback
+from .callbacks import Callback
 from .checkpoint import (
     EngineSnapshot,
     load_checkpoint,
@@ -31,8 +31,8 @@ from .genome import (
 )
 from .individual import Individual, best_of, better, sort_by_fitness, worst_of
 from .niching import SharedFitnessProblem, distinct_peaks, niche_counts
-from .population import Population, PopulationStats
-from .problem import CountingProblem, FitnessBudgetExceeded, Problem, stack_genomes
+from .population import Population
+from .problem import Problem, stack_genomes
 from .rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
 from .variation import offspring_pair
 from .vectorized import supports_vectorized_variation, vector_offspring
@@ -50,9 +50,6 @@ from .termination import (
 
 __all__ = [
     "Callback",
-    "CallbackList",
-    "History",
-    "LambdaCallback",
     "GAConfig",
     "EvolutionEngine",
     "EvolutionResult",
@@ -71,14 +68,11 @@ __all__ = [
     "worst_of",
     "sort_by_fitness",
     "Population",
-    "PopulationStats",
     "SharedFitnessProblem",
     "niche_counts",
     "distinct_peaks",
     "Problem",
-    "CountingProblem",
     "stack_genomes",
-    "FitnessBudgetExceeded",
     "ensure_rng",
     "spawn_rngs",
     "spawn_seeds",

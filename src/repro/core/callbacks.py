@@ -1,94 +1,23 @@
-"""Callbacks and run history recording.
+"""The per-generation observer hook.
 
-Engines invoke callbacks once per generation with the current
-:class:`~repro.core.termination.EvolutionState` and population.  The
-:class:`History` callback is how experiments collect convergence curves
-(best/mean fitness per generation) without engines knowing about metrics.
+Engines call each of their ``callbacks`` once per generation, generation 0
+included, with the current
+:class:`~repro.core.termination.EvolutionState` and population.  A run's
+record is the engine's :class:`~repro.core.termination.EvolutionState` and
+its result; a caller that wants a per-generation curve collects it here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
-from .population import Population, PopulationStats
+from .population import Population
 from .termination import EvolutionState
 
-__all__ = ["Callback", "History", "CallbackList", "LambdaCallback"]
+__all__ = ["Callback"]
 
 
 class Callback(Protocol):
     """Per-generation observer hook."""
 
     def on_generation(self, state: EvolutionState, population: Population) -> None: ...
-
-
-@dataclass
-class GenerationRecord:
-    """One row of a convergence trace."""
-
-    generation: int
-    evaluations: int
-    stats: PopulationStats
-
-    @property
-    def best(self) -> float:
-        return self.stats.best
-
-    @property
-    def mean(self) -> float:
-        return self.stats.mean
-
-
-class History:
-    """Records population statistics every generation."""
-
-    def __init__(self) -> None:
-        self.records: list[GenerationRecord] = []
-
-    def on_generation(self, state: EvolutionState, population: Population) -> None:
-        self.records.append(
-            GenerationRecord(
-                generation=state.generation,
-                evaluations=state.evaluations,
-                stats=population.stats(),
-            )
-        )
-
-    def best_curve(self) -> list[float]:
-        """Best fitness per recorded generation."""
-        return [r.best for r in self.records]
-
-    def mean_curve(self) -> list[float]:
-        """Mean fitness per recorded generation."""
-        return [r.mean for r in self.records]
-
-    def evaluations_curve(self) -> list[int]:
-        return [r.evaluations for r in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class LambdaCallback:
-    """Wrap a plain function as a callback."""
-
-    def __init__(self, fn: Callable[[EvolutionState, Population], None]) -> None:
-        self.fn = fn
-
-    def on_generation(self, state: EvolutionState, population: Population) -> None:
-        self.fn(state, population)
-
-
-class CallbackList:
-    """Fan a generation event out to several callbacks."""
-
-    def __init__(self, callbacks: list[Callback] | None = None) -> None:
-        self.callbacks: list[Callback] = list(callbacks or [])
-
-    def add(self, cb: Callback) -> None:
-        self.callbacks.append(cb)
-
-    def on_generation(self, state: EvolutionState, population: Population) -> None:
-        for cb in self.callbacks:
-            cb.on_generation(state, population)

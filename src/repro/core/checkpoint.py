@@ -4,32 +4,35 @@ Gagné's *transparency/robustness* requirements apply to the driver process
 too: a cluster run that dies at generation 900 of 1000 should resume, not
 restart.  Engines (and island ensembles, which are lists of engines) are
 plain Python objects over NumPy state, so checkpoints are pickles of a
-narrow, versioned snapshot — populations, RNG state, counters — rather
-than of whole engine objects (which would drag problem closures along).
+narrow, versioned snapshot — the population, the RNG state, the
+:class:`~repro.core.termination.EvolutionState` counters and the
+best-so-far, which are the run's whole record — rather than of whole
+engine objects (which would drag problem closures along).  Callbacks are
+the caller's and are not snapshotted.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .callbacks import GenerationRecord
 from .engine import EvolutionEngine
 from .individual import Individual
 from .population import Population
 
 __all__ = ["EngineSnapshot", "snapshot_engine", "restore_engine", "save_checkpoint", "load_checkpoint"]
 
-# v2: adds best-individual provenance (birth_generation, origin) and the
-# History records, so resumed runs report the same trajectory they lived
+# v2: adds best-individual provenance (birth_generation, origin)
 # v3: adds per-individual `origins`, so a resumed population keeps its
 # provenance tags instead of reporting every member as freshly initialized
-_FORMAT_VERSION = 3
-_OLDEST_SUPPORTED_VERSION = 3
+# v4: drops the per-generation history records; a snapshot is the engine's
+# state and population, nothing else
+_FORMAT_VERSION = 4
+_OLDEST_SUPPORTED_VERSION = 4
 
 
 @dataclass
@@ -49,7 +52,6 @@ class EngineSnapshot:
     rng_state: dict[str, Any]
     best_birth_generation: int = 0
     best_origin: str = "init"
-    history_records: list[GenerationRecord] = field(default_factory=list)
 
 
 def snapshot_engine(engine: EvolutionEngine) -> EngineSnapshot:
@@ -71,7 +73,6 @@ def snapshot_engine(engine: EvolutionEngine) -> EngineSnapshot:
         rng_state=engine.rng.bit_generator.state,
         best_birth_generation=best.birth_generation,
         best_origin=best.origin,
-        history_records=list(engine.history.records),
     )
 
 
@@ -79,9 +80,8 @@ def restore_engine(engine: EvolutionEngine, snapshot: EngineSnapshot) -> None:
     """Load ``snapshot`` into a freshly constructed engine.
 
     The engine must wrap the same problem/config; resuming then continues
-    the exact trajectory the snapshotted run would have taken, and the
-    engine's :class:`~repro.core.callbacks.History` picks up exactly where
-    the snapshotted run's left off (pre-restore records are discarded).
+    the exact trajectory the snapshotted run would have taken.  Snapshots
+    of another format version are refused with a :class:`ValueError`.
     """
     if not _OLDEST_SUPPORTED_VERSION <= snapshot.version <= _FORMAT_VERSION:
         raise ValueError(
@@ -114,7 +114,6 @@ def restore_engine(engine: EvolutionEngine, snapshot: EngineSnapshot) -> None:
     )
     best.fitness = snapshot.best_fitness
     engine._best_so_far = best
-    engine.history.records[:] = list(snapshot.history_records)
     engine.rng.bit_generator.state = snapshot.rng_state
 
 

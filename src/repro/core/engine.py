@@ -12,12 +12,12 @@ parallel fitness evaluation plugs in without the engine knowing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .callbacks import Callback, CallbackList, History
+from .callbacks import Callback
 from .config import GAConfig
 from .individual import Individual
 from .operators.replacement import elitist_merge
@@ -61,7 +61,6 @@ class EvolutionResult:
     evaluations: int
     solved: bool
     stop_reason: str
-    history: History = field(repr=False, default_factory=History)
 
     @property
     def best_fitness(self) -> float:
@@ -90,8 +89,7 @@ class EvolutionEngine:
         self.config = base.resolved_for(problem.spec)
         self.rng = ensure_rng(seed)
         self.evaluator: FitnessEvaluator = evaluator or SerialEvaluator()
-        self.history = History()
-        self.callbacks = CallbackList([self.history, *(callbacks or [])])
+        self.callbacks: list[Callback] = list(callbacks or [])
         self.population: Population | None = None
         self.state = EvolutionState(maximize=problem.maximize)
         self._best_so_far: Individual | None = None
@@ -119,7 +117,8 @@ class EvolutionEngine:
             maximize=self.problem.maximize,
         )
         self._best_so_far = pop.best().copy()
-        self.callbacks.on_generation(self.state, pop)
+        for cb in self.callbacks:
+            cb.on_generation(self.state, pop)
         return pop
 
     def step(self) -> Population:
@@ -133,7 +132,8 @@ class EvolutionEngine:
             self.state.stagnant_generations = 0
         else:
             self.state.stagnant_generations += 1
-        self.callbacks.on_generation(self.state, self.population)
+        for cb in self.callbacks:
+            cb.on_generation(self.state, self.population)
         return self.population
 
     def run(self, termination: Termination | int | None = None) -> EvolutionResult:
@@ -162,7 +162,6 @@ class EvolutionEngine:
             evaluations=self.state.evaluations,
             solved=self._solved(),
             stop_reason=stop_reason,
-            history=self.history,
         )
 
     def offer_best(self, candidate: Individual) -> bool:

@@ -52,7 +52,6 @@ class Individual:
     fitness: float | None = None
     birth_generation: int = 0
     origin: str = "init"
-    attrs: dict[str, Any] = field(default_factory=dict)
     uid: int = field(default_factory=lambda: next(_id_counter))
 
     def __init__(
@@ -61,11 +60,10 @@ class Individual:
         fitness: float | None = None,
         birth_generation: int = 0,
         origin: str = "init",
-        attrs: dict[str, Any] | None = None,
         uid: int | None = None,
     ) -> None:
         # one Individual per offspring: set the fields (in field order)
-        # with object.__setattr__ instead of six trips through the guarded
+        # with object.__setattr__ instead of five trips through the guarded
         # __setattr__.  Not self.__dict__.update: touching __dict__ gives
         # every instance a separate dict object, doubling the GC's work.
         # The uid is drawn first so a rejected fitness names it.
@@ -77,7 +75,6 @@ class Individual:
         _set(self, "fitness", fitness)
         _set(self, "birth_generation", birth_generation)
         _set(self, "origin", origin)
-        _set(self, "attrs", {} if attrs is None else attrs)
         _set(self, "uid", uid)
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -90,18 +87,13 @@ class Individual:
         return self.fitness is not None
 
     def copy(self, *, origin: str | None = None) -> "Individual":
-        """Deep-copy the genome; fitness and attrs are carried over."""
+        """Deep-copy the genome; fitness and provenance are carried over."""
         return Individual(
             genome=self.genome.copy(),
             fitness=self.fitness,
             birth_generation=self.birth_generation,
             origin=self.origin if origin is None else origin,
-            attrs=dict(self.attrs),
         )
-
-    def invalidate(self) -> None:
-        """Mark the fitness stale (call after mutating the genome)."""
-        self.fitness = None
 
     def require_fitness(self) -> float:
         if self.fitness is None:

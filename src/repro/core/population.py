@@ -1,4 +1,4 @@
-"""Population container with summary statistics.
+"""Population container.
 
 A :class:`Population` is the unit the survey calls a *generation* when
 time-indexed, and a *deme* when it lives on one node of a parallel model.
@@ -6,37 +6,13 @@ time-indexed, and a *deme* when it lives on one node of a parallel model.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .individual import Individual, best_of, sort_by_fitness, worst_of
+from .individual import Individual, best_of, sort_by_fitness
 
-__all__ = ["Population", "PopulationStats"]
-
-
-@dataclass(frozen=True)
-class PopulationStats:
-    """Snapshot statistics of an evaluated population."""
-
-    size: int
-    best: float
-    worst: float
-    mean: float
-    std: float
-    median: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "size": self.size,
-            "best": self.best,
-            "worst": self.worst,
-            "mean": self.mean,
-            "std": self.std,
-            "median": self.median,
-        }
+__all__ = ["Population"]
 
 
 class Population:
@@ -47,7 +23,7 @@ class Population:
     individuals:
         Initial members (the list is copied; the individuals are not).
     maximize:
-        Direction of improvement, shared by all statistics helpers.
+        Direction of improvement, shared by the ranking helpers.
     """
 
     def __init__(self, individuals: list[Individual], *, maximize: bool = True) -> None:
@@ -74,15 +50,11 @@ class Population:
         self.individuals.extend(inds)
 
     # -- evaluation state ----------------------------------------------------
-    @property
-    def all_evaluated(self) -> bool:
-        return all(ind.evaluated for ind in self.individuals)
-
     def unevaluated(self) -> list[Individual]:
         """Members whose fitness is stale or missing."""
         return [ind for ind in self.individuals if not ind.evaluated]
 
-    # -- statistics -----------------------------------------------------------
+    # -- ranking -----------------------------------------------------------
     def fitness_array(self) -> np.ndarray:
         """All fitness values as a float array (requires full evaluation)."""
         return np.asarray([ind.require_fitness() for ind in self.individuals], dtype=float)
@@ -90,49 +62,13 @@ class Population:
     def best(self) -> Individual:
         return best_of(self.individuals, self.maximize)
 
-    def worst(self) -> Individual:
-        return worst_of(self.individuals, self.maximize)
-
     def sorted(self) -> list[Individual]:
         """Members sorted best-first."""
         return sort_by_fitness(self.individuals, self.maximize)
 
-    def best_index(self) -> int:
-        f = self.fitness_array()
-        return int(np.argmax(f) if self.maximize else np.argmin(f))
-
     def worst_index(self) -> int:
         f = self.fitness_array()
         return int(np.argmin(f) if self.maximize else np.argmax(f))
-
-    def stats(self) -> PopulationStats:
-        """Best/worst/mean/std/median, equal by value to ``f.mean()``,
-        ``f.std()`` and ``np.median(f)`` (this runs every generation).
-
-        Mean and variance reduce with ``np.add.reduce`` and divide by the
-        count, as NumPy's own ``mean``/``var`` do.  The median averages the
-        middle of ``np.partition`` the same way ``np.median`` does, so a
-        ``-0.0`` tie comes out as ``0.0`` there too.
-        """
-        f = self.fitness_array()
-        n = f.size
-        if n == 0:
-            raise ValueError("cannot compute stats of empty population")
-        lo, hi = float(f.min()), float(f.max())
-        mean = np.add.reduce(f) / n
-        dev = f - mean
-        half = n // 2
-        middle = np.partition(f, half if n % 2 else [half - 1, half])[
-            half - 1 + n % 2 : half + 1
-        ]
-        return PopulationStats(
-            size=n,
-            best=hi if self.maximize else lo,
-            worst=lo if self.maximize else hi,
-            mean=float(mean),
-            std=math.sqrt(np.add.reduce(dev * dev) / n),
-            median=float(np.add.reduce(middle) / middle.size),
-        )
 
     # -- transformation -------------------------------------------------------
     def copy(self) -> "Population":
@@ -145,15 +81,3 @@ class Population:
         evicted = self.individuals[idx]
         self.individuals[idx] = newcomer
         return evicted
-
-    def truncate(self, n: int) -> None:
-        """Keep only the ``n`` best members."""
-        if n < 0:
-            raise ValueError(f"cannot truncate to negative size {n}")
-        self.individuals = self.sorted()[:n]
-
-    def map_genomes(self, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-        """Apply ``fn`` in place to each genome, invalidating fitness."""
-        for ind in self.individuals:
-            ind.genome = fn(ind.genome)
-            ind.invalidate()

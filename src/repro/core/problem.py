@@ -11,7 +11,6 @@ finding a solution).
 from __future__ import annotations
 
 import abc
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +19,6 @@ from .genome import GenomeSpec
 
 __all__ = [
     "Problem",
-    "CountingProblem",
-    "FitnessBudgetExceeded",
     "stack_genomes",
     "evaluations_observed",
 ]
@@ -125,96 +122,3 @@ class Problem(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{self.name}(length={self.spec.length}, maximize={self.maximize})"
-
-
-class FitnessBudgetExceeded(RuntimeError):
-    """Raised by :class:`CountingProblem` when the evaluation budget runs out."""
-
-
-class CountingProblem(Problem):
-    """Wrapper that counts evaluations and optionally enforces a budget.
-
-    Parallel experiments compare algorithms by *evaluations to solution* —
-    the machine-independent cost measure the super-linear-speedup literature
-    (Alba 2002) uses — so exact counting lives here rather than scattered
-    through engines.
-
-    Counting is thread-safe (a thread executor's chunks call
-    ``evaluate_many`` concurrently) and the budget is only charged for evaluations that
-    actually complete: an inner evaluation that raises refunds its
-    reservation.
-    """
-
-    def __init__(self, inner: Problem, budget: int | None = None) -> None:
-        self.inner = inner
-        self.spec = inner.spec
-        self.maximize = inner.maximize
-        self.optimum = inner.optimum
-        self.target = inner.target
-        self.budget = budget
-        self.evaluations = 0
-        self._lock = threading.Lock()
-
-    # locks are unpicklable; recreate on the other side of a process hop
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    # -- budget accounting -----------------------------------------------------
-    def reserve(self, n: int) -> None:
-        """Atomically charge ``n`` evaluations against the budget.
-
-        Raises :class:`FitnessBudgetExceeded` (charging nothing) when the
-        budget cannot cover them.  Executors that farm work to processes
-        call this driver-side so worker-side counts cannot be lost.
-        """
-        with self._lock:
-            if self.budget is not None and self.evaluations + n > self.budget:
-                raise FitnessBudgetExceeded(
-                    f"budget of {self.budget} evaluations exhausted"
-                )
-            self.evaluations += n
-
-    def refund(self, n: int) -> None:
-        """Return ``n`` reserved evaluations (the inner evaluation failed)."""
-        with self._lock:
-            self.evaluations -= n
-
-    def evaluate(self, genome: np.ndarray) -> float:
-        self.reserve(1)
-        try:
-            return self.inner.evaluate(genome)
-        except BaseException:
-            self.refund(1)
-            raise
-
-    def evaluate_many(self, genomes: Sequence[np.ndarray] | np.ndarray) -> list[float]:
-        n = len(genomes)
-        self.reserve(n)
-        try:
-            return self.inner.evaluate_many(genomes)
-        except BaseException:
-            self.refund(n)
-            raise
-
-    def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
-        n = len(genomes)
-        self.reserve(n)
-        try:
-            return self.inner.evaluate_batch(genomes)
-        except BaseException:
-            self.refund(n)
-            raise
-
-    def reset(self) -> None:
-        with self._lock:
-            self.evaluations = 0
-
-    @property
-    def name(self) -> str:
-        return f"Counting({self.inner.name})"

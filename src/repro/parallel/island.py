@@ -48,7 +48,7 @@ from ..runtime.deme import (
     emit_generation,
 )
 from ..topology.dynamic import DynamicTopology
-from ..topology.static import RingTopology, Topology
+from ..topology.static import MAX_DEMES, RingTopology, Topology
 from .base import EpochRecord, ParallelEngine, RunReport
 from .classification import (
     GrainModel,
@@ -105,6 +105,8 @@ class _IslandBase(ParallelEngine):
     ) -> None:
         if n_islands < 1:
             raise ValueError(f"need >= 1 island, got {n_islands}")
+        if n_islands > MAX_DEMES:
+            raise ValueError(f"n_islands={n_islands}: more than {MAX_DEMES} demes")
         self.problem = problem
         self.trace = trace
         self.n_islands = n_islands

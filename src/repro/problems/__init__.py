@@ -7,7 +7,7 @@ easy, deceptive, multimodal, NP-complete and epistatic landscapes;
 
 from typing import Callable
 
-from ..core.problem import CountingProblem, Problem
+from ..core.problem import Problem
 from .binary import (
     DeceptiveTrap,
     LeadingOnes,
@@ -51,7 +51,6 @@ from .multiobjective import (
 
 __all__ = [
     "Problem",
-    "CountingProblem",
     # binary
     "OneMax",
     "ZeroMax",

@@ -11,6 +11,11 @@ worker exactly once — the mpi4py tutorial's broadcast-once idiom — rather
 than pickled per task.  Per-generation traffic is one contiguous ``(n, L)``
 array slice per chunk (genomes out) and one list of floats back per chunk
 (fitnesses in); no per-genome object lists cross the process boundary.
+
+Executors count nothing: the engine that calls them
+(:meth:`repro.core.engine.EvolutionEngine._evaluate`) is the one evaluation
+counter, on the driver side, so worker-side copies of the problem carry no
+state that must come back.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.problem import CountingProblem, Problem, stack_genomes
+from ..core.problem import Problem, stack_genomes
 from .resilient import QuarantinedTask, QuarantineError, ResilienceConfig, SupervisedPool
 
 __all__ = [
@@ -97,17 +102,6 @@ def _eval_chunk(genomes: np.ndarray | list[np.ndarray]) -> list[float]:
     return _WORKER_PROBLEM.evaluate_many(genomes)
 
 
-def _objective_payload(problem: Problem) -> tuple[Problem, bytes]:
-    """The problem actually shipped to workers, and its pickled bytes.
-
-    A :class:`CountingProblem` is unwrapped: workers evaluate the inner
-    objective only, and all counting/budget enforcement happens driver-side
-    (worker-side counters live in forked copies and never reach the driver).
-    """
-    target = problem.inner if isinstance(problem, CountingProblem) else problem
-    return target, pickle.dumps(target, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 class MultiprocessingExecutor:
     """Process-pool evaluation — real distributed-memory data parallelism.
 
@@ -126,9 +120,7 @@ class MultiprocessingExecutor:
         of the pickled objective recorded here — that it is handed the same
         objective the workers hold, so a different instance of the same
         class (or a reconfigured wrapper) cannot silently evaluate against
-        a stale objective.  :class:`CountingProblem` wrappers are unwrapped
-        before broadcast; their counting and budget enforcement run
-        driver-side.
+        a stale objective.
     workers:
         Pool size; defaults to the CPU count.
     resilience:
@@ -146,7 +138,7 @@ class MultiprocessingExecutor:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        _, payload = _objective_payload(problem)
+        payload = pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)
         self._objective_digest = hashlib.sha256(payload).hexdigest()
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self._pool = SupervisedPool(
@@ -165,37 +157,26 @@ class MultiprocessingExecutor:
     def evaluate(
         self, problem: Problem, genomes: Sequence[np.ndarray] | np.ndarray
     ) -> list[float]:
-        target, payload = _objective_payload(problem)
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != self._objective_digest:
+        payload = pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)
+        if hashlib.sha256(payload).hexdigest() != self._objective_digest:
             raise ValueError(
                 f"executor was initialised for a different objective than "
-                f"{target.name}: workers would evaluate a stale problem"
+                f"{problem.name}: workers would evaluate a stale problem"
             )
         n = len(genomes)
         if n == 0:
             return []
-        counting = problem if isinstance(problem, CountingProblem) else None
-        if counting is not None:
-            counting.reserve(n)  # driver-side budget check + count
-        try:
-            batch = stack_genomes(genomes)
-            spans = chunk_indices(n, self.workers)
-            if batch is not None:
-                # one contiguous array per chunk: a single pickle buffer
-                # instead of a list of per-genome objects
-                chunks = [np.ascontiguousarray(batch[a:b]) for a, b in spans]
-            else:
-                chunks = [list(genomes[a:b]) for a, b in spans]
-            results = self._pool.run_batch(chunks)
-        except BaseException:
-            if counting is not None:
-                counting.refund(n)
-            raise
+        batch = stack_genomes(genomes)
+        spans = chunk_indices(n, self.workers)
+        if batch is not None:
+            # one contiguous array per chunk: a single pickle buffer
+            # instead of a list of per-genome objects
+            chunks = [np.ascontiguousarray(batch[a:b]) for a, b in spans]
+        else:
+            chunks = [list(genomes[a:b]) for a, b in spans]
+        results = self._pool.run_batch(chunks)
         quarantined = [r for r in results if isinstance(r, QuarantinedTask)]
         if quarantined:
-            if counting is not None:
-                counting.refund(n)
             raise QuarantineError(quarantined)
         out: list[float] = []
         for r in results:

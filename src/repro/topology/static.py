@@ -148,8 +148,8 @@ class PipelineTopology(Topology):
         return [i - 1] if i > 0 else []
 
 
-#: the most demes a :class:`TreeTopology` may hold
-MAX_TREE_DEMES = 1024
+#: the most demes an island model or a :class:`TreeTopology` may hold
+MAX_DEMES = 1024
 
 
 class TreeTopology(Topology):
@@ -159,7 +159,7 @@ class TreeTopology(Topology):
     so layer ``l`` holds ``b**l`` consecutive demes, numbered left to right
     after the layer above.  Edges run both ways: a deme exchanges with its
     parent and its children (the hierarchical GA's promotion and
-    demotion).  Trees over :data:`MAX_TREE_DEMES` demes are refused.
+    demotion).  Trees over :data:`MAX_DEMES` demes are refused.
     """
 
     def __init__(self, layers: int, branching: int) -> None:
@@ -170,10 +170,10 @@ class TreeTopology(Topology):
         # the first deme of each layer, counted only as far as the cap
         starts, width = [0], 1
         for _ in range(layers):
-            if starts[-1] + width > MAX_TREE_DEMES:
+            if starts[-1] + width > MAX_DEMES:
                 raise ValueError(
                     f"layers={layers}, branching={branching}: the tree has "
-                    f"more than {MAX_TREE_DEMES} demes"
+                    f"more than {MAX_DEMES} demes"
                 )
             starts.append(starts[-1] + width)
             width *= branching

@@ -1,6 +1,7 @@
 """Tests for engine checkpoint/resume."""
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,29 +137,35 @@ class TestProvenanceAndHistory:
         assert resumed.best_so_far.birth_generation == best.birth_generation
         assert resumed.best_so_far.origin == best.origin
 
-    def test_history_records_survive_restore(self):
-        eng = fresh_engine(seed=6)
-        eng.run(8)
-        snap = snapshot_engine(eng)
-        resumed = fresh_engine(seed=6)
-        resumed.run(3)  # pre-restore history must be discarded
-        restore_engine(resumed, snap)
-        assert len(resumed.history.records) == len(eng.history.records)
-        assert [r.generation for r in resumed.history.records] == [
-            r.generation for r in eng.history.records
-        ]
-
     def test_resumed_history_is_continuous(self):
-        """After restore+run, History holds one unbroken generation sequence."""
+        """After restore+run, a callback sees one unbroken generation
+        sequence that starts after the snapshot's generation."""
         eng = fresh_engine(seed=8)
         eng.run(5)
         snap = snapshot_engine(eng)
-        resumed = fresh_engine(seed=8)
+        gens = []
+        resumed = GenerationalEngine(
+            OneMax(24),
+            GAConfig(population_size=12, elitism=1),
+            seed=8,
+            callbacks=[SimpleNamespace(on_generation=lambda s, p: gens.append(s.generation))],
+        )
         restore_engine(resumed, snap)
         resumed.run(10)
-        gens = [r.generation for r in resumed.history.records]
-        assert gens == sorted(gens)
-        assert len(gens) == len(set(gens)), "duplicate generations in History"
+        assert gens == list(range(snap.generation + 1, 11))
+
+    def test_v3_snapshot_rejected(self):
+        """Format 3 carried per-generation history records; format 4 drops
+        them, and a v3 snapshot is refused before any field is read."""
+        eng = fresh_engine(seed=8)
+        eng.run(2)
+        snap = snapshot_engine(eng)
+        snap.version = 3
+        snap.history_records = []  # what unpickling a v3 file yields
+        resumed = fresh_engine(seed=8)
+        with pytest.raises(ValueError, match=r"checkpoint format 3 not in supported range \[4, 4\]"):
+            restore_engine(resumed, snap)
+        assert resumed.population is None
 
     def test_old_format_version_rejected_before_field_access(self):
         eng = fresh_engine()

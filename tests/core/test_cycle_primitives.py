@@ -9,7 +9,7 @@ a change to a primitive cannot move an experiment fingerprint unnoticed.
 import numpy as np
 import pytest
 
-from repro.core import BinarySpec, Individual, Population
+from repro.core import BinarySpec
 from repro.core.operators.crossover import TwoPointCrossover
 from repro.core.operators.mutation import BitFlipMutation
 from repro.core.problem import stack_genomes
@@ -97,44 +97,6 @@ class TestBinaryRepair:
         assert not np.shares_memory(out, g)
         out[:] = 5
         assert np.array_equal(g, before)
-
-
-def _population(values, maximize):
-    return Population(
-        [Individual(genome=np.zeros(1), fitness=v) for v in values], maximize=maximize
-    )
-
-
-class TestPopulationStats:
-    @staticmethod
-    def _check(values):
-        f = np.asarray(values, dtype=float)
-        for maximize in (True, False):
-            s = _population(values, maximize).stats()
-            assert s.size == f.size
-            assert repr(s.best) == repr(float(f.max() if maximize else f.min()))
-            assert repr(s.worst) == repr(float(f.min() if maximize else f.max()))
-            assert repr(s.mean) == repr(float(f.mean()))
-            assert repr(s.std) == repr(float(f.std()))
-            assert repr(s.median) == repr(float(np.median(f)))
-            floats = (s.best, s.worst, s.mean, s.std, s.median)
-            assert all(type(v) is float for v in floats)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 62, 63, 200, 1001])
-    def test_matches_numpy_by_repr(self, n):
-        rng = np.random.default_rng(n)
-        for scale in (1.0, 1e-300, 1e150):
-            self._check((rng.standard_normal(n) * scale).tolist())
-        # heavy ties, as converged OneMax populations have
-        self._check(rng.integers(0, 4, size=n).astype(float).tolist())
-
-    @pytest.mark.parametrize(
-        "values",
-        [[-0.0], [0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, -0.0],
-         [-0.0, 0.0, -0.0, 0.0], [1.0, -0.0, -1.0], [-0.0, -0.0, 5.0, -3.0]],
-    )
-    def test_signed_zero_ties_match_numpy(self, values):
-        self._check(values)
 
 
 class TestStackGenomes:

@@ -1,5 +1,7 @@
 """Unit + behavioural tests for the sequential engines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ class TestInitialization:
     def test_initialize_evaluates_everyone(self, onemax):
         eng = GenerationalEngine(onemax, GAConfig(population_size=10), seed=1)
         pop = eng.initialize()
-        assert len(pop) == 10 and pop.all_evaluated
+        assert len(pop) == 10 and not pop.unevaluated()
         assert eng.state.evaluations == 10
 
     def test_initialize_with_seeded_individuals(self, onemax):
@@ -32,10 +34,14 @@ class TestInitialization:
         pop = eng.initialize(seeds)
         assert pop.best().fitness == 20.0
 
-    def test_history_records_generation_zero(self, onemax):
-        eng = GenerationalEngine(onemax, GAConfig(population_size=6), seed=1)
+    def test_callbacks_see_generation_zero(self, onemax):
+        seen = []
+        cb = SimpleNamespace(on_generation=lambda s, p: seen.append((s.generation, len(p))))
+        eng = GenerationalEngine(
+            onemax, GAConfig(population_size=6), seed=1, callbacks=[cb]
+        )
         eng.initialize()
-        assert len(eng.history) == 1
+        assert seen == [(0, 6)]
 
     def test_result_before_init_raises(self, onemax):
         eng = GenerationalEngine(onemax, seed=1)
@@ -121,9 +127,9 @@ class TestSteadyState:
     def test_default_replacement_never_worsens(self, onemax):
         eng = SteadyStateEngine(onemax, GAConfig(population_size=10), seed=2)
         eng.initialize()
-        worst_before = eng.population.worst().fitness
+        worst_before = eng.population.fitness_array().min()
         eng.step()
-        assert eng.population.worst().fitness >= worst_before
+        assert eng.population.fitness_array().min() >= worst_before
 
 
 class TestTerminationIntegration:

@@ -30,20 +30,14 @@ class TestIndividual:
         b.genome[0] = 99.0
         assert a.genome[0] == 1.0
 
-    def test_copy_preserves_fitness_and_attrs(self):
-        a = ind(2.5)
-        a.attrs["tag"] = "x"
+    def test_copy_preserves_fitness_and_provenance(self):
+        a = Individual(genome=np.zeros(3), fitness=2.5, birth_generation=4, origin="cx")
         b = a.copy()
-        assert b.fitness == 2.5 and b.attrs == {"tag": "x"}
+        assert (b.fitness, b.birth_generation, b.origin) == (2.5, 4, "cx")
 
     def test_copy_can_override_origin(self):
         b = ind(1.0).copy(origin="migrant:3")
         assert b.origin == "migrant:3"
-
-    def test_invalidate_clears_fitness(self):
-        a = ind(1.0)
-        a.invalidate()
-        assert not a.evaluated
 
     def test_uids_are_unique(self):
         assert ind().uid != ind().uid
@@ -108,7 +102,7 @@ class TestFitnessGuard:
         assert i.fitness == 3.5
         i.fitness = None
         assert not i.evaluated
-        i.invalidate()  # re-invalidation of None stays fine
+        i.fitness = None  # re-assigning None stays fine
 
     def test_numpy_floats_allowed(self):
         i = Individual(genome=np.zeros(3))
@@ -132,33 +126,31 @@ class TestConstruction:
         g = np.zeros(3)
         i = Individual(g, 1.5, 4, "cx")
         assert i.genome is g and i.fitness == 1.5
-        assert i.birth_generation == 4 and i.origin == "cx" and i.attrs == {}
+        assert i.birth_generation == 4 and i.origin == "cx"
         j = Individual(genome=g)
         assert (j.fitness, j.birth_generation, j.origin) == (None, 0, "init")
 
-    def test_uids_increase_and_attrs_are_not_shared(self):
+    def test_uids_increase_unless_given(self):
         a, b = Individual(genome=np.zeros(1)), Individual(genome=np.zeros(1))
         assert b.uid == a.uid + 1
-        a.attrs["k"] = 1
-        assert b.attrs == {}
         assert Individual(genome=np.zeros(1), uid=7).uid == 7
 
     def test_fields_order_matches_instance_dict(self):
         i = Individual(genome=np.zeros(2), fitness=1.0)
         names = [f.name for f in dataclasses.fields(Individual)]
         assert names == [
-            "genome", "fitness", "birth_generation", "origin", "attrs", "uid",
+            "genome", "fitness", "birth_generation", "origin", "uid",
         ]
         assert list(vars(i)) == names
 
     def test_replace_and_pickle_round_trip(self):
-        i = Individual(genome=np.arange(3), fitness=2.0, origin="cx", attrs={"a": 1})
+        i = Individual(genome=np.arange(3), fitness=2.0, origin="cx")
         r = dataclasses.replace(i, fitness=3.0)
-        assert r.uid == i.uid and r.fitness == 3.0 and r.attrs == {"a": 1}
+        assert r.uid == i.uid and r.fitness == 3.0 and r.origin == "cx"
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(i, fitness=float("inf"))
         p = pickle.loads(pickle.dumps(i))
-        assert (p.uid, p.fitness, p.origin, p.attrs) == (i.uid, 2.0, "cx", {"a": 1})
+        assert (p.uid, p.fitness, p.origin) == (i.uid, 2.0, "cx")
         assert np.array_equal(p.genome, i.genome)
         with pytest.raises(ValueError, match="finite"):
             p.fitness = float("nan")

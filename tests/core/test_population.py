@@ -1,9 +1,8 @@
 """Unit tests for Population."""
 
 import numpy as np
-import pytest
 
-from repro.core import Individual, Population
+from repro.core import Individual
 
 from ..conftest import make_population
 
@@ -24,44 +23,23 @@ class TestContainer:
 
 
 class TestEvaluationState:
-    def test_all_evaluated(self):
+    def test_unevaluated_lists_members_without_fitness(self):
         pop = make_population([1, 2])
-        assert pop.all_evaluated
-        pop[0].invalidate()
-        assert not pop.all_evaluated
+        assert pop.unevaluated() == []
+        pop[0].fitness = None
         assert pop.unevaluated() == [pop[0]]
 
 
 class TestStats:
-    def test_stats_maximize(self):
-        pop = make_population([1, 2, 3, 4])
-        s = pop.stats()
-        assert s.best == 4 and s.worst == 1
-        assert s.mean == 2.5 and s.median == 2.5
-        assert s.size == 4
-
-    def test_stats_minimize(self):
-        pop = make_population([1, 2, 3, 4], maximize=False)
-        s = pop.stats()
-        assert s.best == 1 and s.worst == 4
-
-    def test_best_worst_index(self):
+    def test_best_and_worst_index(self):
         pop = make_population([2, 5, 1])
-        assert pop.best_index() == 1 and pop.worst_index() == 2
+        assert pop.best().fitness == 5 and pop.worst_index() == 2
         pop2 = make_population([2, 5, 1], maximize=False)
-        assert pop2.best_index() == 2 and pop2.worst_index() == 1
+        assert pop2.best().fitness == 1 and pop2.worst_index() == 1
 
     def test_sorted_best_first(self):
         pop = make_population([2, 5, 1], maximize=False)
         assert [i.fitness for i in pop.sorted()] == [1, 2, 5]
-
-    def test_empty_population_stats_raise(self):
-        with pytest.raises(ValueError):
-            Population([], maximize=True).stats()
-
-    def test_stats_as_dict_roundtrip(self):
-        d = make_population([1.0, 3.0]).stats().as_dict()
-        assert d["best"] == 3.0 and d["size"] == 2
 
 
 class TestTransformations:
@@ -73,25 +51,11 @@ class TestTransformations:
         assert evicted.fitness == 1
         assert pop.best().fitness == 10.0
 
-    def test_truncate_keeps_best(self):
-        pop = make_population([5, 1, 3, 4])
-        pop.truncate(2)
-        assert sorted(i.fitness for i in pop) == [4, 5]
-
-    def test_truncate_negative_raises(self):
-        with pytest.raises(ValueError):
-            make_population([1]).truncate(-1)
-
     def test_copy_is_deep(self):
         pop = make_population([1, 2])
         clone = pop.copy()
         clone[0].genome[0] = 42
         assert pop[0].genome[0] != 42
-
-    def test_map_genomes_invalidates(self):
-        pop = make_population([1, 2])
-        pop.map_genomes(lambda g: g + 1)
-        assert not pop.all_evaluated
 
     def test_fitness_array(self):
         f = make_population([1.5, 2.5]).fitness_array()

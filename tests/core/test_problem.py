@@ -1,9 +1,6 @@
-"""Unit tests for the Problem abstraction and CountingProblem."""
+"""Unit tests for the Problem abstraction."""
 
-import numpy as np
-import pytest
-
-from repro.core import BinarySpec, CountingProblem, FitnessBudgetExceeded, Problem
+from repro.core import BinarySpec, Problem
 from repro.problems import OneMax, ZeroMax
 
 
@@ -44,38 +41,3 @@ class TestEvaluateMany:
         p = OneMax(8)
         genomes = [p.spec.sample(rng) for _ in range(5)]
         assert p.evaluate_many(genomes) == [p.evaluate(g) for g in genomes]
-
-
-class TestCountingProblem:
-    def test_counts_scalar_and_bulk(self, rng):
-        p = CountingProblem(OneMax(8))
-        p.evaluate(p.spec.sample(rng))
-        p.evaluate_many([p.spec.sample(rng) for _ in range(4)])
-        assert p.evaluations == 5
-
-    def test_budget_enforced_scalar(self, rng):
-        p = CountingProblem(OneMax(8), budget=2)
-        g = p.spec.sample(rng)
-        p.evaluate(g)
-        p.evaluate(g)
-        with pytest.raises(FitnessBudgetExceeded):
-            p.evaluate(g)
-
-    def test_budget_enforced_bulk(self, rng):
-        p = CountingProblem(OneMax(8), budget=3)
-        with pytest.raises(FitnessBudgetExceeded):
-            p.evaluate_many([p.spec.sample(rng) for _ in range(4)])
-
-    def test_reset(self, rng):
-        p = CountingProblem(OneMax(8))
-        p.evaluate(p.spec.sample(rng))
-        p.reset()
-        assert p.evaluations == 0
-
-    def test_forwards_metadata(self):
-        inner = OneMax(8)
-        p = CountingProblem(inner)
-        assert p.maximize == inner.maximize
-        assert p.optimum == inner.optimum
-        assert p.spec is inner.spec
-        assert "OneMax" in p.name

@@ -40,7 +40,7 @@ class TestReplaceWorstIfBetter:
     def test_accepts_improvement(self, rng):
         pop = make_population([3, 1, 2])
         assert ReplaceWorstIfBetter()(rng, pop, newcomer(1.5)) is not None
-        assert pop.worst().fitness == 1.5
+        assert pop[pop.worst_index()].fitness == 1.5
 
     def test_rejects_non_improvement(self, rng):
         pop = make_population([3, 1, 2])

@@ -100,7 +100,7 @@ class TestIntegrateImmigrants:
             rng, pop, [migrant(0.1)], MigrationPolicy(replacement="worst")
         )
         assert n == 1
-        assert pop.worst().fitness == 0.1
+        assert pop[pop.worst_index()].fitness == 0.1
 
     def test_worst_if_better_rejects_bad(self, rng):
         pop = make_population([5, 1, 3])
@@ -115,7 +115,7 @@ class TestIntegrateImmigrants:
         n = integrate_immigrants(
             rng, pop, [migrant(4.0)], MigrationPolicy(replacement="worst-if-better")
         )
-        assert n == 1 and pop.worst().fitness == 3
+        assert n == 1 and pop[pop.worst_index()].fitness == 3
 
     def test_random_replacement_keeps_size(self, rng):
         pop = make_population([5, 1, 3])
@@ -146,7 +146,7 @@ class TestIntegrateImmigrants:
         n = integrate_immigrants(
             rng, pop, [migrant(0.5)], MigrationPolicy(replacement="worst-if-better")
         )
-        assert n == 1 and pop.worst().fitness == 3
+        assert n == 1 and pop[pop.worst_index()].fitness == 3
 
     @pytest.mark.parametrize("maximize", [True, False])
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, Individual, MaxGenerations
+from repro.core import GAConfig, Individual
 from repro.parallel import UPDATE_POLICIES, CellularGA
 from repro.problems import OneMax, ZeroMax
 from repro.topology import MooreNeighborhood
@@ -98,15 +98,22 @@ class TestLocality:
 class TestTracking:
     def test_best_curve_monotone(self):
         cga = CellularGA(OneMax(16), rows=4, cols=4, seed=9)
-        cga.run(20)
-        curve = cga.history.best_curve()
+        cga.initialize()
+        curve = [cga.population.best().fitness]
+        for _ in range(20):
+            cga.step()
+            curve.append(cga.population.best().fitness)
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_result_fields(self):
         cga = CellularGA(OneMax(16), rows=4, cols=4, seed=10)
-        res = cga.run(MaxGenerations(15))
-        assert res.generations <= 15
-        assert len(res.history.best_curve()) == res.generations + 1
+        cga.initialize()
+        steps = 0
+        for _ in range(15):
+            cga.step()
+            steps += 1
+        res = cga.result()
+        assert res.generations == steps == 15
         assert res.evaluations > 0
 
     def test_deterministic(self):

@@ -281,7 +281,7 @@ class TestCellularIslandModel:
             bad = Individual(genome=np.zeros(16, dtype=np.int8))
             bad.fitness = 0.0
             m.demes[0].population[c] = bad
-        assert m.demes[1].population.worst().require_fitness() > 0.0
+        assert m.demes[1].population.fitness_array().min() > 0.0
         m.epoch = 5  # the periodic schedule (interval 5) fires
         m._lifecycle_exchange()
         # deme 0's zero cells all bounce off deme 1; deme 1's three best land

@@ -19,9 +19,11 @@ from repro.parallel import (
     engine_class_by_name,
     standard_scenarios,
 )
+from repro.parallel import island as island_module
 from repro.parallel.island import _IslandBase
 from repro.problems import DeceptiveTrap, OneMax, SchafferF2
 from repro.topology import CompleteTopology, IsolatedTopology, RingTopology
+from repro.topology.static import MAX_DEMES
 
 
 class TestConstruction:
@@ -38,6 +40,22 @@ class TestConstruction:
     def test_topology_size_mismatch(self):
         with pytest.raises(ValueError):
             IslandModel(OneMax(8), 4, topology=RingTopology(5))
+
+    @pytest.mark.parametrize(
+        "cls", [IslandModel, SimulatedIslandModel], ids=["island", "sim-island"]
+    )
+    def test_n_islands_over_the_deme_cap_is_refused_before_any_build(
+        self, cls, monkeypatch
+    ):
+        def built(*args, **kwargs):
+            raise AssertionError("a refused model built a part")
+
+        for part in ("spawn_rngs", "RingTopology", "SimulatedCluster"):
+            monkeypatch.setattr(island_module, part, built)
+        with pytest.raises(
+            ValueError, match=rf"^n_islands={MAX_DEMES + 1}: more than {MAX_DEMES} demes$"
+        ):
+            cls(OneMax(8), MAX_DEMES + 1)
 
     def test_default_topology_is_ring(self):
         m = IslandModel(OneMax(8), 4, seed=1)

@@ -32,7 +32,7 @@ def test_population_size_invariant(cfg, seed, cls):
     for _ in range(4):
         eng.step()
         assert len(eng.population) == cfg["population_size"]
-        assert eng.population.all_evaluated
+        assert not eng.population.unevaluated()
 
 
 @settings(max_examples=25, deadline=None)

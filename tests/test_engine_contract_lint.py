@@ -27,6 +27,24 @@ def test_rule_9_flags_a_retired_name_under_an_import_alias(tmp_path):
     assert "aliased.py:2: canonical_line:" in problems[1]
 
 
+def test_rule_9_flags_the_retired_run_records_and_evaluation_counter(tmp_path):
+    module = tmp_path / "records.py"
+    module.write_text(
+        "from repro.core.callbacks import History, LambdaCallback as hook\n"
+        "from repro.core.problem import CountingProblem\n"
+    )
+    problems = lint.lint_retired_file(module)
+    assert len(problems) == 3
+    assert "records.py:1: History: retired per-generation history" in problems[0]
+    assert "records.py:1: LambdaCallback: retired callback wrapper" in problems[1]
+    assert "records.py:2: CountingProblem: retired second evaluation counter" in problems[2]
+    for name in (
+        "History", "GenerationRecord", "PopulationStats", "CallbackList",
+        "LambdaCallback", "CountingProblem", "FitnessBudgetExceeded",
+    ):
+        assert name in lint._RETIRED_NAMES
+
+
 def test_rule_11_flags_an_eviction_outside_the_replacement_operators(tmp_path):
     module = tmp_path / "evicts.py"
     module.write_text(

@@ -17,7 +17,7 @@ from repro.topology import (
     TreeTopology,
     topology_by_name,
 )
-from repro.topology.static import MAX_TREE_DEMES
+from repro.topology.static import MAX_DEMES
 
 CONNECTED = [
     RingTopology(8),
@@ -177,9 +177,9 @@ class TestTree:
         assert [t.neighbors_out(i) for i in range(4)] == [[1], [0, 2], [1, 3], [2]]
 
     def test_the_cap_is_reached_exactly(self):
-        assert TreeTopology(MAX_TREE_DEMES, 1).size == MAX_TREE_DEMES
+        assert TreeTopology(MAX_DEMES, 1).size == MAX_DEMES
         with pytest.raises(ValueError, match="layers=1025, branching=1"):
-            TreeTopology(MAX_TREE_DEMES + 1, 1)
+            TreeTopology(MAX_DEMES + 1, 1)
 
     @pytest.mark.parametrize("layers,branching", [(10**6, 1), (10**6, 2), (2, 10**6)])
     def test_a_huge_tree_is_refused_before_it_is_built(self, layers, branching):

@@ -138,6 +138,19 @@ def test_spec_replay_cli_rejects_a_hierarchy_over_the_deme_cap(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_spec_replay_cli_rejects_islands_over_the_deme_cap(tmp_path, capsys):
+    from repro.verify.__main__ import main
+
+    doc = exemplar_spec("island").to_dict()
+    doc["engine"]["params"]["n_islands"] = 1025
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_islands=1025: more than 1024 demes" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
