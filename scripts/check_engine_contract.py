@@ -590,6 +590,18 @@ _RETIRED_NAMES = {
     "LambdaCallback": _HOOKS,
     "CountingProblem": _COUNTER,
     "FitnessBudgetExceeded": _COUNTER,
+    "better": (
+        "retired pairwise comparison — nothing called it; best_of ranks "
+        "evaluated individuals"
+    ),
+    "worst_of": (
+        "retired ranking helper — the worst under one direction is "
+        "best_of under the other"
+    ),
+    "_power_iteration": (
+        "retired capped reactor solve — ReactorCoreDesign takes k_eff and the "
+        "flux from one eigh_tridiagonal call per design"
+    ),
 }
 
 #: names rule 9 additionally forbids under repro/parallel/

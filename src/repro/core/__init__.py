@@ -29,7 +29,7 @@ from .genome import (
     PermutationSpec,
     RealVectorSpec,
 )
-from .individual import Individual, best_of, better, sort_by_fitness, worst_of
+from .individual import Individual, best_of, sort_by_fitness
 from .niching import SharedFitnessProblem, distinct_peaks, niche_counts
 from .population import Population
 from .problem import Problem, stack_genomes
@@ -63,9 +63,7 @@ __all__ = [
     "PermutationSpec",
     "IntegerVectorSpec",
     "Individual",
-    "better",
     "best_of",
-    "worst_of",
     "sort_by_fitness",
     "Population",
     "SharedFitnessProblem",

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["Individual", "better", "best_of", "worst_of", "sort_by_fitness"]
+__all__ = ["Individual", "best_of", "sort_by_fitness"]
 
 _id_counter = itertools.count()
 _set = object.__setattr__
@@ -105,25 +105,12 @@ class Individual:
         return f"Individual(uid={self.uid}, fitness={self.fitness}, genome={g})"
 
 
-def better(a: Individual, b: Individual, maximize: bool) -> Individual:
-    """Return the fitter of two evaluated individuals (ties go to ``a``)."""
-    fa, fb = a.require_fitness(), b.require_fitness()
-    if maximize:
-        return a if fa >= fb else b
-    return a if fa <= fb else b
-
-
 def best_of(individuals: list[Individual], maximize: bool) -> Individual:
     """Best evaluated individual of a non-empty sequence."""
     if not individuals:
         raise ValueError("cannot take best of empty sequence")
     key = (lambda i: i.require_fitness()) if maximize else (lambda i: -i.require_fitness())
     return max(individuals, key=key)
-
-
-def worst_of(individuals: list[Individual], maximize: bool) -> Individual:
-    """Worst evaluated individual of a non-empty sequence."""
-    return best_of(individuals, not maximize)
 
 
 def sort_by_fitness(

@@ -43,12 +43,6 @@ class Population:
     def __setitem__(self, idx: int, ind: Individual) -> None:
         self.individuals[idx] = ind
 
-    def append(self, ind: Individual) -> None:
-        self.individuals.append(ind)
-
-    def extend(self, inds: list[Individual]) -> None:
-        self.individuals.extend(inds)
-
     # -- evaluation state ----------------------------------------------------
     def unevaluated(self) -> list[Individual]:
         """Members whose fitness is stale or missing."""

@@ -8,7 +8,7 @@ evaluation budgets (fair cross-model comparisons) or generation counts.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "EvolutionState",
@@ -33,9 +33,6 @@ class EvolutionState:
     maximize: bool = True
     #: generations since the best fitness last improved
     stagnant_generations: int = 0
-    #: logical (simulated) or wall-clock seconds, model-dependent
-    elapsed_time: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 class Termination(abc.ABC):

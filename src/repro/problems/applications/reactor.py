@@ -7,20 +7,26 @@ considering the restrictions on the average thermal flux, criticality and
 sub-moderation."
 
 Substitution: a one-group, one-dimensional slab-reactor *diffusion solver*
-(finite differences + inverse power iteration) computes the flux shape and
-effective multiplication factor k_eff for a 3-zone core.  It is a genuine
-neutronics eigenvalue computation — tiny, but with the same objective
-structure the original code had: flatter flux ↔ lower peaking factor, with
-criticality and moderation constraints penalised.
+(finite differences + the operator's lowest eigenpair) computes the flux
+shape and effective multiplication factor k_eff for a 3-zone core.  It is
+a genuine neutronics eigenvalue computation — tiny, but with the same
+objective structure the original code had: flatter flux ↔ lower peaking
+factor, with criticality and moderation constraints penalised.
 
 Genome (normalised to [0, 1] per gene):
     [enrich_1, enrich_2, enrich_3, width_1, width_2, moderation]
 Zone 3's width is the remainder of the core.
 
+The criticality problem ``A φ = (1/k) F φ`` (``A`` the symmetric
+tridiagonal diffusion operator, ``F = diag(νΣ_f) > 0``) is solved exactly:
+scaled to the symmetric tridiagonal ``F^-½ A F^-½``, its lowest eigenpair
+gives ``1/k_eff`` and the fundamental mode, one
+:func:`scipy.linalg.eigh_tridiagonal` call (LAPACK ``stebz``/``stein``)
+per design.
+
 One solver serves every entry point: :meth:`ReactorCoreDesign.evaluate_batch`
 runs decode, materials and operator assembly over the whole ``(m, 6)``
-block and advances one shared power iteration for all designs, each row
-freezing at its own convergence.  :meth:`~ReactorCoreDesign.evaluate`,
+block, then the eigen-solve row by row.  :meth:`~ReactorCoreDesign.evaluate`,
 :meth:`~ReactorCoreDesign.solve` and :meth:`~ReactorCoreDesign.solve_batch`
 are views of it, so scalar and batched results are bit-identical by
 construction.
@@ -32,32 +38,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal
 
 from ...core.genome import RealVectorSpec
 from ...core.problem import Problem
 
 __all__ = ["ReactorCoreDesign", "CoreSolution"]
-
-# The LU routines ``scipy.linalg.lu_factor`` / ``lu_solve`` dispatch to,
-# called directly: the wrappers' per-call finiteness checks dominated the
-# ~150 solves each design needs.  Inputs are validated once per block.
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-
-#: Designs whose n×n LU factors are held at once: the power iteration runs
-#: over the block in sweeps of this many rows, so memory stays at
-#: 32·n²·8 bytes (0.4 MB at n = 40) whatever the batch size.
-_ROWS_PER_SWEEP = 32
-
-
-def _squares(values: np.ndarray) -> np.ndarray:
-    """Element-wise ``v ** 2`` in Python float arithmetic.
-
-    Python's float power goes through libm ``pow``, which rounds
-    differently from ``v * v`` for about 1 in 1,200 doubles; the fitness
-    values pinned by the experiment fingerprints were computed that way.
-    """
-    return np.array([v ** 2 for v in values.tolist()], dtype=float)
 
 
 def _positive_part(values: np.ndarray) -> np.ndarray:
@@ -173,7 +159,8 @@ class ReactorCoreDesign(Problem):
         *under-moderated* optimum (the sub-moderation restriction).
         """
         nu_sigma_f = 0.005 + 0.30 * enrich           # cm^-1
-        sigma_a = 0.0105 + 0.11 * enrich + (0.0012 * _squares(moderation - 2.0))[:, None]
+        detune = moderation - 2.0
+        sigma_a = 0.0105 + 0.11 * enrich + (0.0012 * (detune * detune))[:, None]
         d = np.full_like(enrich, 1.30) / np.sqrt(moderation / 2.0)[:, None]
         return d, sigma_a, nu_sigma_f
 
@@ -184,58 +171,7 @@ class ReactorCoreDesign(Problem):
         return np.minimum((bounds[:, None, :] <= x[None, :, None]).sum(axis=2), 2)
 
     # -- diffusion solve ---------------------------------------------------------------------
-    def _factor(self, main: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """LU of one symmetric tridiagonal operator, built in its own n×n buffer."""
-        n = self.n
-        buf = np.zeros(n * n)
-        buf[:: n + 1] = main
-        buf[1 :: n + 1] = off
-        buf[n :: n + 1] = off
-        # strictly diagonally dominant (Σ_a > 0), so never singular
-        lu, piv, _ = _getrf(buf.reshape(n, n, order="F"), overwrite_a=True)
-        return lu, piv
-
-    def _power_iteration(
-        self,
-        factors: list[tuple[np.ndarray, np.ndarray]],
-        nsf: np.ndarray,
-        tol: float,
-        max_iter: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse power iteration advancing every unconverged row together.
-
-        A row freezes at the first iteration whose k-update is below ``tol``;
-        rows still moving after ``max_iter`` keep their last iterate.
-        """
-        k_eff = np.empty(len(nsf))
-        flux_out = np.empty(nsf.shape)
-        # the unconverged rows: their indices, factors and current iterates
-        live = np.arange(len(nsf))
-        k, flux, sigma = np.ones(len(nsf)), np.ones(nsf.shape), nsf
-        for _ in range(max_iter):
-            source = sigma * flux
-            new_flux = source / k[:, None]
-            for rhs, (lu, piv) in zip(new_flux, factors):
-                _getrs(lu, piv, rhs, overwrite_b=True)
-            k_new = k * ((sigma * new_flux).sum(axis=1) / source.sum(axis=1))
-            new_flux /= np.abs(new_flux).max(axis=1, keepdims=True)
-            done = np.abs(k_new - k) < tol
-            k, flux = k_new, new_flux
-            if done.any():
-                k_eff[live[done]] = k[done]
-                flux_out[live[done]] = flux[done]
-                keep = ~done
-                live, k, flux, sigma = live[keep], k[keep], flux[keep], sigma[keep]
-                factors = [f for f, kept in zip(factors, keep) if kept]
-                if not live.size:
-                    break
-        k_eff[live] = k
-        flux_out[live] = flux
-        return k_eff, flux_out
-
-    def _solve_block(
-        self, genomes: np.ndarray, tol: float = 1e-8, max_iter: int = 200
-    ) -> _BlockSolution:
+    def _solve_block(self, genomes: np.ndarray) -> _BlockSolution:
         block = self._genome_block(genomes)
         enrich, widths, moderation = self._decode_block(block)
         d_z, sa_z, nsf_z = self._materials(enrich, moderation)
@@ -250,12 +186,16 @@ class ReactorCoreDesign(Problem):
         face = 2.0 * d_ext[:, :-1] * d_ext[:, 1:] / (d_ext[:, :-1] + d_ext[:, 1:])
         main = (face[:, :-1] + face[:, 1:]) / h2 + sa
         off = -face[:, 1:-1] / h2
+        # A φ = (1/k) F φ with F = diag(νΣ_f) > 0: ψ = F^½ φ solves the
+        # symmetric tridiagonal F^-½ A F^-½ ψ = (1/k) ψ, whose lowest
+        # eigenpair is 1/k_eff and the fundamental mode
+        b_main = main / nsf
+        b_off = off / np.sqrt(nsf[:, :-1] * nsf[:, 1:])
         k_eff, flux = np.empty(len(block)), np.empty(nsf.shape)
-        for lo in range(0, len(block), _ROWS_PER_SWEEP):
-            rows = slice(lo, lo + _ROWS_PER_SWEEP)
-            factors = [self._factor(*row) for row in zip(main[rows], off[rows])]
-            k_eff[rows], flux[rows] = self._power_iteration(factors, nsf[rows], tol, max_iter)
-        flux = np.abs(flux)
+        for i, row in enumerate(zip(b_main, b_off)):
+            lam, vec = eigh_tridiagonal(*row, select="i", select_range=(0, 0))
+            k_eff[i], flux[i] = 1.0 / lam[0], vec[:, 0]
+        flux = np.abs(flux / np.sqrt(nsf))
         # normalise to the target mean flux (power level is a free scaling)
         mean = flux.mean(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,11 +213,9 @@ class ReactorCoreDesign(Problem):
             mean_flux=flux.mean(axis=1),
         )
 
-    def solve_batch(
-        self, genomes: np.ndarray, *, tol: float = 1e-8, max_iter: int = 200
-    ) -> list[CoreSolution]:
+    def solve_batch(self, genomes: np.ndarray) -> list[CoreSolution]:
         """Diffusion solutions of an ``(m, 6)`` block of designs, one per row."""
-        s = self._solve_block(genomes, tol, max_iter)
+        s = self._solve_block(genomes)
         return [
             CoreSolution(
                 k_eff=float(s.k_eff[i]),
@@ -289,16 +227,17 @@ class ReactorCoreDesign(Problem):
             for i in range(len(s.k_eff))
         ]
 
-    def solve(self, genome: np.ndarray, *, tol: float = 1e-8, max_iter: int = 200) -> CoreSolution:
-        """Inverse power iteration on the one-group diffusion operator."""
-        return self.solve_batch(np.asarray(genome)[None], tol=tol, max_iter=max_iter)[0]
+    def solve(self, genome: np.ndarray) -> CoreSolution:
+        """Fundamental mode of the one-group diffusion eigenproblem."""
+        return self.solve_batch(np.asarray(genome)[None])[0]
 
     # -- Problem interface -------------------------------------------------------------------
     def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
         s = self._solve_block(genomes)
         penalty = self.criticality_weight * np.abs(s.k_eff - 1.0)
         # sub-moderation restriction: stay below moderation 2.5 (penalise over)
-        penalty = penalty + self.moderation_weight * _squares(_positive_part(s.moderation - 2.5))
+        over = _positive_part(s.moderation - 2.5)
+        penalty = penalty + self.moderation_weight * (over * over)
         shortfall = _positive_part(self.target_mean_flux - s.mean_flux)
         penalty = penalty + self.flux_weight * shortfall
         return s.peaking_factor + penalty

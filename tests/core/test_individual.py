@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.core import Individual, best_of, better, sort_by_fitness, worst_of
+from repro.core import Individual, best_of, sort_by_fitness
 
 
 def ind(fitness=None, genome=None) -> Individual:
@@ -44,22 +44,11 @@ class TestIndividual:
 
 
 class TestComparisons:
-    def test_better_maximize(self):
-        a, b = ind(3.0), ind(1.0)
-        assert better(a, b, maximize=True) is a
-        assert better(a, b, maximize=False) is b
-
-    def test_better_tie_goes_to_first(self):
-        a, b = ind(2.0), ind(2.0)
-        assert better(a, b, maximize=True) is a
-        assert better(a, b, maximize=False) is a
-
     def test_best_and_worst_of(self):
+        # the worst under one direction is the best under the other
         pop = [ind(1.0), ind(5.0), ind(3.0)]
         assert best_of(pop, True).fitness == 5.0
-        assert worst_of(pop, True).fitness == 1.0
         assert best_of(pop, False).fitness == 1.0
-        assert worst_of(pop, False).fitness == 5.0
 
     def test_best_of_empty_raises(self):
         with pytest.raises(ValueError):

@@ -14,13 +14,6 @@ class TestContainer:
         assert [i.fitness for i in pop] == [1, 2, 3]
         assert pop[1].fitness == 2
 
-    def test_append_extend(self):
-        pop = make_population([1])
-        extra = make_population([2, 3])
-        pop.append(extra[0])
-        pop.extend([extra[1]])
-        assert len(pop) == 3
-
 
 class TestEvaluationState:
     def test_unevaluated_lists_members_without_fitness(self):

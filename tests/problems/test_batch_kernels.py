@@ -9,7 +9,7 @@ the default scalar-loop ``evaluate_batch``.
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from repro.core.problem import Problem, stack_genomes
 from repro.problems import (
@@ -97,10 +97,10 @@ class TestBatchScalarIdentity:
         assert problem.evaluate_batch(batch)[0] == problem.evaluate(batch[0])
 
 
-def _reference_reactor_fitness(p, genome, tol=1e-8, max_iter=200):
-    """One design's fitness by the plain scalar algorithm (Python-float
-    decode, per-cell assembly, dense ``lu_factor``/``lu_solve``): the oracle
-    the batched solver must match bit for bit."""
+def _reference_reactor_operator(p, genome):
+    """One design's diffusion operator by the plain scalar algorithm
+    (Python-float decode, per-cell assembly): its diagonal, super-diagonal,
+    ``νΣ_f`` per cell and moderation ratio."""
     (e_lo, e_hi), (m_lo, m_hi) = p.ENRICH_RANGE, p.MODERATION_RANGE
     enrich = e_lo + genome[:3] * (e_hi - e_lo)
     f_min = p.MIN_ZONE_FRACTION
@@ -110,44 +110,56 @@ def _reference_reactor_fitness(p, genome, tol=1e-8, max_iter=200):
     widths = np.array([f_min + a, f_min + b, f_min + (free - a - b)])
     moderation = m_lo + float(genome[5]) * (m_hi - m_lo)
     nsf_z = 0.005 + 0.30 * enrich
-    sa_z = 0.0105 + 0.11 * enrich + 0.0012 * (moderation - 2.0) ** 2
+    detune = moderation - 2.0
+    sa_z = 0.0105 + 0.11 * enrich + 0.0012 * (detune * detune)
     d_z = np.full_like(enrich, 1.30) / np.sqrt(moderation / 2.0)
     x = np.arange(1, p.n + 1) * p.h / p.core_length
     zones = np.searchsorted(np.cumsum(widths), x, side="right").clip(0, 2)
     d, sa, nsf = d_z[zones], sa_z[zones], nsf_z[zones]
     h2 = p.h * p.h
     d_ext = np.concatenate([[d[0]], d, [d[-1]]])
-    main, lower, upper = np.empty(p.n), np.empty(p.n - 1), np.empty(p.n - 1)
+    main, upper = np.empty(p.n), np.empty(p.n - 1)
     for i in range(p.n):
         d_w = 2.0 * d_ext[i] * d_ext[i + 1] / (d_ext[i] + d_ext[i + 1])
         d_e = 2.0 * d_ext[i + 1] * d_ext[i + 2] / (d_ext[i + 1] + d_ext[i + 2])
         main[i] = (d_w + d_e) / h2 + sa[i]
-        if i > 0:
-            lower[i - 1] = -d_w / h2
         if i < p.n - 1:
             upper[i] = -d_e / h2
-    lu = lu_factor(np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1))
-    flux, k = np.ones(p.n), 1.0
-    for _ in range(max_iter):
-        new_flux = lu_solve(lu, nsf * flux / k)
-        k_new = k * float(np.sum(nsf * new_flux) / np.sum(nsf * flux))
-        new_flux /= np.abs(new_flux).max()
-        converged = abs(k_new - k) < tol
-        k, flux = k_new, new_flux
-        if converged:
-            break
-    flux = np.abs(flux)
+    return main, upper, nsf, moderation
+
+
+def _reference_reactor_fitness(p, genome):
+    """One design's fitness from the scalar operator and one tridiagonal
+    eigen-solve: the oracle the batched solver must match bit for bit."""
+    main, upper, nsf, moderation = _reference_reactor_operator(p, genome)
+    # A φ = (1/k) diag(nsf) φ, scaled to a symmetric tridiagonal eigenproblem
+    lam, vec = eigh_tridiagonal(
+        main / nsf, upper / np.sqrt(nsf[:-1] * nsf[1:]), select="i", select_range=(0, 0)
+    )
+    k = 1.0 / lam[0]
+    flux = np.abs(vec[:, 0] / np.sqrt(nsf))
     flux = flux * (p.target_mean_flux / float(flux.mean()))
     power = nsf * flux
     peaking = float(power.max() / float(power.mean()))
     penalty = p.criticality_weight * abs(k - 1.0)
-    penalty += p.moderation_weight * max(0.0, moderation - 2.5) ** 2
+    over = max(0.0, moderation - 2.5)
+    penalty += p.moderation_weight * (over * over)
     penalty += p.flux_weight * max(0.0, p.target_mean_flux - float(flux.mean()))
     return peaking + penalty
 
 
+def _dense_reactor_mode(p, genome):
+    """k_eff and mean-normalised flux of one design from the dense generalized
+    eigenproblem ``A φ = (1/k) diag(νΣ_f) φ``, without the scaling."""
+    main, upper, nsf, _ = _reference_reactor_operator(p, genome)
+    a = np.diag(main) + np.diag(upper, 1) + np.diag(upper, -1)
+    lam, vec = eigh(a, np.diag(nsf), subset_by_index=[0, 0])
+    flux = np.abs(vec[:, 0])
+    return 1.0 / lam[0], flux * (p.target_mean_flux / flux.mean())
+
+
 class TestReactorBatchSolver:
-    """The reactor's shared power iteration: rows freeze independently."""
+    """The reactor's criticality eigen-solve, one row at a time."""
 
     def _mixed_batch(self):
         rng = np.random.default_rng(11)
@@ -157,32 +169,38 @@ class TestReactorBatchSolver:
     def test_batch_matches_reference_loop(self, mesh_points):
         p = ReactorCoreDesign(mesh_points=mesh_points)
         # moderation genes whose (m - 2.0) ** 2 and (m - 2.5) ** 2 round
-        # differently under libm pow than as the product (m - c) * (m - c),
-        # enough to change the mesh-20 fitness
+        # differently under libm pow than as the product (m - c) * (m - c):
+        # both sides must square by the product
         pow_rows = np.full((2, 6), 0.5)
         pow_rows[:, 5] = [0.186497, 0.92038]
         batch = np.vstack([self._mixed_batch(), pow_rows])
         expected = np.asarray([_reference_reactor_fitness(p, g) for g in batch])
         assert np.array_equal(p.evaluate_batch(batch), expected)
 
-    def test_edge_rows_unconverged_rows_and_solve_fields(self):
+    def test_edge_rows_and_solve_fields(self):
         p = ReactorCoreDesign(mesh_points=40)
         batch = self._mixed_batch()
         assert np.array_equal(
             p.evaluate_batch(batch), np.asarray([p.evaluate(g) for g in batch])
         )
-        # 120 iterations leave some rows short of the 1e-8 tolerance
-        capped = p.solve_batch(batch, max_iter=120)
-        full = p.solve_batch(batch)
-        converged = [a.k_eff == b.k_eff for a, b in zip(capped, full)]
-        assert any(converged) and not all(converged)
-        for g, row in zip(batch, capped):
-            one = p.solve(g, max_iter=120)
+        for g, row in zip(batch, p.solve_batch(batch)):
+            one = p.solve(g)
             assert one.k_eff == row.k_eff
             assert np.array_equal(one.flux, row.flux)
             assert np.array_equal(one.power, row.power)
             assert one.peaking_factor == row.peaking_factor
             assert one.mean_flux == row.mean_flux
+
+    def test_k_eff_and_flux_match_dense_eigenproblem(self):
+        # a batch on which a 200-iteration inverse power iteration leaves
+        # 127 rows short of a 1e-8 k-update
+        p = ReactorCoreDesign(mesh_points=40)
+        batch = np.random.default_rng(3).random((512, 6))
+        for g, sol in zip(batch, p.solve_batch(batch)):
+            k, flux = _dense_reactor_mode(p, g)
+            assert abs(sol.k_eff - k) <= 1e-12 * k
+            assert np.abs(sol.flux - flux).max() <= 1e-10
+            assert (sol.flux > 0).all()
 
     def test_non_finite_genomes_rejected(self):
         p = ReactorCoreDesign(mesh_points=20)

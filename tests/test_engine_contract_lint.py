@@ -45,6 +45,20 @@ def test_rule_9_flags_the_retired_run_records_and_evaluation_counter(tmp_path):
         assert name in lint._RETIRED_NAMES
 
 
+def test_rule_9_flags_the_retired_helpers_and_the_capped_reactor_solve(tmp_path):
+    module = tmp_path / "helpers.py"
+    module.write_text(
+        "from repro.core.individual import better, worst_of as loser\n"
+        "def _power_iteration(factors, nsf):\n"
+        "    return factors\n"
+    )
+    problems = lint.lint_retired_file(module)
+    assert len(problems) == 3
+    assert "helpers.py:1: better: retired pairwise comparison" in problems[0]
+    assert "helpers.py:1: worst_of: retired ranking helper" in problems[1]
+    assert "helpers.py:2: _power_iteration: retired capped reactor solve" in problems[2]
+
+
 def test_rule_11_flags_an_eviction_outside_the_replacement_operators(tmp_path):
     module = tmp_path / "evicts.py"
     module.write_text(
