@@ -20,7 +20,7 @@ from repro.core.operators.mutation import BitFlipMutation, GaussianMutation
 from repro.core.operators.selection import TournamentSelection
 from repro.parallel import CellularGA, IslandModel
 from repro.problems import OneMax, Rastrigin, Sphere
-from repro.problems.applications import ReactorCoreDesign
+from repro.problems.applications import ReactorCoreDesign, StockPrediction
 
 
 @pytest.fixture
@@ -120,8 +120,11 @@ class TestBatchEvaluationThroughput:
     """The vectorized fast path must beat the scalar loop by a wide margin
     (acceptance floor: 5x on a population of 256; 2x for the reactor,
     whose block assembly is shared but whose eigen-solve is one LAPACK
-    call per row, on a population of 96) while returning bit-identical
-    fitnesses."""
+    call per row, on a population of 96; it reads ~5-7x) while returning
+    bit-identical fitnesses.  The stock network's block of 30 is bounded
+    by the element-wise work a one-row call also does, so its floor only
+    asks for 0.6x of the one-row ``evaluate`` (half the lowest of ten
+    readings, 1.29-1.49x, on a 2-vCPU shared host)."""
 
     POP = 256
 
@@ -154,6 +157,11 @@ class TestBatchEvaluationThroughput:
             ReactorCoreDesign(mesh_points=40), pop=96, floor=2.0, repeats=3, inner=1
         )
         print(f"ReactorCoreDesign batch speedup: {ratio:.1f}x")
+
+    def test_stock_batch_vs_scalar(self):
+        # one E12 deme of 30 genomes
+        ratio = self._compare(StockPrediction(seed=5100, hidden=4), pop=30, floor=0.6)
+        print(f"StockPrediction batch speedup: {ratio:.2f}x")
 
     def test_onemax_batch_kernel(self, benchmark, rng):
         p = OneMax(256)

@@ -19,6 +19,7 @@ counterpart of that claim — every engine in :mod:`repro.parallel`
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
@@ -156,9 +157,29 @@ class ParallelEngine:
     * ``run(...) -> RunReport`` — one standardized deme lifecycle
       (setup → step → exchange → record → terminate) driven by the
       shared runtime (:mod:`repro.runtime.deme`).
+
+    An engine runs once: a second ``run()`` raises ``RuntimeError`` before
+    it touches any state (a spec builds a fresh engine per run).
     """
 
     engine_name: str = ""
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        run = cls.__dict__.get("run")
+        if run is None:
+            return
+
+        @functools.wraps(run)
+        def run_once(self: "ParallelEngine", *args: Any, **kwargs: Any) -> RunReport:
+            if self.__dict__.get("_ran"):
+                raise RuntimeError(
+                    f"{type(self).__name__}: run() called twice; an engine runs once"
+                )
+            self._ran = True
+            return run(self, *args, **kwargs)
+
+        cls.run = run_once
 
     def run(self, *args: Any, **kwargs: Any) -> RunReport:  # pragma: no cover
         raise NotImplementedError

@@ -20,9 +20,10 @@ Zone 3's width is the remainder of the core.
 The criticality problem ``A φ = (1/k) F φ`` (``A`` the symmetric
 tridiagonal diffusion operator, ``F = diag(νΣ_f) > 0``) is solved exactly:
 scaled to the symmetric tridiagonal ``F^-½ A F^-½``, its lowest eigenpair
-gives ``1/k_eff`` and the fundamental mode, one
-:func:`scipy.linalg.eigh_tridiagonal` call (LAPACK ``stebz``/``stein``)
-per design.
+gives ``1/k_eff`` and the fundamental mode: LAPACK ``stebz`` (the
+eigenvalue, by bisection) and ``stein`` (its vector, by inverse
+iteration), called directly once per design with the arguments
+:func:`scipy.linalg.eigh_tridiagonal` would pass them.
 
 One solver serves every entry point: :meth:`ReactorCoreDesign.evaluate_batch`
 runs decode, materials and operator assembly over the whole ``(m, 6)``
@@ -38,12 +39,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from ...core.genome import RealVectorSpec
 from ...core.problem import Problem
 
 __all__ = ["ReactorCoreDesign", "CoreSolution"]
+
+# bisection for the selected eigenvalues, inverse iteration for their vectors
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+
+
+def _check_info(info: int, routine: str) -> None:
+    """LAPACK's ``info`` as a typed error, as ``scipy.linalg`` reports it."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise LinAlgError(f"{routine} did not converge (LAPACK info={info})")
 
 
 def _positive_part(values: np.ndarray) -> np.ndarray:
@@ -192,9 +204,14 @@ class ReactorCoreDesign(Problem):
         b_main = main / nsf
         b_off = off / np.sqrt(nsf[:, :-1] * nsf[:, 1:])
         k_eff, flux = np.empty(len(block)), np.empty(nsf.shape)
-        for i, row in enumerate(zip(b_main, b_off)):
-            lam, vec = eigh_tridiagonal(*row, select="i", select_range=(0, 0))
-            k_eff[i], flux[i] = 1.0 / lam[0], vec[:, 0]
+        for i, (diag, sub) in enumerate(zip(b_main, b_off)):
+            # the lowest eigenvalue (range "I", il = iu = 1, block order) and
+            # its vector: eigh_tridiagonal(select="i", select_range=(0, 0))
+            m, w, iblock, isplit, info = _STEBZ(diag, sub, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+            _check_info(info, "stebz")
+            vec, info = _STEIN(diag, sub, w[:m], iblock, isplit)
+            _check_info(info, "stein")
+            k_eff[i], flux[i] = 1.0 / w[0], vec[:, 0]
         flux = np.abs(flux / np.sqrt(nsf))
         # normalise to the target mean flux (power level is a free scaling)
         mean = flux.mean(axis=1)

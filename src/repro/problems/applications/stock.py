@@ -13,6 +13,13 @@ is a one-hidden-layer tanh MLP whose weight matrix is evolved under the
 2-D encoding (rows = hidden units), matching the paper's representation,
 with :class:`~repro.core.operators.crossover.TwoDimensionalCrossover` as
 the natural operator.
+
+One network serves every entry point: :meth:`StockPrediction.evaluate_batch`
+runs it over the whole ``(m, L)`` weight block, one BLAS product per row
+per layer and element-wise arithmetic otherwise;
+:meth:`~StockPrediction.evaluate` and :meth:`~StockPrediction.out_of_sample`
+are one-row views of it, so scalar and batched fitnesses are bit-identical
+by construction.
 """
 
 from __future__ import annotations
@@ -157,24 +164,28 @@ class StockPrediction(Problem):
         self.maximize = True
 
     # -- network ------------------------------------------------------------------------
-    def _positions(self, genome: np.ndarray, span: slice) -> np.ndarray:
-        W = genome[: self.rows * self.cols].reshape(self.rows, self.cols)
-        rest = genome[self.rows * self.cols :]
-        v, b_out = rest[: self.hidden], rest[self.hidden]
+    def _strategy_returns(self, genomes: np.ndarray, span: slice) -> np.ndarray:
+        """Total return on ``span`` of the network each row of an ``(m, L)``
+        weight block encodes."""
+        genomes = np.asarray(genomes)
+        split = self.rows * self.cols
+        W = genomes[:, :split].reshape(len(genomes), self.rows, self.cols)
+        v, b_out = genomes[:, split : split + self.hidden], genomes[:, split + self.hidden]
         X = self.features[span]
-        h = np.tanh(X @ W[:, :-1].T + W[:, -1])
-        return np.tanh(h @ v + b_out)  # position in [-1, 1]
-
-    def _strategy_return(self, genome: np.ndarray, span: slice) -> float:
-        pos = self._positions(genome, span)
+        # one matmul slice per row: the BLAS calls of the one-genome network
+        h = np.tanh(X @ W[:, :, :-1].transpose(0, 2, 1) + W[:, None, :, -1])
+        pos = np.tanh((h @ v[:, :, None])[:, :, 0] + b_out[:, None])  # in [-1, 1]
         rets = self.next_returns[span]
-        # np.abs(np.diff(pos, prepend=0.0)) without the concatenation
+        # np.abs(np.diff(pos, prepend=0.0, axis=1)) without the concatenation
         turnover = np.empty_like(pos)
-        np.subtract(pos[:1], 0.0, out=turnover[:1])
-        np.subtract(pos[1:], pos[:-1], out=turnover[1:])
+        np.subtract(pos[:, :1], 0.0, out=turnover[:, :1])
+        np.subtract(pos[:, 1:], pos[:, :-1], out=turnover[:, 1:])
         np.abs(turnover, out=turnover)
         daily = pos * rets - self.transaction_cost * turnover
-        return float(np.exp(np.log1p(np.maximum(daily, -0.99)).sum()) - 1.0)
+        return np.exp(np.log1p(np.maximum(daily, -0.99)).sum(axis=1)) - 1.0
+
+    def _strategy_return(self, genome: np.ndarray, span: slice) -> float:
+        return float(self._strategy_returns(np.asarray(genome)[None], span)[0])
 
     def buy_and_hold(self, span: slice | None = None) -> float:
         span = span if span is not None else self._train
@@ -182,6 +193,9 @@ class StockPrediction(Problem):
         return float(np.exp(np.log1p(rets).sum()) - 1.0)
 
     # -- Problem interface ---------------------------------------------------------------
+    def evaluate_batch(self, genomes: np.ndarray) -> np.ndarray:
+        return self._strategy_returns(genomes, self._train)
+
     def evaluate(self, genome: np.ndarray) -> float:
         return self._strategy_return(genome, self._train)
 

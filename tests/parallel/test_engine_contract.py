@@ -42,7 +42,7 @@ from repro.parallel.base import REPORT_COUNTERS, EpochRecord
 from repro.parallel.specialized import standard_scenarios
 from repro.problems import OneMax
 from repro.problems.multiobjective import SchafferF2
-from repro.spec import ENGINE_BUILDERS, EngineSpec, build_run
+from repro.spec import ENGINE_BUILDERS, EngineSpec, build_run, run_spec
 from repro.verify.engines import (
     audit_engine,
     audit_engines,
@@ -157,6 +157,19 @@ def test_reported_evaluations_are_the_evaluations_made(label):
     before = evaluations_observed()
     _, _, report = execute(COUNTED[label])
     assert report.evaluations == evaluations_observed() - before
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_a_second_run_is_refused_before_any_state_changes(name):
+    """An engine runs once: a second ``run()`` raises before it evaluates
+    a genome or emits a trace event."""
+    spec = exemplar_spec(name)
+    engine, trace, _ = execute(spec)
+    digest, evaluations = trace.digest_hex(), evaluations_observed()
+    with pytest.raises(RuntimeError, match=r"run\(\) called twice"):
+        run_spec(spec, engine)
+    assert trace.digest_hex() == digest
+    assert evaluations_observed() == evaluations
 
 
 def test_contract_run_seed_changes_the_run():

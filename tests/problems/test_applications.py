@@ -174,11 +174,15 @@ class TestStockPrediction:
 
     @staticmethod
     def _strategy_return_reference(p, genome, span):
-        """``_strategy_return`` in its np.diff / np.clip form."""
-        pos = p._positions(genome, span)
-        rets = p.next_returns[span]
+        """One genome's return by the per-genome network, in its np.diff /
+        np.clip form: the oracle the block network must match bit for bit."""
+        W = genome[: p.rows * p.cols].reshape(p.rows, p.cols)
+        rest = genome[p.rows * p.cols :]
+        v, b_out = rest[: p.hidden], rest[p.hidden]
+        h = np.tanh(p.features[span] @ W[:, :-1].T + W[:, -1])
+        pos = np.tanh(h @ v + b_out)
         turnover = np.abs(np.diff(pos, prepend=0.0))
-        daily = pos * rets - p.transaction_cost * turnover
+        daily = pos * p.next_returns[span] - p.transaction_cost * turnover
         return float(np.exp(np.log1p(np.clip(daily, -0.99, None)).sum()) - 1.0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 10.0])
@@ -197,6 +201,52 @@ class TestStockPrediction:
             p, g, p._train
         )
         assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("rows", [1, 30, 120])
+    @pytest.mark.parametrize("seed,hidden", [(5100, 4), (0, 6)])
+    def test_block_network_matches_the_per_genome_network(self, seed, hidden, rows):
+        p = StockPrediction(seed=seed, hidden=hidden)
+        block = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, p.spec.length))
+        if rows > 1:
+            block[rows // 2, 5] = np.nan  # one NaN weight among finite rows
+        for span in (p._train, p._test, slice(0, 1), slice(0, 0)):
+            want = [self._strategy_return_reference(p, g, span) for g in block]
+            got = [p._strategy_return(g, span) for g in block]
+            assert np.array_equal(got, want, equal_nan=True)
+        want = np.asarray([self._strategy_return_reference(p, g, p._train) for g in block])
+        got = p.evaluate_batch(block)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got).sum() == (rows > 1)
+
+    #: ``float.hex`` of ``evaluate_batch`` on ``default_rng(seed).uniform(-3, 3,
+    #: (6, L))`` with row 4 scaled by 0.01 and row 5 zeroed, as the
+    #: per-genome network scored them
+    STOCK_PINS = {
+        (5100, 4): [
+            "0x1.894c706e5c5d8p-3",
+            "-0x1.10c434d6a7eaap-2",
+            "-0x1.2fa193d47c852p-2",
+            "-0x1.336b92b810742p-2",
+            "0x1.4cc918cc8cb00p-8",
+            "0x0.0p+0",
+        ],
+        (0, 6): [
+            "0x1.740993a7a7800p-10",
+            "-0x1.699b1c283d448p-3",
+            "-0x1.1280335062690p-3",
+            "0x1.77f1909f61400p-10",
+            "-0x1.1d6f36dbdd200p-10",
+            "0x0.0p+0",
+        ],
+    }
+
+    @pytest.mark.parametrize("seed,hidden", sorted(STOCK_PINS))
+    def test_evaluate_batch_pins(self, seed, hidden):
+        p = StockPrediction(seed=seed, hidden=hidden)
+        block = np.random.default_rng(seed).uniform(-3.0, 3.0, (6, p.spec.length))
+        block[4] *= 0.01
+        block[5] = 0.0
+        assert [float(f).hex() for f in p.evaluate_batch(block)] == self.STOCK_PINS[seed, hidden]
 
     def test_transaction_costs_reduce_turnover_profit(self):
         base = StockPrediction(seed=12, hidden=3, transaction_cost=0.0)

@@ -9,7 +9,7 @@ the default scalar-loop ``evaluate_batch``.
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
 
 from repro.core.problem import Problem, stack_genomes
 from repro.problems import (
@@ -33,7 +33,8 @@ from repro.problems import (
     Weierstrass,
     ZeroMax,
 )
-from repro.problems.applications import ReactorCoreDesign
+from repro.problems.applications import ReactorCoreDesign, StockPrediction
+from repro.problems.applications.reactor import _check_info
 
 from ..conftest import ScalarOnly
 
@@ -60,12 +61,16 @@ VECTORIZED_PROBLEMS = [
     ReactorCoreDesign(mesh_points=20),
     ReactorCoreDesign(mesh_points=40),
     ReactorCoreDesign(mesh_points=60),
+    StockPrediction(seed=5100, hidden=4),  # E12's networks
+    StockPrediction(seed=0, hidden=6),
 ]
 
 
 def _problem_id(problem):
     if isinstance(problem, ReactorCoreDesign):
         return f"ReactorCoreDesign-mesh{problem.n}"
+    if isinstance(problem, StockPrediction):
+        return f"StockPrediction-hidden{problem.hidden}"
     return type(problem).__name__
 
 
@@ -173,7 +178,8 @@ class TestReactorBatchSolver:
         # both sides must square by the product
         pow_rows = np.full((2, 6), 0.5)
         pow_rows[:, 5] = [0.186497, 0.92038]
-        batch = np.vstack([self._mixed_batch(), pow_rows])
+        wide = np.random.default_rng(3).random((512, 6))
+        batch = np.vstack([self._mixed_batch(), pow_rows, wide])
         expected = np.asarray([_reference_reactor_fitness(p, g) for g in batch])
         assert np.array_equal(p.evaluate_batch(batch), expected)
 
@@ -212,6 +218,13 @@ class TestReactorBatchSolver:
                 p.evaluate_batch(poisoned)
             with pytest.raises(ValueError, match="finite"):
                 p.evaluate(poisoned[3])
+
+    def test_lapack_info_is_a_typed_error(self):
+        _check_info(0, "stebz")
+        with pytest.raises(ValueError, match="argument 3 of internal stebz"):
+            _check_info(-3, "stebz")
+        with pytest.raises(LinAlgError, match="stein did not converge"):
+            _check_info(1, "stein")
 
     def test_malformed_block_rejected(self):
         p = ReactorCoreDesign(mesh_points=20)
