@@ -86,11 +86,14 @@ copy-pasted per engine, and this check keeps them centralised:
    encoder ``canonical_line`` / ``_fast_norm``, the trace summary type
    ``TraceSummary``, the timed-runtime wrapper ``RuntimeCapabilities``,
    the cellular result type ``CellularResult``, the array population
-   ``ArrayPopulation`` or the cellular islands' own migrant placement
-   ``_place_migrants``; no module
+   ``ArrayPopulation``, the cellular islands' own migrant placement
+   ``_place_migrants``, or the components only their own tests ran
+   (the Doppler and camera-placement workloads, the adaptive mutations,
+   fitness sharing, the dynamic topologies, the efficacy summary and
+   the helpers ``derive_rng`` … ``spectrum``); no module
    under ``repro/parallel/`` may bring back ``register_engine`` or
-   ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS`` or
-   ``RunOutcome``.  Callers name ``RunReport`` directly, batch
+   ``contract_run``, and none under ``repro/verify/`` ``SCENARIOS``.
+   Callers name ``RunReport`` directly, batch
    evaluation is always on, the digest walker is a test oracle,
    ``ENGINE_BUILDERS`` is the one engine registry (its exemplar specs
    are the contract scenarios, run by ``repro.verify.engines``),
@@ -156,6 +159,18 @@ copy-pasted per engine, and this check keeps them centralised:
     ``sample_population(...)`` except ``cellular.py``'s ``initialize``,
     which samples one individual per cell before handing them to
     ``EvolutionEngine.initialize``.
+
+14. **Name reachability.**  Every public top-level ``def`` / ``class``
+    under ``src/repro`` must have a reader in code under ``src/repro``
+    (its own module included), ``examples/``, ``scripts/`` or
+    ``perfbench/`` — not under a ``tests/`` directory — or sit in the
+    reasoned allowlist below.  A reader is a loaded name, an attribute,
+    an import the importing module does not re-export through its
+    ``__all__``, or a string passed to ``getattr`` (how the experiment
+    driver reaches each module's ``trial_specs``).  A component only its
+    own tests construct reproduces nothing: give it a caller or delete
+    it.  An allowlist entry that covers no unread name is stale and
+    flagged too.
 
 Run from the repository root::
 
@@ -514,6 +529,11 @@ _INLINE = (
     "retired in-line trace checker — repro.verify.invariants.check_trace "
     "checks invariants post-hoc only"
 )
+_UNREACHED = (
+    "retired unreached component — no experiment, spec, example, script or "
+    "perfbench workload ran it, only its own tests; a component that "
+    "returns needs a caller (rule 14)"
+)
 
 #: names rule 9 forbids defining, assigning or importing anywhere under
 #: repro/, with the reason printed for each
@@ -602,6 +622,40 @@ _RETIRED_NAMES = {
         "retired capped reactor solve — ReactorCoreDesign takes k_eff and the "
         "flux from one eigh_tridiagonal call per design"
     ),
+    **dict.fromkeys(
+        (
+            "CameraPlacement",
+            "DopplerSpectralEstimation",
+            "ar_spectrum",
+            "synthetic_doppler",
+            "DecayingGaussianMutation",
+            "SelfAdaptiveGaussianMutation",
+            "extend_spec_with_sigma",
+            "SharedFitnessProblem",
+            "distinct_peaks",
+            "niche_counts",
+            "DynamicTopology",
+            "RandomRewiringTopology",
+            "ScheduleTopology",
+            "RunOutcome",
+            "EfficacyReport",
+            "summarize_runs",
+            "repeat_runs",
+            "derive_rng",
+            "spawn_seeds",
+            "mean_pairwise_distance",
+            "fitness_std",
+            "unique_fraction",
+            "classify_speedup",
+            "myrinet",
+            "spectrum",
+        ),
+        _UNREACHED,
+    ),
+    "_advance_topology": (
+        "retired per-epoch topology advance — every topology is static, and "
+        "the timed drivers never advanced one"
+    ),
 }
 
 #: names rule 9 additionally forbids under repro/parallel/
@@ -610,11 +664,9 @@ _RETIRED_PARALLEL_NAMES = {
     "contract_run": _REGISTRY,
 }
 
-#: names rule 9 additionally forbids under repro/verify/ (repro.metrics
-#: keeps its own, unrelated RunOutcome)
+#: names rule 9 additionally forbids under repro/verify/
 _RETIRED_VERIFY_NAMES = {
     "SCENARIOS": _REPLAY,
-    "RunOutcome": _REPLAY,
 }
 
 
@@ -982,6 +1034,149 @@ def lint_knob_reachability(
     return problems
 
 
+#: rule 14: where reading a public name counts as reaching it (files under
+#: a ``tests/`` directory do not count)
+NAME_READER_DIRS = (SRC, REPO / "examples", REPO / "scripts", REPO / "perfbench")
+
+#: dotted names (a module or package covers everything it defines) rule 14
+#: accepts although nothing outside the tests reads them, with the reason
+#: each stays
+NAME_ALLOWLIST = {
+    "repro.theory": (
+        "the survey's closed-form takeover, sizing and speedup models that "
+        "docs/paper_map.md cites; each is to become a checked expectation of "
+        "the experiment measuring its quantity (E2, E3, E5, E6), or go"
+    ),
+    **dict.fromkeys(
+        ("repro.metrics.stats.bootstrap_ci", "repro.metrics.stats.compare_samples"),
+        "the statistics of the multi-seed claim check that re-runs each "
+        "EXPERIMENTS.md expectation over independent seed sets",
+    ),
+    **dict.fromkeys(
+        (
+            "repro.topology.neighborhood.LinearNeighborhood",
+            "repro.topology.neighborhood.CompactNeighborhood",
+            "repro.topology.neighborhood.MooreNeighborhood",
+        ),
+        "a neighbourhood shape behind CellularGA.neighborhood, which "
+        "KNOB_ALLOWLIST keeps as survey vocabulary",
+    ),
+    **dict.fromkeys(
+        ("repro.core.checkpoint.save_checkpoint", "repro.core.checkpoint.load_checkpoint"),
+        "the on-disk resume path, whose file is a typed boundary",
+    ),
+    **dict.fromkeys(
+        (
+            "repro.runtime.executor.ThreadExecutor",
+            "repro.runtime.executor.MultiprocessingExecutor",
+        ),
+        "the real-executor data path behind the executor keyword that "
+        "KNOB_ALLOWLIST keeps",
+    ),
+    "repro.obs.validate.check_timeline": (
+        "CI's observability job validates the timeline with it from an "
+        "inline script"
+    ),
+    "repro.verify.digest.trace_digest_walk": (
+        "the independent oracle the tests check Trace.record's incremental "
+        "digest against"
+    ),
+    "repro.problems.multiobjective.dominates": (
+        "the reference Pareto-dominance test the front and hypervolume "
+        "tests compare against"
+    ),
+    **dict.fromkeys(
+        ("repro.verify.engines.contract_run", "repro.verify.engines.contract_engine_names"),
+        "the contract suite's runner over ENGINE_BUILDERS' exemplar specs",
+    ),
+    **dict.fromkeys(
+        ("repro.cluster.trace.default_retention", "repro.runtime.sweep.current_config"),
+        "an ambient-state read the context-manager tests observe",
+    ),
+}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module's literal ``__all__`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return set()
+    return set()
+
+
+def _read_names(roots) -> set[str]:
+    """Every name some code outside the tests reads (rule 14)."""
+    names: set[str] = set()
+    for root in roots:
+        for path in sorted(Path(root).rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            exported = _exported(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update(
+                        alias.name.rpartition(".")[2]
+                        for alias in node.names
+                        if (alias.asname or alias.name.rpartition(".")[2]) not in exported
+                    )
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)
+                ):
+                    names.add(node.args[1].value)
+    return names
+
+
+def lint_name_reachability(
+    src: Path = SRC, readers=NAME_READER_DIRS, allowlist=NAME_ALLOWLIST
+) -> list[str]:
+    """Every public top-level definition has a reader outside the tests
+    or is allowlisted (rule 14)."""
+    read = _read_names(readers)
+    unread: list[tuple[str, Path, int]] = []
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in read
+            ):
+                unread.append((f"{module}.{node.name}", path, node.lineno))
+
+    def covers(entry: str, dotted: str) -> bool:
+        return dotted == entry or dotted.startswith(entry + ".")
+
+    problems = [
+        f"{_where(path)}:{line}: {dotted.rpartition('.')[2]}: nothing outside "
+        "the tests reads this name — give it a caller or delete it, or "
+        "allowlist it in NAME_ALLOWLIST with a reason"
+        for dotted, path, line in unread
+        if not any(covers(entry, dotted) for entry in allowlist)
+    ]
+    for entry in sorted(allowlist):
+        if not any(covers(entry, dotted) for dotted, _, _ in unread):
+            problems.append(
+                f"{_where(Path(__file__))}: NAME_ALLOWLIST entry {entry} covers "
+                "no unread name — delete the stale entry"
+            )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
     for path in sorted(PARALLEL.glob("*.py")):
@@ -1016,6 +1211,7 @@ def main() -> int:
     for path in scoring_files:
         problems.extend(lint_scoring_file(path))
     problems.extend(lint_knob_reachability())
+    problems.extend(lint_name_reachability())
     for line in problems:
         print(line)
     if problems:
@@ -1033,6 +1229,7 @@ def main() -> int:
         f"{len(migration_files)} migration-loop-free modules + "
         f"{len(rule_free_files)} replacement-rule-free engine modules + "
         f"{len(scoring_files)} scoring-free engine modules + "
+        f"{len(NAME_ALLOWLIST)} allowlisted unread-name entries + "
         f"{len(KNOB_CLASS_NAMES)} knob-reachable classes clean"
     )
     return 0

@@ -3,7 +3,7 @@
 from .faults import FaultPlan, Partition, sample_fault_plan
 from .heterogeneous import HeterogeneousNetwork, two_site_cluster_network
 from .machine import SimulatedCluster
-from .network import Network, NetworkPreset, lan_ethernet, myrinet, wan_internet
+from .network import Network, NetworkPreset, lan_ethernet, wan_internet
 from .node import Node
 from .sim import Inbox, Process, SimulationError, Simulator, Timeout
 from .trace import (
@@ -28,7 +28,6 @@ __all__ = [
     "HeterogeneousNetwork",
     "two_site_cluster_network",
     "lan_ethernet",
-    "myrinet",
     "wan_internet",
     "FaultPlan",
     "Partition",

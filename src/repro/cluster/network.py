@@ -13,7 +13,7 @@ import numpy as np
 
 from ..topology.static import Topology
 
-__all__ = ["Network", "NetworkPreset", "lan_ethernet", "myrinet", "wan_internet"]
+__all__ = ["Network", "NetworkPreset", "lan_ethernet", "wan_internet"]
 
 
 class Network:
@@ -100,11 +100,6 @@ class NetworkPreset:
 def lan_ethernet() -> NetworkPreset:
     """100 Mb Ethernet LAN: ~0.5 ms latency, ~10 MB/s effective."""
     return NetworkPreset("ethernet-lan", latency=5e-4, bandwidth=1e7)
-
-
-def myrinet() -> NetworkPreset:
-    """Myrinet cluster fabric: ~10 µs latency, ~200 MB/s."""
-    return NetworkPreset("myrinet", latency=1e-5, bandwidth=2e8)
 
 
 def wan_internet() -> NetworkPreset:

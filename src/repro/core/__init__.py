@@ -30,10 +30,9 @@ from .genome import (
     RealVectorSpec,
 )
 from .individual import Individual, best_of, sort_by_fitness
-from .niching import SharedFitnessProblem, distinct_peaks, niche_counts
 from .population import Population
 from .problem import Problem, stack_genomes
-from .rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
+from .rng import ensure_rng, spawn_rngs
 from .variation import offspring_pair
 from .vectorized import supports_vectorized_variation, vector_offspring
 from .termination import (
@@ -66,15 +65,10 @@ __all__ = [
     "best_of",
     "sort_by_fitness",
     "Population",
-    "SharedFitnessProblem",
-    "niche_counts",
-    "distinct_peaks",
     "Problem",
     "stack_genomes",
     "ensure_rng",
     "spawn_rngs",
-    "spawn_seeds",
-    "derive_rng",
     "EvolutionState",
     "Termination",
     "MaxGenerations",

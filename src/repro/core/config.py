@@ -9,12 +9,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from .operators.crossover import Crossover, crossover_for_spec
 from .operators.mutation import Mutation, mutation_for_spec
 from .operators.replacement import Replacement, ReplaceWorstIfBetter
 from .operators.selection import Selection, TournamentSelection
 
 __all__ = ["GAConfig"]
+
+
+def require_integer(name: str, value) -> None:
+    """Reject a count that is not a real integer (``bool``, ``2.5``, ``nan``)
+    where it is given, not where it is first used as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -59,6 +68,8 @@ class GAConfig:
     vectorized_variation: bool = False
 
     def __post_init__(self) -> None:
+        require_integer("population_size", self.population_size)
+        require_integer("elitism", self.elitism)
         if self.population_size < 2:
             raise ValueError(
                 f"population_size must be >= 2, got {self.population_size}"

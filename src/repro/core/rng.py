@@ -21,8 +21,6 @@ import numpy as np
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "spawn_seeds",
-    "derive_rng",
     "PCG64Words",
     "coin_threshold",
 ]
@@ -56,23 +54,6 @@ def spawn_rngs(seed: int | np.random.SeedSequence | None, n: int) -> list[np.ran
     else:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(n)]
-
-
-def spawn_seeds(seed: int | None, n: int) -> list[np.random.SeedSequence]:
-    """Spawn ``n`` child seed sequences (picklable, for multiprocessing)."""
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} seeds")
-    return np.random.SeedSequence(seed).spawn(n)
-
-
-def derive_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Fork one additional independent generator off an existing one.
-
-    Used when a component must hand private randomness to a sub-component
-    without perturbing its own stream consumption pattern.
-    """
-    seed = rng.integers(0, 2**63 - 1, dtype=np.int64)
-    return np.random.default_rng(int(seed))
 
 
 _U32 = 0xFFFFFFFF

@@ -1,13 +1,6 @@
-"""Metrics: speedup/efficiency, selection pressure, diversity, efficacy."""
+"""Metrics: speedup/efficiency, selection pressure, diversity, statistics."""
 
-from .diversity import (
-    between_deme_divergence,
-    fitness_std,
-    gene_entropy,
-    mean_pairwise_distance,
-    unique_fraction,
-)
-from .efficacy import EfficacyReport, RunOutcome, repeat_runs, summarize_runs
+from .diversity import between_deme_divergence, gene_entropy
 from .pressure import (
     GrowthCurve,
     cellular_growth_curve,
@@ -19,7 +12,6 @@ from .stats import Comparison, a12_effect_size, bootstrap_ci, compare_samples
 from .speedup import (
     SpeedupPoint,
     amdahl_speedup,
-    classify_speedup,
     efficiency,
     speedup,
     speedup_curve,
@@ -30,22 +22,14 @@ __all__ = [
     "efficiency",
     "speedup_curve",
     "amdahl_speedup",
-    "classify_speedup",
     "SpeedupPoint",
     "GrowthCurve",
     "takeover_time",
     "cellular_growth_curve",
     "panmictic_growth_curve",
     "logistic_fit_rate",
-    "mean_pairwise_distance",
     "gene_entropy",
-    "fitness_std",
     "between_deme_divergence",
-    "unique_fraction",
-    "RunOutcome",
-    "EfficacyReport",
-    "summarize_runs",
-    "repeat_runs",
     "Comparison",
     "compare_samples",
     "a12_effect_size",

@@ -12,35 +12,11 @@ import numpy as np
 
 from ..core.population import Population
 
-__all__ = [
-    "mean_pairwise_distance",
-    "gene_entropy",
-    "fitness_std",
-    "between_deme_divergence",
-    "unique_fraction",
-]
+__all__ = ["gene_entropy", "between_deme_divergence"]
 
 
 def _genome_matrix(population: Population) -> np.ndarray:
     return np.stack([ind.genome.astype(float) for ind in population])
-
-
-def mean_pairwise_distance(population: Population) -> float:
-    """Mean L1 distance between all member pairs (0 = fully converged)."""
-    g = _genome_matrix(population)
-    n = g.shape[0]
-    if n < 2:
-        return 0.0
-    # O(n * L) trick for L1: per-gene mean absolute deviation over pairs
-    total = 0.0
-    for col in range(g.shape[1]):
-        x = np.sort(g[:, col])
-        ranks = np.arange(1, n + 1)
-        # sum over pairs |xi - xj| = 2 * sum_i (i * x_i - prefix_sum)
-        prefix = np.cumsum(x)
-        total += float(2.0 * np.sum(ranks * x - prefix))
-    pairs = n * (n - 1) / 2.0
-    return total / 2.0 / pairs
 
 
 def gene_entropy(population: Population) -> float:
@@ -55,17 +31,6 @@ def gene_entropy(population: Population) -> float:
         p = counts / counts.sum()
         entropies.append(float(-(p * np.log2(p)).sum()))
     return float(np.mean(entropies))
-
-
-def fitness_std(population: Population) -> float:
-    """Phenotypic diversity: standard deviation of fitness."""
-    return float(population.fitness_array().std())
-
-
-def unique_fraction(population: Population) -> float:
-    """Fraction of genotypically distinct members."""
-    g = _genome_matrix(population)
-    return float(np.unique(g, axis=0).shape[0] / g.shape[0])
 
 
 def between_deme_divergence(demes: list[Population]) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "efficiency",
     "speedup_curve",
     "amdahl_speedup",
-    "classify_speedup",
 ]
 
 
@@ -114,16 +113,3 @@ def amdahl_speedup(serial_fraction: float, workers: int) -> float:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return 1.0 / (serial_fraction + (1.0 - serial_fraction) / workers)
-
-
-def classify_speedup(point: SpeedupPoint, tol: float = 0.05) -> str:
-    """Label a speedup point: 'super-linear' / 'linear' / 'sub-linear'.
-
-    Linear within ``tol`` relative tolerance of p.
-    """
-    p = point.workers
-    if point.speedup > p * (1.0 + tol):
-        return "super-linear"
-    if point.speedup >= p * (1.0 - tol):
-        return "linear"
-    return "sub-linear"

@@ -29,7 +29,7 @@ from typing import Callable, Type
 
 from ..cluster.machine import SimulatedCluster
 from ..cluster.trace import Trace
-from ..core.config import GAConfig
+from ..core.config import GAConfig, require_integer
 from ..core.engine import (
     EvolutionEngine,
     GenerationalEngine,
@@ -47,7 +47,6 @@ from ..runtime.deme import (
     TimedDemeRuntime,
     emit_generation,
 )
-from ..topology.dynamic import DynamicTopology
 from ..topology.static import MAX_DEMES, RingTopology, Topology
 from .base import EpochRecord, ParallelEngine, RunReport
 from .classification import (
@@ -103,6 +102,7 @@ class _IslandBase(ParallelEngine):
         seed: int | None = None,
         trace: Trace | None = None,
     ) -> None:
+        require_integer("n_islands", n_islands)
         if n_islands < 1:
             raise ValueError(f"need >= 1 island, got {n_islands}")
         if n_islands > MAX_DEMES:
@@ -146,6 +146,8 @@ class _IslandBase(ParallelEngine):
         """Split one global population of ``total_population`` evenly across
         ``n_islands`` demes — the constant-total-cost setting speedup
         studies require."""
+        require_integer("total_population", total_population)
+        require_integer("n_islands", n_islands)
         per_deme = total_population // n_islands
         if per_deme < 2:
             raise ValueError(
@@ -263,10 +265,6 @@ class _IslandBase(ParallelEngine):
                 best=float(best),
             )
 
-    def _advance_topology(self) -> None:
-        if isinstance(self.topology, DynamicTopology):
-            self.topology.advance()
-
 
 class BestSoFarDemes:
     """Mixin for island models whose ``deme_bests`` — and so ``records``
@@ -315,7 +313,6 @@ class IslandModel(EpochLoop, _IslandBase):
                 self._emigrate(i, now=self.epoch)
         for i in range(self.n_islands):
             self._immigrate(i, now=self.epoch)
-        self._advance_topology()
 
     def _lifecycle_record(self) -> None:
         self._record_epoch(self._sent_before, self._accepted_before)

@@ -1,8 +1,8 @@
 """Benchmark problems: the survey's problem spectrum plus its applications.
 
-``spectrum()`` returns the five-class problem suite of Alba & Troya (2000):
-easy, deceptive, multimodal, NP-complete and epistatic landscapes;
-``SPECTRUM`` builds one member alone.
+``SPECTRUM`` holds the five-class problem suite of Alba & Troya (2000):
+easy, deceptive, multimodal, NP-complete and epistatic landscapes, each
+built by name from the suite's seed.
 """
 
 from typing import Callable
@@ -91,13 +91,13 @@ __all__ = [
     "hypervolume_2d",
     # suites
     "SPECTRUM",
-    "spectrum",
 ]
 
 
-#: the spectrum's members by name, each built from the suite's seed alone
-#: (every seeded member draws from its own generator), so building one
-#: member equals taking it from the whole suite
+#: the spectrum's members by name (the difficulty class the survey cites:
+#: "easy, deceptive, multimodal, NP-Complete, and epistatic search
+#: landscapes"), each built from the suite's seed alone — every seeded
+#: member draws from its own generator
 SPECTRUM: dict[str, Callable[[int], Problem]] = {
     "easy": lambda seed: OneMax(64),
     "deceptive": lambda seed: DeceptiveTrap(blocks=16, k=4),
@@ -105,12 +105,3 @@ SPECTRUM: dict[str, Callable[[int], Problem]] = {
     "np-complete": lambda seed: MaxSat(n_vars=48, n_clauses=200, seed=seed),
     "epistatic": lambda seed: NKLandscape(n=48, k=4, seed=seed, exact_optimum=False),
 }
-
-
-def spectrum(seed: int = 0) -> dict[str, Problem]:
-    """The five-class landscape spectrum of Alba & Troya (2000).
-
-    Keys name the difficulty class the survey cites: "easy, deceptive,
-    multimodal, NP-Complete, and epistatic search landscapes".
-    """
-    return {name: build(seed) for name, build in SPECTRUM.items()}

@@ -5,8 +5,6 @@ we generate → why the fitness landscape structure is preserved); the
 mapping table lives in DESIGN.md.
 """
 
-from .camera import CameraPlacement
-from .doppler import DopplerSpectralEstimation, ar_spectrum, synthetic_doppler
 from .feature_selection import FeatureSelection, SyntheticClassification
 from .image_registration import (
     ImageRegistration,
@@ -25,10 +23,6 @@ from .stock import (
 from .wing import TransonicWingDesign
 
 __all__ = [
-    "CameraPlacement",
-    "DopplerSpectralEstimation",
-    "synthetic_doppler",
-    "ar_spectrum",
     "FeatureSelection",
     "SyntheticClassification",
     "ImageRegistration",

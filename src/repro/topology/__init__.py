@@ -1,6 +1,5 @@
 """Deme interconnects (coarse-grained) and cell neighbourhoods (fine-grained)."""
 
-from .dynamic import DynamicTopology, RandomRewiringTopology, ScheduleTopology
 from .neighborhood import (
     CompactNeighborhood,
     LinearNeighborhood,
@@ -38,9 +37,6 @@ __all__ = [
     "PipelineTopology",
     "TreeTopology",
     "topology_by_name",
-    "DynamicTopology",
-    "RandomRewiringTopology",
-    "ScheduleTopology",
     "Neighborhood",
     "VonNeumannNeighborhood",
     "MooreNeighborhood",

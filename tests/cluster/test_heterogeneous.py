@@ -7,7 +7,6 @@ from repro.cluster import (
     HeterogeneousNetwork,
     SimulatedCluster,
     lan_ethernet,
-    myrinet,
     two_site_cluster_network,
     wan_internet,
 )
@@ -37,9 +36,9 @@ class TestHeterogeneousNetwork:
         assert not net.is_local(0, 3)
 
     def test_mixed_site_presets(self):
-        # site 0 on Myrinet, site 1 on Ethernet
+        # site 0 on an Ethernet LAN, site 1 on a wide-area link
         net = HeterogeneousNetwork(
-            [0, 0, 1, 1], [myrinet(), lan_ethernet()]
+            [0, 0, 1, 1], [lan_ethernet(), wan_internet()]
         )
         assert net.transit_time(0, 1, 0.0) < net.transit_time(2, 3, 0.0)
 

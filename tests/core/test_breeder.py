@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import GAConfig, Individual
 from repro.core.genome import BinarySpec, IntegerVectorSpec, PermutationSpec, RealVectorSpec
-from repro.core.operators import adaptive
 from repro.core.operators import crossover as cx
 from repro.core.operators import mutation as mut
 from repro.core.variation import breed, offspring_pair
@@ -98,7 +97,6 @@ _FAMILIES = {
                 mut.GaussianMutation(sigma=0.3, rate=0.5),
                 mut.PolynomialMutation(lower=-2.0, upper=2.0),
                 mut.UniformResetMutation(-2.0, 2.0),
-                adaptive.DecayingGaussianMutation(lower=-2.0, upper=2.0, calls_per_generation=3),
             ],
         )
         for kind, seeded in (("float64", False), ("int-seeded", True))

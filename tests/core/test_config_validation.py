@@ -5,9 +5,14 @@ constructor-time checks are the only thing standing between a malformed
 document and a silently nonsensical run.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import GAConfig
+from repro.experiments import experiment_specs
+from repro.parallel import IslandModel
+from repro.problems import OneMax
+from repro.spec import RunSpec
 
 
 class TestGAConfigValidation:
@@ -54,3 +59,51 @@ class TestGAConfigValidation:
 
         with pytest.raises(ValueError, match="population_size"):
             GAConfigSpec({"population_size": 1}).build()
+
+
+def _replayed_e3(field, value):
+    """E3's first quick spec, replayed with one size field changed."""
+    doc = experiment_specs("E3", quick=True)[0].to_dict()
+    params = doc["engine"]["params"]
+    (params["config"]["params"] if field == "elitism" else params)[field] = value
+    return RunSpec.from_dict(doc).engine.build(seed=doc["seed"])
+
+
+_BUILDERS = {
+    "config": lambda field, value: GAConfig(**{field: value}),
+    "islands": lambda field, value: IslandModel(OneMax(8), value),
+    "partitioned": lambda field, value: IslandModel.partitioned(
+        OneMax(8), **{"total_population": 160, "n_islands": 4, field: value}
+    ),
+    "e3-spec": _replayed_e3,
+}
+
+
+class TestIntegralSizes:
+    """A size that is not a real integer fails where it is given, with a
+    message naming the field, not mid-run in genome sampling."""
+
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("config", "population_size", float("nan")),
+            ("config", "population_size", 2.5),
+            ("config", "elitism", 1.5),
+            ("config", "elitism", float("nan")),
+            ("config", "elitism", True),
+            ("islands", "n_islands", 2.5),
+            ("islands", "n_islands", True),
+            ("partitioned", "total_population", 160.5),
+            ("partitioned", "n_islands", 4.0),
+            ("e3-spec", "elitism", 1.5),
+            ("e3-spec", "total_population", 160.5),
+        ],
+    )
+    def test_non_integral_size_is_rejected_at_construction(self, where, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            _BUILDERS[where](field, value)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = GAConfig(population_size=np.int64(10), elitism=np.int32(2))
+        model = IslandModel.partitioned(OneMax(8), np.int64(40), np.int64(4), cfg)
+        assert model.n_islands == 4 and model.config.population_size == 10

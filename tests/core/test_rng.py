@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rng import derive_rng, ensure_rng, spawn_rngs, spawn_seeds
+from repro.core.rng import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -31,26 +31,9 @@ class TestSpawn:
         a2, _ = spawn_rngs(42, 2)
         assert a1.random() == a2.random()
 
-    def test_spawn_seeds_picklable(self):
-        import pickle
-
-        seeds = spawn_seeds(1, 3)
-        assert len(seeds) == 3
-        pickle.dumps(seeds)
-
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
 
     def test_zero_count_ok(self):
         assert spawn_rngs(0, 0) == []
-
-
-class TestDerive:
-    def test_derived_differs_from_parent_stream(self):
-        parent = ensure_rng(3)
-        child = derive_rng(parent)
-        assert not np.allclose(parent.random(100), child.random(100))
-

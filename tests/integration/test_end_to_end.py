@@ -8,7 +8,6 @@ from repro import (
     GAConfig,
     HierarchicalGA,
     IslandModel,
-    MasterSlaveGA,
     MaxEvaluations,
     MaxGenerations,
     SimulatedIslandModel,
@@ -28,7 +27,6 @@ from repro.problems import (
     TravelingSalesman,
 )
 from repro.problems.applications import (
-    DopplerSpectralEstimation,
     FeatureSelection,
     ReactorCoreDesign,
     TransonicWingDesign,
@@ -68,14 +66,6 @@ class TestEveryModelOnEveryRepresentation:
         cga = CellularGA(problem, rows=6, cols=6, seed=3)
         res = cga.run(30)
         assert res.best_fitness >= 0.8 * problem.solve_exact()
-
-    def test_masterslave_on_doppler(self):
-        problem = DopplerSpectralEstimation(seed=4)
-        res = MasterSlaveGA(problem, GAConfig(population_size=40), seed=4).run(
-            MaxGenerations(40)
-        )
-        ls = problem.evaluate(problem.least_squares_solution())
-        assert res.best_fitness < ls * 1.5
 
     def test_hierarchical_on_wing(self):
         hga = HierarchicalGA(

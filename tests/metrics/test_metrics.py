@@ -1,29 +1,20 @@
-"""Unit tests for metrics: speedup, pressure, diversity, efficacy."""
+"""Unit tests for metrics: speedup, pressure, diversity."""
 
 import numpy as np
 import pytest
 
 from repro.metrics import (
-    EfficacyReport,
-    RunOutcome,
     amdahl_speedup,
     between_deme_divergence,
     cellular_growth_curve,
-    classify_speedup,
     efficiency,
-    fitness_std,
     gene_entropy,
     logistic_fit_rate,
-    mean_pairwise_distance,
     panmictic_growth_curve,
-    repeat_runs,
     speedup,
     speedup_curve,
-    summarize_runs,
     takeover_time,
-    unique_fraction,
 )
-from repro.metrics.speedup import SpeedupPoint
 
 from ..conftest import make_population
 
@@ -57,11 +48,6 @@ class TestSpeedup:
         assert amdahl_speedup(0.0, 8) == 8.0
         assert amdahl_speedup(1.0, 8) == 1.0
         assert amdahl_speedup(0.1, 10**6) == pytest.approx(10.0, rel=1e-3)
-
-    def test_classification(self):
-        assert classify_speedup(SpeedupPoint(4, 1.0, 5.0, 1.25)) == "super-linear"
-        assert classify_speedup(SpeedupPoint(4, 1.0, 4.0, 1.0)) == "linear"
-        assert classify_speedup(SpeedupPoint(4, 1.0, 2.0, 0.5)) == "sub-linear"
 
 
 class TestPressure:
@@ -111,35 +97,13 @@ class TestDiversity:
         pop = make_population([1.0] * 4)
         for ind in pop:
             ind.genome = np.array([1, 0, 1, 0], dtype=np.int8)
-        assert mean_pairwise_distance(pop) == 0.0
         assert gene_entropy(pop) == 0.0
-        assert unique_fraction(pop) == 0.25
 
     def test_maximal_binary_entropy(self):
         pop = make_population([1.0, 1.0])
         pop[0].genome = np.zeros(4, dtype=np.int8)
         pop[1].genome = np.ones(4, dtype=np.int8)
         assert gene_entropy(pop) == pytest.approx(1.0)
-        assert mean_pairwise_distance(pop) == pytest.approx(4.0)
-        assert unique_fraction(pop) == 1.0
-
-    def test_pairwise_distance_matches_bruteforce(self, rng):
-        pop = make_population([1.0] * 6)
-        for ind in pop:
-            ind.genome = rng.random(5)
-        g = np.stack([i.genome for i in pop])
-        brute = np.mean(
-            [
-                np.abs(g[i] - g[j]).sum()
-                for i in range(6)
-                for j in range(i + 1, 6)
-            ]
-        )
-        assert mean_pairwise_distance(pop) == pytest.approx(brute)
-
-    def test_fitness_std(self):
-        pop = make_population([1.0, 3.0])
-        assert fitness_std(pop) == 1.0
 
     def test_between_deme_divergence(self):
         a = make_population([1.0] * 3)
@@ -150,48 +114,6 @@ class TestDiversity:
             ind.genome = np.ones(4)
         assert between_deme_divergence([a, b]) == pytest.approx(4.0)
         assert between_deme_divergence([a]) == 0.0
-
-
-class TestEfficacy:
-    def test_summary_fields(self):
-        outcomes = [
-            RunOutcome(solved=True, evaluations=100, best_fitness=10.0),
-            RunOutcome(solved=False, evaluations=500, best_fitness=8.0),
-            RunOutcome(solved=True, evaluations=200, best_fitness=10.0),
-        ]
-        rep = summarize_runs(outcomes)
-        assert rep.runs == 3 and rep.hits == 2
-        assert rep.efficacy == pytest.approx(2 / 3)
-        assert rep.mean_evaluations_hit == 150.0
-        assert rep.expected_evaluations == pytest.approx(800 / 2)
-        assert rep.mean_best == pytest.approx(28 / 3)
-
-    def test_no_hits(self):
-        rep = summarize_runs([RunOutcome(False, 100, 1.0)])
-        assert rep.efficacy == 0.0
-        assert rep.expected_evaluations == float("inf")
-        assert np.isnan(rep.mean_evaluations_hit)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize_runs([])
-
-    def test_repeat_runs_distinct_seeds(self):
-        seen = []
-
-        def run_fn(seed: int) -> RunOutcome:
-            seen.append(seed)
-            return RunOutcome(True, seed, float(seed))
-
-        rep = repeat_runs(run_fn, 4, base_seed=10)
-        assert seen == [10, 11, 12, 13]
-        assert rep.runs == 4
-
-    def test_mean_time(self):
-        rep = summarize_runs(
-            [RunOutcome(True, 1, 1.0, time=2.0), RunOutcome(True, 1, 1.0, time=4.0)]
-        )
-        assert rep.mean_time == 3.0
 
 
 class TestSpeedupCurveBaseline:

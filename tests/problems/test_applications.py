@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.problems.applications import (
-    CameraPlacement,
-    DopplerSpectralEstimation,
     FeatureSelection,
     ImageRegistration,
     ReactorCoreDesign,
     StockPrediction,
     SyntheticClassification,
-    ar_spectrum,
-    synthetic_doppler,
     synthetic_prices,
     synthetic_scene,
     technical_indicators,
@@ -290,66 +286,3 @@ class TestReactor:
         sol = p.solve(barely_fueled)
         assert sol.k_eff < 1.0
         assert p.evaluate(barely_fueled) > sol.peaking_factor
-
-
-class TestDoppler:
-    def test_truth_coeffs_near_optimal(self):
-        p = DopplerSpectralEstimation(seed=13)
-        truth_fit = p.evaluate(np.asarray(p.true_coeffs))
-        ls_fit = p.evaluate(p.least_squares_solution())
-        assert truth_fit <= ls_fit * 1.1
-
-    def test_least_squares_is_lower_bound(self, rng):
-        p = DopplerSpectralEstimation(seed=14)
-        ls = p.evaluate(p.least_squares_solution())
-        for _ in range(20):
-            assert p.evaluate(p.spec.sample(rng)) >= ls - 1e-9
-
-    def test_unstable_filters_penalised(self):
-        p = DopplerSpectralEstimation(seed=15)
-        unstable = np.array([2.0, 0.0, 0.0, 0.0])  # pole at 2
-        stable = np.array([0.5, 0.0, 0.0, 0.0])
-        assert p._spectral_radius(unstable) > 1.0
-        # penalty term must be present
-        assert p.evaluate(unstable) > p.evaluate(stable)
-
-    def test_spectrum_error_zero_at_truth(self):
-        p = DopplerSpectralEstimation(seed=16)
-        assert p.spectrum_error(np.asarray(p.true_coeffs)) == pytest.approx(0.0)
-
-    def test_ar_spectrum_positive(self):
-        s = ar_spectrum(np.array([0.5, -0.2]))
-        assert np.all(s > 0)
-
-    def test_signal_generator_deterministic(self):
-        s1, c1 = synthetic_doppler(seed=17)
-        s2, c2 = synthetic_doppler(seed=17)
-        assert np.array_equal(s1, s2) and np.array_equal(c1, c2)
-
-
-class TestCameraPlacement:
-    def test_spread_beats_clustered(self):
-        p = CameraPlacement(n_cameras=4, seed=18)
-        clustered = np.array([0.01, 0.5] * 4)
-        spread = np.array([0.0, 0.5, 0.25, 0.5, 0.5, 0.5, 0.75, 0.5])
-        assert p.evaluate(spread) < p.evaluate(clustered)
-
-    def test_positions_on_viewing_sphere(self, rng):
-        p = CameraPlacement(n_cameras=3, radius=2.5, seed=19)
-        cams = p.camera_positions(p.spec.sample(rng))
-        assert np.allclose(np.linalg.norm(cams, axis=1), 2.5)
-
-    def test_elevation_floor_respected(self, rng):
-        p = CameraPlacement(n_cameras=3, elevation_floor=0.3, seed=20)
-        cams = p.camera_positions(p.spec.sample(rng))
-        min_z = p.radius * np.sin(0.3)
-        assert np.all(cams[:, 2] >= min_z - 1e-9)
-
-    def test_convergence_angles_count(self, rng):
-        p = CameraPlacement(n_cameras=4, seed=21)
-        angles = p.convergence_angles(p.spec.sample(rng))
-        assert angles.shape == (6,)  # C(4,2)
-
-    def test_needs_two_cameras(self):
-        with pytest.raises(ValueError):
-            CameraPlacement(n_cameras=1)

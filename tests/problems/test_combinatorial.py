@@ -11,7 +11,6 @@ from repro.problems import (
     TaskGraphScheduling,
     SPECTRUM,
     TravelingSalesman,
-    spectrum,
 )
 from repro.spec import ProblemSpec
 
@@ -180,16 +179,14 @@ class TestTaskGraphScheduling:
 
 class TestSpectrum:
     def test_five_classes(self):
-        s = spectrum()
-        assert set(s) == {"easy", "deceptive", "multimodal", "np-complete", "epistatic"}
+        assert set(SPECTRUM) == {"easy", "deceptive", "multimodal", "np-complete", "epistatic"}
 
     def test_all_maximization(self):
-        assert all(p.maximize for p in spectrum().values())
+        assert all(build(0).maximize for build in SPECTRUM.values())
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_members_built_alone_equal_the_suite(self, seed):
-        suite = spectrum(seed=seed)
-        assert list(SPECTRUM) == list(suite)
+        suite = {name: build(seed) for name, build in SPECTRUM.items()}
         for name, member in suite.items():
             for alone in (
                 SPECTRUM[name](seed),

@@ -1,4 +1,4 @@
-"""Property-based tests for metrics and niching utilities."""
+"""Property-based tests for metrics."""
 
 import warnings
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.niching import niche_counts
 from repro.metrics import a12_effect_size
 from repro.metrics.speedup import speedup_curve
 
@@ -28,18 +27,6 @@ def test_a12_bounds_and_antisymmetry(a, b):
 @given(a=samples)
 def test_a12_self_comparison_is_half(a):
     assert a12_effect_size(a, a) == 0.5
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, n=st.integers(1, 20), d=st.integers(1, 5),
-       sigma=st.floats(0.01, 10.0))
-def test_niche_counts_bounds(seed, n, d, sigma):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n, d))
-    counts = niche_counts(g, sigma_share=sigma)
-    # each individual contributes 1 for itself; counts in [1, n]
-    assert np.all(counts >= 1.0 - 1e-9)
-    assert np.all(counts <= n + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)

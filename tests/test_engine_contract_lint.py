@@ -51,12 +51,22 @@ def test_rule_9_flags_the_retired_helpers_and_the_capped_reactor_solve(tmp_path)
         "from repro.core.individual import better, worst_of as loser\n"
         "def _power_iteration(factors, nsf):\n"
         "    return factors\n"
+        "from repro.metrics.efficacy import RunOutcome as outcome\n"
     )
     problems = lint.lint_retired_file(module)
-    assert len(problems) == 3
+    assert len(problems) == 4
     assert "helpers.py:1: better: retired pairwise comparison" in problems[0]
     assert "helpers.py:1: worst_of: retired ranking helper" in problems[1]
     assert "helpers.py:2: _power_iteration: retired capped reactor solve" in problems[2]
+    # retired everywhere now, not only under repro/verify/
+    assert "helpers.py:4: RunOutcome: retired unreached component" in problems[3]
+    for name in (
+        "CameraPlacement", "DopplerSpectralEstimation", "SharedFitnessProblem",
+        "DecayingGaussianMutation", "ScheduleTopology", "_advance_topology",
+        "summarize_runs", "derive_rng", "classify_speedup", "myrinet", "spectrum",
+    ):
+        assert name in lint._RETIRED_NAMES
+    assert "RunOutcome" not in lint._RETIRED_VERIFY_NAMES
 
 
 def test_rule_11_flags_an_eviction_outside_the_replacement_operators(tmp_path):
@@ -188,3 +198,59 @@ def test_rule_10_accepts_an_allowlisted_keyword_and_flags_a_stale_entry(tmp_path
     assert len(stale) == 1 and "Planted.gone names no checked keyword" in stale[0]
     set_now = _lint(src, callers, {("Base", "seed"): "why"})
     assert any("Base.seed is set by a caller now" in p for p in set_now)
+
+
+def _reach_fixture(tmp_path: Path) -> tuple[Path, list[Path]]:
+    """A source package defining one read and one unread public name, a
+    caller tree, and a ``tests/`` directory whose reads do not count."""
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text(
+        "from .mod import helper, orphan, trial_specs\n"
+        '__all__ = ["helper", "orphan", "trial_specs"]\n'
+    )
+    (src / "mod.py").write_text(
+        "def helper():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def orphan():\n"
+        "    return 2\n"
+        "\n"
+        "\n"
+        "def trial_specs():\n"
+        "    return []\n"
+        "\n"
+        "\n"
+        "def _private():\n"
+        "    return 3\n"
+    )
+    callers = tmp_path / "callers"
+    (callers / "tests").mkdir(parents=True)
+    (callers / "caller.py").write_text(
+        "import pkg\n"
+        "pkg.helper()\n"
+        'getattr(pkg, "trial_specs")()\n'
+    )
+    (callers / "tests" / "test_mod.py").write_text(
+        "from pkg import orphan\n"
+        "orphan()\n"
+    )
+    return src, [src, callers]
+
+
+def test_rule_14_flags_a_public_name_only_tests_read(tmp_path):
+    src, readers = _reach_fixture(tmp_path)
+    (problem,) = lint.lint_name_reachability(src, readers, {})
+    assert "mod.py:5: orphan: nothing outside the tests reads this name" in problem
+
+
+def test_rule_14_accepts_an_allowlisted_name_and_flags_a_stale_entry(tmp_path):
+    src, readers = _reach_fixture(tmp_path)
+    assert lint.lint_name_reachability(src, readers, {"pkg.mod.orphan": "why"}) == []
+    # a module entry covers everything the module defines
+    assert lint.lint_name_reachability(src, readers, {"pkg.mod": "why"}) == []
+    (stale,) = lint.lint_name_reachability(
+        src, readers, {"pkg.mod.orphan": "why", "pkg.mod.helper": "why"}
+    )
+    assert "NAME_ALLOWLIST entry pkg.mod.helper covers no unread name" in stale

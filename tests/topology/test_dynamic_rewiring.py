@@ -1,12 +1,11 @@
-"""Dynamic-topology rewiring under supervisor-driven deme abandonment.
+"""Migration rewiring under supervisor-driven deme abandonment.
 
 The supervisor maintains a route overlay
 (:meth:`~repro.runtime.deme.TimedDemeRuntime._rebuild_routes`) that
 splices migration around abandoned demes.  These tests pin down that
-overlay's semantics on its own, its interaction with *dynamic*
-topologies (whose base edges change between epochs), and the end-to-end
-behaviour: an abandoned deme stops receiving migrants, and a rejoined
-deme gets its routes back.
+overlay's semantics on its own and the end-to-end behaviour: an
+abandoned deme stops receiving migrants, and a rejoined deme gets its
+routes back.
 """
 
 import math
@@ -19,12 +18,7 @@ from repro.core import GAConfig
 from repro.migration import MigrationPolicy
 from repro.parallel import SimulatedIslandModel
 from repro.problems import OneMax
-from repro.topology import (
-    CompleteTopology,
-    RandomRewiringTopology,
-    RingTopology,
-    ScheduleTopology,
-)
+from repro.topology import CompleteTopology
 
 
 def _cluster(n_nodes, plan=None):
@@ -96,44 +90,6 @@ class TestRouteOverlaySemantics:
         assert model._routes[1] == [2]
 
 
-class TestDynamicTopologyOverlay:
-    """The overlay reads the topology's *current* edges, so a dynamic
-    topology's rewiring and the supervisor's splicing compose."""
-
-    def test_schedule_phase_change_recomputes_spliced_routes(self):
-        topo = ScheduleTopology([RingTopology(5), CompleteTopology(5)])
-        model = _model(_cluster(5), topology=topo)
-        model._rebuild_routes({2})
-        assert model._routes[1] == [3]  # ring phase, spliced
-        topo.advance()
-        model._rebuild_routes({2})
-        assert sorted(model._routes[1]) == [0, 3, 4]  # complete phase, minus dead
-
-    def test_random_rewiring_never_routes_to_abandoned(self):
-        topo = RandomRewiringTopology(8, k=2, seed=3)
-        model = _model(_cluster(8), n_islands=8, topology=topo)
-        for _ in range(10):
-            model._rebuild_routes({1, 4})
-            for i, targets in enumerate(model._routes):
-                assert 1 not in targets and 4 not in targets
-                assert i not in targets  # splice never introduces self-loops
-                assert len(targets) == len(set(targets))
-            topo.advance()
-
-    def test_random_rewiring_splice_reaches_live_successors(self):
-        # with k=1 every node has one out-edge; splicing a dead target must
-        # transitively land on a live deme (or nothing if the chain dies out)
-        topo = RandomRewiringTopology(6, k=1, seed=5)
-        model = _model(_cluster(6), n_islands=6, topology=topo)
-        abandoned = {2}
-        model._rebuild_routes(abandoned)
-        for i in range(6):
-            if i in abandoned:
-                assert model._routes[i] == []
-            else:
-                assert all(t not in abandoned for t in model._routes[i])
-
-
 class TestSupervisedAbandonmentEndToEnd:
     def _run_with_early_crash(self, topology=None, n_islands=5):
         # deme 1's node dies before it can ship a checkpoint -> abandoned
@@ -164,22 +120,6 @@ class TestSupervisedAbandonmentEndToEnd:
             if e.kind == "migrant-apply" and e.time > abandon_time and e["dst"] == 1
         ]
         assert late_applies == []
-
-    def test_abandonment_with_schedule_topology(self):
-        topo = ScheduleTopology([RingTopology(5), CompleteTopology(5)])
-        cluster, result = self._run_with_early_crash(topology=topo)
-        assert result.abandoned_demes == 1
-        # survivors still exchange migrants after the abandonment
-        abandon_time = next(
-            e.time for e in cluster.trace if e.kind == "deme-abandoned"
-        )
-        survivor_applies = [
-            e
-            for e in cluster.trace
-            if e.kind == "migrant-apply" and e.time > abandon_time and e["dst"] != 1
-        ]
-        assert survivor_applies
-        assert all(t > 0.0 for i, t in enumerate(result.finish_times) if i != 1)
 
     def test_abandonment_metrics_reach_the_report_snapshot(self):
         _, result = self._run_with_early_crash()
